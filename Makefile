@@ -2,7 +2,7 @@ export PYTHONPATH := src
 
 PYTHON ?= python
 
-.PHONY: test lint lint-json gradcheck bench bench-save smoke-infer smoke-simhw smoke-dataset smoke-train check
+.PHONY: test lint lint-json gradcheck bench bench-save perfbench-test smoke-infer smoke-simhw smoke-dataset smoke-train check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -26,6 +26,12 @@ bench-save:
 	$(PYTHON) benchmarks/bench_save_absint.py
 	$(PYTHON) benchmarks/bench_save_dataset.py
 	$(PYTHON) benchmarks/bench_save_training.py
+
+# perfbench's own tests (~10 s): its helpers, a tiny run of every
+# workload, and test_instrument_patches_resolve, which fails as soon as a
+# function the per-layer trace patches is renamed or moved.
+perfbench-test:
+	$(PYTHON) -m pytest perfbench -q
 
 # ~2 s end-to-end serving smoke: propose -> verify -> featurize ->
 # predict -> top-k, asserting predict bit-identical to the taped forward.
@@ -51,4 +57,4 @@ smoke-dataset:
 smoke-train:
 	$(PYTHON) -c "import importlib; raise SystemExit(importlib.import_module('repro.core.trainer').main())"
 
-check: lint test gradcheck smoke-infer smoke-simhw smoke-dataset smoke-train
+check: lint test gradcheck perfbench-test smoke-infer smoke-simhw smoke-dataset smoke-train

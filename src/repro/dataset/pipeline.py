@@ -3,13 +3,21 @@
 One single pass per (task, target) batch does all the work the TenSet
 pipeline spreads over a measurement farm:
 
-1. **Generate** — ``SketchGenerator.generate_many`` samples the task's
-   candidate schedules from a batch-private named rng stream
-   (``spec.candidate_stream``), verified fail-closed in one pass.
-2. **Profile** — ``repro.analysis.absint.profile`` abstractly interprets
-   each sequence *once*, yielding both the static feature plane and the
-   concrete loop nest (``StaticProfile.to_nest()``), so schedules are
-   never applied a second time for measurement.
+1. **Generate** — ``SketchGenerator.generate_many(..., verify=False)``
+   samples the task's candidate schedules from a batch-private named rng
+   stream (``spec.candidate_stream``).  The verifier pass is skipped
+   because step 2 is the gate.
+2. **Profile (the fail-closed gate)** — ``repro.analysis.absint.profile``
+   abstractly interprets each sequence *once*, yielding both the static
+   feature plane and the concrete loop nest (``StaticProfile.to_nest()``),
+   so schedules are never applied a second time for measurement.  absint
+   raises ``AbsIntError`` on exactly the sequences the verifier rejects
+   (the differential property in ``tests/test_absint.py``), so one pass
+   both checks and profiles: an invalid candidate becomes a
+   :class:`DatasetError` naming the task, target, candidate index and
+   step, before any row of its batch reaches the :class:`ShardWriter`.
+   Only the featurizer-fit corpus (``fit_featurizer``) still runs the
+   verifier.
 3. **Featurize** — ``TLPFeaturizer.transform_into`` writes the
    ``[C, seq_len, emb]`` TLP planes straight into one preallocated batch
    buffer (zero steady-state tensor allocations; the featurizer's memo
@@ -40,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.absint import STATIC_FEATURE_NAMES, profile
+from repro.analysis.absint import STATIC_FEATURE_NAMES, AbsIntError, profile
 from repro.core.extractor import TLPFeaturizer
 from repro.core.postprocess import PostprocessConfig
 from repro.dataset.manifest import (
@@ -319,15 +327,24 @@ def _emit_batch(
     C = plan.n_candidates
     stream_name = candidate_stream(spec, task, plan.target)
 
+    # Unverified on purpose: the profile pass below is this batch's gate.
     schedules = generator.generate_many(
-        task.subgraph, C, stream(stream_name, spec.root_seed)
+        task.subgraph, C, stream(stream_name, spec.root_seed), verify=False
     )
 
     # One abstract interpretation per candidate yields the static plane
-    # AND the concrete nest — the schedule is never applied again.
+    # AND the concrete nest — the schedule is never applied again.  An
+    # AbsIntError stops the build before any row of this batch is written.
     nests = []
     for i, schedule in enumerate(schedules):
-        prof = profile(task.subgraph, schedule, plan.target)
+        try:
+            prof = profile(task.subgraph, schedule, plan.target)
+        except AbsIntError as err:
+            raise DatasetError(
+                f"task {task.task_id} ({task.network}/{task.subgraph.name}), "
+                f"target {plan.target}: candidate {i} rejected by abstract "
+                f"interpretation at {err}"
+            ) from err
         static_buf[i] = prof.features()
         nests.append(prof.to_nest())
     feats = NestFeatures.from_nests(task.subgraph, nests)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 
 class PrimitiveKind(str, Enum):
@@ -129,8 +130,14 @@ class Primitive:
         return "(" + "; ".join(parts) + ")"
 
 
+@lru_cache(maxsize=4096)
 def split_names(axis: str, n_parts: int) -> tuple[str, ...]:
-    """The axis names an SP/FSP with ``n_parts`` result loops defines."""
+    """The axis names an SP/FSP with ``n_parts`` result loops defines.
+
+    Memoized (the sampler, verifier and abstract interpreter each ask for
+    the same few splits on every candidate); the result is an immutable
+    tuple, so sharing it between callers is safe.
+    """
     return tuple(f"{axis}.{i}" for i in range(n_parts))
 
 

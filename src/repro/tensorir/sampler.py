@@ -4,8 +4,9 @@ Fills a sketch's free parameters with draws from a caller-supplied
 ``np.random.Generator`` (seeded via ``repro.utils.rng`` — this module
 never touches global randomness).  The sampler mirrors the verifier's
 axis-liveness bookkeeping so the sequences it emits are valid by
-construction; :class:`repro.tensorir.sketch.SketchGenerator` still runs
-the verifier on every sample, fail-closed.
+construction; :class:`repro.tensorir.sketch.SketchGenerator` still
+checks every sample fail-closed, with the verifier or (in the dataset
+build) with the abstract interpreter.
 
 CPU sketches follow Ansor's multi-level tiling: up to four spatial tile
 levels and two reduction levels in S..S R S R S order, the outer spatial
@@ -16,6 +17,8 @@ levels bound to blockIdx/threadIdx.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.tensorir import primitives as P
@@ -25,8 +28,11 @@ from repro.tensorir.sketch import SketchConfig
 from repro.tensorir.subgraph import Subgraph
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of ``n``, ascending."""
+@lru_cache(maxsize=4096)
+def _divisors(n: int) -> tuple[int, ...]:
+    # Memoized as a tuple: the sampler asks for the same few extents'
+    # divisors ~100K times per five-pool build, and a shared tuple cannot
+    # be mutated by one caller under another.
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -35,7 +41,12 @@ def divisors(n: int) -> list[int]:
             if d != n // d:
                 large.append(n // d)
         d += 1
-    return small + large[::-1]
+    return tuple(small + large[::-1])
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of ``n``, ascending (a fresh list per call)."""
+    return list(_divisors(n))
 
 
 def _choice(rng: np.random.Generator, items: list[int]) -> int:
@@ -66,7 +77,7 @@ class ScheduleSampler:
         factors: list[int] = []
         remaining = extent
         for _ in range(n_inner):
-            options = [d for d in divisors(remaining) if d <= self.config.max_innermost_factor]
+            options = [d for d in _divisors(remaining) if d <= self.config.max_innermost_factor]
             f = _choice(rng, options)
             factors.append(f)
             remaining //= f

@@ -5,7 +5,9 @@ how many tile levels each axis gets, whether a write-cache stage is added,
 which loops are annotated — with the free parameters (split factors,
 unroll steps) filled in by random sampling.  :class:`SketchGenerator`
 composes the two and runs the static verifier on every generated sequence
-fail-closed: an invalid sequence is a bug, not a sample.
+fail-closed: an invalid sequence is a bug, not a sample.  The one
+exception is a caller that abstractly interprets every sample itself
+(``generate_many(..., verify=False)``), which gates on that pass instead.
 """
 
 from __future__ import annotations
@@ -62,7 +64,12 @@ class SketchGenerator:
         return self.generate_many(subgraph, 1, rng)[0]
 
     def generate_many(
-        self, subgraph: Subgraph, n: int, rng: np.random.Generator
+        self,
+        subgraph: Subgraph,
+        n: int,
+        rng: np.random.Generator,
+        *,
+        verify: bool = True,
     ) -> list[Schedule]:
         """Sample ``n`` schedules, verified fail-closed in one batch pass.
 
@@ -73,6 +80,15 @@ class SketchGenerator:
         early-exits each sequence) instead of constructing a fresh
         verifier per sample.  Equivalent to ``n`` :meth:`generate` calls
         on the same ``rng`` stream, just cheaper.
+
+        ``verify=False`` skips that pass and returns the raw samples (the
+        rng draws are the same either way).  Only a caller that abstractly
+        interprets *every* returned schedule before using it may pass it,
+        and it must then run ``repro.analysis.absint.profile`` on each one
+        and treat an ``AbsIntError`` as fatal: absint rejects exactly the
+        sequences the verifier rejects, so that pass is the same gate.
+        The dataset build (``repro.dataset.pipeline``) is that caller;
+        everything else keeps the default.
         """
         # Imported lazily: repro.analysis imports repro.tensorir submodules,
         # so a module-level import here would be circular during package init.
@@ -81,7 +97,8 @@ class SketchGenerator:
 
         sampler = ScheduleSampler(self.config)
         schedules = [sampler.sample(subgraph, rng) for _ in range(n)]
-        assert_valid_many(schedules)
+        if verify:
+            assert_valid_many(schedules)
         return schedules
 
 

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.absint import profile_many
+from corruptions import CORRUPTIONS, dead_axis
+from repro.analysis.absint import AbsIntError, profile_many
 from repro.dataset import (
     DatasetSpec,
     Manifest,
@@ -27,7 +28,8 @@ from repro.dataset.pipeline import DatasetError, fit_featurizer
 from repro.dataset.shards import COLUMN_NAMES, verify_shard
 from repro.dataset.spec import candidate_stream
 from repro.simhw import measure_many
-from repro.tensorir import SketchConfig, SketchGenerator
+from repro.tensorir import Schedule, SketchConfig, SketchGenerator
+from repro.tensorir.sampler import ScheduleSampler
 from repro.utils.rng import seed_for, stream
 
 
@@ -213,3 +215,92 @@ def test_tasks_table_matches_enumeration(store):
         assert entry["task_id"] == task.task_id
         assert entry["network"] == task.network
         assert entry["subgraph"] == task.subgraph.name
+
+
+# -- the build's fail-closed gate ---------------------------------------
+
+#: A tiny one-network, one-platform build: 5 batches of 8 candidates in
+#: 12-row shards, so the faulted batch (plan 2, rows 16..23) starts
+#: mid-shard and a gate placed after the write would journal shard 1.
+_FAULT_PLAN, _FAULT_CANDIDATE = 2, 3
+
+
+def _fault_spec() -> DatasetSpec:
+    return small_spec(
+        name="t-gate",
+        platforms=("platinum-8272",),
+        candidates_per_task=8,
+        shard_size=12,
+    )
+
+
+def _inject(monkeypatch, spec, mutator) -> dict:
+    """Corrupt the sampler's output for one candidate of one batch.
+
+    The build samples the featurizer-fit corpus first, then each batch in
+    plan order; the call count places the fault on ``_FAULT_CANDIDATE``
+    of plan ``_FAULT_PLAN``.
+    """
+    original = ScheduleSampler.sample
+    state = {"calls": 0, "fault_at": 0, "fired": False}
+
+    def sample(self, subgraph, rng):
+        schedule = original(self, subgraph, rng)
+        state["calls"] += 1
+        if state["calls"] != state["fault_at"]:
+            return schedule
+        corrupted = mutator(schedule)
+        assert corrupted is not None, "corruption does not apply to the chosen candidate"
+        state["fired"] = True
+        return Schedule(schedule.subgraph, corrupted, target=schedule.target)
+
+    monkeypatch.setattr(ScheduleSampler, "sample", sample)
+    fit_featurizer(spec)  # disarmed: only counts the fit corpus's calls
+    # 1-based: the fit's calls, the earlier batches, then the candidate.
+    state["fault_at"] = (
+        state["calls"] + _FAULT_PLAN * spec.candidates_per_task + _FAULT_CANDIDATE + 1
+    )
+    state["calls"] = 0
+    return state
+
+
+@pytest.mark.parametrize(
+    "mutator", [m for _, _, m in CORRUPTIONS], ids=[name for _, name, _ in CORRUPTIONS]
+)
+def test_corrupt_candidate_fails_the_build_before_its_rows_are_written(
+    tmp_path, monkeypatch, mutator
+):
+    """With the verifier pass skipped, absint.profile is the build's only
+    gate: every corruption class must stop the build with a DatasetError
+    naming the candidate, and none of that batch's rows may be journaled."""
+    spec = _fault_spec()
+    plan = plan_batches(spec)[_FAULT_PLAN]
+    state = _inject(monkeypatch, spec, mutator)
+    store_dir = tmp_path / "store"
+    with pytest.raises(DatasetError) as err:
+        build_dataset(spec, store_dir)
+    assert state["fired"]
+    message = str(err.value)
+    assert f"task {plan.task.task_id} " in message
+    assert f"target {plan.target}:" in message
+    assert f"candidate {_FAULT_CANDIDATE} " in message
+    assert isinstance(err.value.__cause__, AbsIntError)
+    assert f"step {err.value.__cause__.step}:" in message
+    journal = Manifest.load(store_dir)
+    assert not journal.complete
+    assert journal.records_done() <= plan.row_start
+    assert plan.key not in journal.batch_stats
+
+
+def test_resume_after_a_rejected_candidate_matches_a_clean_build(tmp_path, monkeypatch):
+    spec = _fault_spec()
+    _inject(monkeypatch, spec, dead_axis)
+    with pytest.raises(DatasetError):
+        build_dataset(spec, tmp_path / "faulted")
+    assert Manifest.load(tmp_path / "faulted").shards  # a journaled prefix survives
+    monkeypatch.undo()
+    resumed = build_dataset(spec, tmp_path / "faulted", resume=True)
+    clean = build_dataset(spec, tmp_path / "clean")
+    assert resumed.complete
+    assert resumed.store_digest() == clean.store_digest()
+    assert resumed.to_dict() == clean.to_dict()

@@ -52,6 +52,26 @@ def test_divisors():
     assert divisors(1) == [1]
 
 
+def test_divisors_memo_hands_out_fresh_lists():
+    first = divisors(360)
+    assert isinstance(first, list)
+    first.append(7)
+    first[0] = 99
+    assert divisors(360) == [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 18, 20, 24, 30,
+                             36, 40, 45, 60, 72, 90, 120, 180, 360]
+    assert divisors(360) is not divisors(360)
+    # split_names shares its memoized result, so it must stay immutable.
+    assert P.split_names("i", 3) == ("i.0", "i.1", "i.2")
+    assert isinstance(P.split_names("i", 3), tuple)
+
+
+def test_divisors_match_brute_force():
+    for n in range(1, 2049):
+        expect = [d for d in range(1, n + 1) if n % d == 0]
+        assert divisors(n) == expect
+        assert divisors(n) == expect  # the memoized path
+
+
 def test_apply_valid_schedule(valid_schedule):
     nest = valid_schedule.apply()
     assert nest.names == ["i.0@j.0", "i.1", "j.1", "k.0", "i.2", "j.2", "k.1"]
