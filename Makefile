@@ -2,7 +2,7 @@ export PYTHONPATH := src
 
 PYTHON ?= python
 
-.PHONY: test lint lint-json gradcheck bench bench-save perfbench-test smoke-infer smoke-simhw smoke-dataset smoke-train check
+.PHONY: test lint lint-json gradcheck bench bench-check bench-save perfbench-test smoke-infer smoke-simhw smoke-dataset smoke-train check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -18,6 +18,12 @@ gradcheck:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Wall-clock perf floors (speedup ratios, time budgets): the tests marked
+# bench_check, which tier-1 skips because load makes them fail.  Not part
+# of `make check`; CI runs it as its own job.
+bench-check:
+	$(PYTHON) -m pytest benchmarks -q -m bench_check --bench-check
 
 bench-save:
 	$(PYTHON) benchmarks/bench_save.py

@@ -104,20 +104,17 @@ def test_draft_scores_throughput(benchmark, subgraph, candidates):
     assert draft.shape == (N_CANDIDATES,) and draft.max() == np.float32(1.0)
 
 
-def test_draft_then_verify_speedup(benchmark, subgraph, scorer):
-    """The acceptance gate: half the predicts, same top-1, faster."""
-    rng_name = "bench.absint.round"
+def _propose(scorer, subgraph, **kwargs):
+    return scorer.propose_topk(subgraph, N_CANDIDATES, TOP_K,
+                               stream("bench.absint.round"), **kwargs)
 
-    def full():
-        return scorer.propose_topk(subgraph, N_CANDIDATES, TOP_K,
-                                   stream(rng_name))
 
-    def drafted():
-        return scorer.propose_topk(subgraph, N_CANDIDATES, TOP_K,
-                                   stream(rng_name), draft_keep=DRAFT_KEEP)
-
-    _, top_full = full()
-    _, top_draft = benchmark.pedantic(drafted, rounds=1, iterations=1)
+def test_draft_then_verify_preserves_top1(benchmark, subgraph, scorer):
+    """Half the predicts, same top-1 (the speedup is a bench_check floor)."""
+    _, top_full = _propose(scorer, subgraph)
+    _, top_draft = benchmark.pedantic(
+        lambda: _propose(scorer, subgraph, draft_keep=DRAFT_KEEP),
+        rounds=1, iterations=1)
 
     # The draft screens — it must not change the winner or widen the
     # model's workload past the keep fraction.
@@ -128,9 +125,17 @@ def test_draft_then_verify_speedup(benchmark, subgraph, scorer):
         f"{top_full.indices[0]} -> {top_draft.indices[0]}")
     # Both rankings are real model scores, descending.
     assert (top_draft.scores[:-1] >= top_draft.scores[1:]).all()
+    benchmark.extra_info["n_predicted"] = int(top_draft.n_predicted)
 
-    t_full = best_of(full, 3)
-    t_draft = best_of(drafted, 3)
+
+@pytest.mark.bench_check
+def test_draft_then_verify_speedup(benchmark, subgraph, scorer):
+    """Draft-then-verify beats the full-predict path on wall clock."""
+    def measure():
+        return (best_of(lambda: _propose(scorer, subgraph), 3),
+                best_of(lambda: _propose(scorer, subgraph, draft_keep=DRAFT_KEEP), 3))
+
+    t_full, t_draft = benchmark.pedantic(measure, rounds=1, iterations=1)
     speedup = t_full / t_draft
     # Recorded ~1.2x at hidden=256 (draft overhead ~0.25 s vs the ~0.35 s
     # of predict it saves); the floor is wide to stay robust to load.
@@ -140,4 +145,3 @@ def test_draft_then_verify_speedup(benchmark, subgraph, scorer):
     benchmark.extra_info["t_full_ms"] = t_full * 1e3
     benchmark.extra_info["t_draft_ms"] = t_draft * 1e3
     benchmark.extra_info["speedup"] = speedup
-    benchmark.extra_info["n_predicted"] = int(top_draft.n_predicted)

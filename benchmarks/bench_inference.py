@@ -15,9 +15,10 @@ matmul schedules (the batch geometry one evolutionary round scores):
 asserts the ratio with a wide margin: the taped baseline's cost is
 dominated by large-buffer allocation, whose price swings ~2x with host
 memory state (hugepage availability), while the allocation-free
-``predict`` is stable — so the in-suite floor is set below the worst
-observed ratio and exists to catch fast-path regressions, not to pin
-the headline number.
+``predict`` is stable — so the floor is set below the worst observed
+ratio and exists to catch fast-path regressions, not to pin the
+headline number.  It is marked ``bench_check`` (``make bench-check``);
+tier-1 keeps the bit-identity assert of ``test_predict_batch1024``.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ def test_candidate_scorer_end_to_end(benchmark, model, featurizer, corpus):
     assert top.n_invalid == 0
 
 
+@pytest.mark.bench_check
 def test_perf_claims(benchmark, model, batch):
     """Regression floor for the fast path (headline number: bench-save).
 

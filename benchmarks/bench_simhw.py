@@ -5,7 +5,8 @@ on one platform in under 10 s on a single core.  In practice the batch
 costing is two orders of magnitude inside that budget — the vectorized
 ``NestFeatures`` planes mean the per-schedule cost is ``Schedule.apply``
 plus a constant share of a handful of ``[N, D]`` array expressions.
-``make bench-save`` records the exact numbers into ``BENCH_simhw.json``.
+``make bench-save`` records the exact numbers into ``BENCH_simhw.json``;
+the budget itself is a ``bench_check`` floor (``make bench-check``).
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ def test_measure_loop_small(benchmark, corpus):
     assert len(out) == 256
 
 
+@pytest.mark.bench_check
 def test_perf_claims(benchmark, corpus):
     """Assert the ISSUE 5 acceptance budget with a wide margin."""
 

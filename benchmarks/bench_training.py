@@ -9,9 +9,8 @@ here on a real built store with the smoke-train model geometry:
   (``make bench-save`` records the exact number into
   ``BENCH_training.json``);
 * steady-state gather allocations: after warm-up, every arena probe for
-  the wide X / label buffers must be a pool hit (the padding mask is
-  deliberately fresh per batch — the attention bias cache is keyed by
-  mask identity, so recycling the mask object would alias stale biases);
+  the X / mask / label buffers must be a pool hit (recycling the mask
+  buffer is safe: the attention bias is recomputed from its contents);
 * a whole ``train_epoch`` for the end-to-end figure including loader
   shuffling and loss bookkeeping.
 """
@@ -72,14 +71,14 @@ def test_train_step_batch64(benchmark, trainer, packed_batch):
 
 
 def test_train_step_steady_state_gathers_allocate_nothing(trainer, packed_batch):
-    """After warm-up, the X / label gather buffers are pure pool hits."""
+    """After warm-up, the X / mask / label gather buffers are pure pool hits."""
     idx, gids = packed_batch
     trainer.train_step(idx, gids)  # warm the arena for this geometry
     trainer._arena.reset_counters()
     for _ in range(3):
         trainer.train_step(idx, gids)
     assert trainer._arena.misses == 0
-    assert trainer._arena.hits == 6  # X + label, three steps
+    assert trainer._arena.hits == 9  # X + mask + label, three steps
 
 
 def test_train_epoch_end_to_end(benchmark, trainer):

@@ -50,7 +50,7 @@ from repro.core.metrics import (
     top_k_scores_grouped,
 )
 from repro.core.mtl import MTLTLPModel
-from repro.core.trainer import TrainConfig, Trainer
+from repro.core.trainer import NonFiniteTrainingError, TrainConfig, Trainer
 
 __all__ = [
     "KIND_INDEX",
@@ -63,6 +63,7 @@ __all__ = [
     "AbstractPrimitive",
     "CandidateScorer",
     "MTLTLPModel",
+    "NonFiniteTrainingError",
     "PostprocessConfig",
     "ScoredTopK",
     "TLPFeaturizer",

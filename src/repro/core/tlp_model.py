@@ -207,8 +207,8 @@ class TLPModel(Module):
         n, length, _ = X.shape
         arena = self._arena
         plan = _InferencePlan(self, arena)
-        # One mask conversion for the whole batch (memoized per mask
-        # object, shared with the taped attention path); chunks slice it.
+        # One mask conversion for the whole batch (into the buffer the
+        # taped attention path also uses); chunks slice it.
         bias = self.attention.mask_bias(mask)
         # Chunk boundaries keep every GEMM's row count out of the M == 1
         # gemv class (different accumulation bits — see functional.py):

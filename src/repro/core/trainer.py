@@ -23,12 +23,16 @@ and report how good the model's top-k picks are on *held-out networks*
   (``TrainConfig.platforms`` / ``platform_fractions`` carve out the
   Table 9 scarce-target + auxiliary-platform experiments).
 
-Throughput: ``train_step`` gathers X/label into ``ScratchArena``-pooled
-buffers (zero steady-state gather allocations for the wide column); the
-padding mask is the one buffer deliberately allocated per batch, because
-the attention layer's ``MaskBiasCache`` memoizes by mask *identity* and
-a recycled mask object with new contents would silently reuse a stale
-bias.
+Throughput: ``train_step`` gathers X, mask and label into
+``ScratchArena``-pooled buffers, so a steady-state gather allocates
+nothing.  Reusing the mask buffer is safe because the attention layer's
+``MaskBiasCache`` recomputes the bias from the mask's contents on every
+call.
+
+Bad numbers fail loudly: a non-finite loss or parameter gradient raises
+:class:`NonFiniteTrainingError` before the optimizer step, naming the
+epoch, the step within it and the batch's (task, platform) groups, with
+the weights and optimizer state left as they were.
 
 ``python -m repro.core.trainer`` is the ``make smoke-train`` entry:
 tiny spec -> build -> 3-epoch train -> top-k eval, twice, asserting a
@@ -55,6 +59,10 @@ from repro.utils.rng import stream
 
 #: Target rows per evaluation gather (grown to the next group boundary).
 _EVAL_CHUNK_ROWS = 2048
+
+
+class NonFiniteTrainingError(FloatingPointError):
+    """A training step produced a NaN or infinite loss or gradient."""
 
 
 @dataclass(frozen=True)
@@ -186,6 +194,8 @@ class Trainer:
         self._arena = F.ScratchArena()
         self.history: list[dict] = []
         self.epochs_done = 0
+        #: Steps taken in the current epoch (``train_epoch`` resets it).
+        self.epoch_step = 0
 
     # -- dataset carving -------------------------------------------------
 
@@ -237,30 +247,50 @@ class Trainer:
         """One optimizer step on one packed batch; returns the loss.
 
         ``idx`` are positions into ``train_indices`` (what
-        ``loader.iter_indices`` yields).  X and label land in pooled
-        arena buffers — zero steady-state allocations for the wide
-        feature block; the mask is fresh per batch (see module
-        docstring: the attention bias cache is identity-keyed).
+        ``loader.iter_indices`` yields).  X, mask and label land in
+        pooled arena buffers — zero steady-state gather allocations.
+        Raises :class:`NonFiniteTrainingError`, before the optimizer
+        touches any state, if the loss or a parameter gradient is NaN
+        or infinite.
         """
+        self.epoch_step += 1
         global_idx = self.train_indices[idx]
         n = int(idx.shape[0])
         arena = self._arena
         X_buf = arena.take("train.X", (n, *self._x_trailing))
+        mask_buf = arena.take("train.mask", (n, *self._mask_trailing))
         label_buf = arena.take("train.label", (n,))
-        mask_buf = np.empty((n, *self._mask_trailing), dtype=np.float32)
         X, mask, label = self.reader.gather(
             global_idx, ("X", "mask", "label"), out=(X_buf, mask_buf, label_buf)
         )
         pred = self._forward(X, mask, global_idx)
         loss = lambda_rank_loss_grouped(pred, label, gids, self.config.sigma)
+        if not np.isfinite(loss.data).all():
+            self._non_finite(f"loss {float(loss.data)}", gids)
         self.optimizer.zero_grad()
         loss.backward()
+        for name, param in self.model.named_parameters():
+            if param.grad is not None and not np.isfinite(param.grad).all():
+                self._non_finite(f"gradient of {name}", gids)
         self.optimizer.step()
         return float(loss.data)
+
+    def _non_finite(self, what: str, gids: np.ndarray) -> None:
+        n_plat = len(self.store_platforms)
+        groups = ", ".join(
+            f"(task {gid // n_plat}, {self.store_platforms[gid % n_plat]})"
+            for gid in dict.fromkeys(int(g) for g in gids)
+        )
+        raise NonFiniteTrainingError(
+            f"non-finite {what} at epoch {self.epochs_done + 1}, step "
+            f"{self.epoch_step}; batch groups: {groups}. The optimizer step "
+            f"was skipped, so weights and optimizer state are unchanged."
+        )
 
     def train_epoch(self) -> float:
         """One full pass over the training split; returns the mean loss."""
         self.model.train()
+        self.epoch_step = 0
         losses = [
             self.train_step(idx, gids) for idx, gids in self.loader.iter_indices()
         ]
@@ -487,4 +517,4 @@ if __name__ == "__main__":
     sys.exit(main())
 
 
-__all__ = ["TrainConfig", "Trainer"]
+__all__ = ["NonFiniteTrainingError", "TrainConfig", "Trainer"]

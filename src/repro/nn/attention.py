@@ -8,11 +8,12 @@ keys) before the softmax, so padded positions receive zero attention
 weight from every query.
 
 The mask → additive-bias conversion has one home,
-:func:`repro.nn.functional.additive_mask_bias`, and is memoized per
-batch through a :class:`~repro.nn.functional.MaskBiasCache` owned by the
+:func:`repro.nn.functional.additive_mask_bias`, and runs into the held
+buffer of a :class:`~repro.nn.functional.MaskBiasCache` owned by the
 layer — the taped forward and the tape-free ``TLPModel.predict`` plan
-share both the formula and the cache, so re-scoring a batch (or running
-``forward`` after ``predict``) converts the mask exactly once.
+share both the formula and the buffer.  The bias is recomputed from the
+mask's contents on every call, so a mask buffer reused across batches
+never sees a stale bias.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class MultiHeadSelfAttention(Module):
         self._mask_cache = MaskBiasCache()
 
     def mask_bias(self, mask: np.ndarray) -> np.ndarray:
-        """Memoized ``[N, 1, 1, L]`` additive bias for a padding mask."""
+        """``[N, 1, 1, L]`` additive bias for a padding mask, in the
+        layer's held buffer (overwritten by the next call)."""
         return self._mask_cache.get(mask)
 
     def _heads(self, x: Tensor, n: int, length: int) -> Tensor:

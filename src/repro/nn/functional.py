@@ -112,32 +112,24 @@ def additive_mask_bias(mask: np.ndarray, out: np.ndarray | None = None) -> np.nd
 
 
 class MaskBiasCache:
-    """Per-batch memo of :func:`additive_mask_bias`.
+    """:func:`additive_mask_bias` into a held buffer, one per geometry.
 
-    Search rounds query the model many times with the *same* mask array
-    (taped forward then predict, or chunked loops over one batch), so
-    the bias is keyed on the mask's identity: a repeated ``get`` with
-    the same object returns the cached bias with zero work.  A new mask
-    of the same geometry recomputes in place into the held buffer —
-    steady-state serving allocates nothing here either.
+    Every ``get`` recomputes the bias from the mask's current contents —
+    two ufunc passes, microseconds even for a ``[1024, 25]`` mask — so
+    nothing is keyed on the mask object: a buffer reused or mutated in
+    place always gets a fresh bias.  The buffer is reused while the
+    geometry stays the same, so steady-state serving and training
+    allocate nothing here.
     """
 
     def __init__(self) -> None:
-        self._mask: np.ndarray | None = None
         self._bias: np.ndarray | None = None
-        self.hits = 0
-        self.misses = 0
 
     def get(self, mask: np.ndarray) -> np.ndarray:
-        if mask is self._mask:
-            self.hits += 1
-            return self._bias
-        self.misses += 1
         n, length = mask.shape
         out = self._bias if self._bias is not None and self._bias.shape == (
             n, 1, 1, length) else None
         self._bias = additive_mask_bias(mask, out=out)
-        self._mask = mask
         return self._bias
 
 

@@ -14,6 +14,35 @@ Everything stays float32 end to end (DESIGN.md §7, enforced by
 selfcheck SC103); gradients are plain ndarrays, not tensors, so the
 tape never grows through optimizer steps.
 
+The backward pass does only the work somebody reads:
+
+* An operand built with ``requires_grad=False`` (the feature block,
+  the attention mask bias, loss constants, scalars) gets no gradient
+  computed and ends with ``.grad is None``.
+* A gradient array a closure has just allocated becomes the operand's
+  ``.grad`` as is; only a view of another tensor's gradient (the
+  pass-through of ``+``, ``reshape``, ``transpose``, ``sum``) is copied,
+  so no two ``.grad`` arrays ever share memory.
+* The weight gradient of a batched ``[N, L, K] @ [K, E]`` adds the N
+  per-sample GEMMs in order into one ``[K, E]`` buffer — the exact
+  float32 sequence of ``(xᵀ @ g).sum(axis=0)`` without its ``[N, K, E]``
+  intermediate.
+
+Subnormal float32 gradients are flushed to (signed) zero where the
+attention backward creates them: the ``exp`` backward inside
+:func:`softmax` (probabilities of keys a saturated row scores ~88-104
+below its max are subnormal) and the operand gradients of batched
+activation-by-activation matmuls (attention's ``q @ kᵀ`` and
+``attn @ v``).  On x86 every arithmetic op that meets a subnormal takes
+a microcode assist, ~100x the cost of the op; left alone, the ~1% of
+subnormal entries those products emit slow each downstream
+projection-layer GEMM by 2-6x.  Hardware FTZ/DAZ would remove the cost,
+but numpy has no switch for them, so the flush is done in numpy,
+unconditionally.  Next to any term of ordinary magnitude a subnormal is
+below the last bit, so the flush changes no recorded training digest
+(smoke-train, ``BENCH_training.json``, the perfbench train runs); it is
+not bit-neutral for every conceivable input.
+
 Inference never runs the backward pass, so it should not pay for the
 tape: inside :func:`no_grad` every op skips parent tracking and
 backward-closure recording, so intermediates are freed as the forward
@@ -62,6 +91,36 @@ class no_grad:
 
 def _f32(value: object) -> np.ndarray:
     return np.asarray(value, dtype=np.float32)
+
+
+#: Smallest normal float32; nonzero magnitudes below it are subnormal.
+_F32_TINY = np.finfo(np.float32).tiny
+
+
+def _flush_subnormals(a: np.ndarray) -> np.ndarray:
+    """Zero every subnormal entry of ``a`` in place, keeping its sign.
+
+    Multiplying by the 0/1 keep-mask is the cheapest sign-preserving
+    form measured (NaN and inf pass through unchanged).
+    """
+    np.multiply(a, np.abs(a) >= _F32_TINY, out=a)
+    return a
+
+
+def _batched_weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``(x.swapaxes(-1, -2) @ g).sum(axis=0)`` for ``x [N, L, K]``,
+    ``g [N, L, E]``, without the ``[N, K, E]`` intermediate.
+
+    Each per-sample GEMM is the call the batched matmul makes for that
+    slice, and numpy's axis-0 sum starts from 0.0 and adds the slices in
+    order, so accumulating the same way is bit-identical.
+    """
+    out = np.zeros((x.shape[2], g.shape[2]), dtype=np.float32)
+    tmp = np.empty_like(out)
+    for xi, gi in zip(x, g):
+        np.matmul(xi.T, gi, out=tmp)
+        out += tmp
+    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -128,11 +187,29 @@ class Tensor:
 
     # -- tape ------------------------------------------------------------
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``.
+
+        ``owned`` marks an array the calling closure has just allocated
+        and nobody else references: it becomes ``self.grad`` without a
+        copy, provided it already has the C layout a copy would give
+        (matmul bits depend on operand layout, and ``zeros_like`` of a
+        transposed tensor is not C-ordered).  Anything else — above all
+        a view of another tensor's ``.grad`` — is copied.
+        """
         if self.grad is None:
-            self.grad = _f32(grad).copy()
+            if owned and grad.flags.c_contiguous:
+                self.grad = grad
+            else:
+                self.grad = _f32(grad).copy()
         else:
             self.grad += grad
+
+    def _accumulate_unbroadcast(self, g: np.ndarray) -> None:
+        """Accumulate an incoming gradient ``g`` summed down to this
+        tensor's shape; ``g`` itself (no reduction) is never adopted."""
+        grad = _unbroadcast(g, self.data.shape)
+        self._accumulate(grad, owned=grad is not g)
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor to every reachable leaf."""
@@ -190,8 +267,10 @@ class Tensor:
         other = as_tensor(other)
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(g, self.data.shape))
-            other._accumulate(_unbroadcast(g, other.data.shape))
+            if self.requires_grad:
+                self._accumulate_unbroadcast(g)
+            if other.requires_grad:
+                other._accumulate_unbroadcast(g)
 
         return self._track(self.data + other.data, (self, other), backward)
 
@@ -202,8 +281,10 @@ class Tensor:
         other = as_tensor(other)
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(g, self.data.shape))
-            other._accumulate(_unbroadcast(-g, other.data.shape))
+            if self.requires_grad:
+                self._accumulate_unbroadcast(g)
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(-g, other.data.shape), owned=True)
 
         return self._track(self.data - other.data, (self, other), backward)
 
@@ -214,8 +295,10 @@ class Tensor:
         other = as_tensor(other)
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-            other._accumulate(_unbroadcast(g * self.data, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g * other.data, self.data.shape), owned=True)
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g * self.data, other.data.shape), owned=True)
 
         return self._track(self.data * other.data, (self, other), backward)
 
@@ -226,10 +309,14 @@ class Tensor:
         other = as_tensor(other)
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(g / other.data, self.data.shape))
-            other._accumulate(
-                _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape)
-            )
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g / other.data, self.data.shape), owned=True)
+            if other.requires_grad:
+                other._accumulate(
+                    _unbroadcast(-g * self.data / (other.data * other.data),
+                                 other.data.shape),
+                    owned=True,
+                )
 
         return self._track(self.data / other.data, (self, other), backward)
 
@@ -238,7 +325,7 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         def backward(g: np.ndarray) -> None:
-            self._accumulate(-g)
+            self._accumulate(-g, owned=True)
 
         return self._track(-self.data, (self,), backward)
 
@@ -247,7 +334,8 @@ class Tensor:
         out_data = self.data ** np.float32(exponent)
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * exponent * self.data ** np.float32(exponent - 1.0))
+            self._accumulate(g * exponent * self.data ** np.float32(exponent - 1.0),
+                             owned=True)
 
         return self._track(out_data, (self,), backward)
 
@@ -255,10 +343,21 @@ class Tensor:
         other = as_tensor(other)
         if self.ndim < 2 or other.ndim < 2:
             raise ValueError("matmul needs operands with ndim >= 2")
+        # Activation-by-activation products (attention's q @ kᵀ and
+        # attn @ v) are where subnormal gradients arise; see module doc.
+        flush = self.ndim >= 3 and other.ndim >= 3
+        per_sample_weight_grad = self.ndim == 3 and other.ndim == 2
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(g @ other.data.swapaxes(-1, -2), self.data.shape))
-            other._accumulate(_unbroadcast(self.data.swapaxes(-1, -2) @ g, other.data.shape))
+            if self.requires_grad:
+                grad = _unbroadcast(g @ other.data.swapaxes(-1, -2), self.data.shape)
+                self._accumulate(_flush_subnormals(grad) if flush else grad, owned=True)
+            if other.requires_grad:
+                if per_sample_weight_grad:
+                    grad = _batched_weight_grad(self.data, g)
+                else:
+                    grad = _unbroadcast(self.data.swapaxes(-1, -2) @ g, other.data.shape)
+                other._accumulate(_flush_subnormals(grad) if flush else grad, owned=True)
 
         return self._track(self.data @ other.data, (self, other), backward)
 
@@ -287,7 +386,7 @@ class Tensor:
         inv = np.float32(1.0 / float(count))
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(self._expand_reduced(g, axis, keepdims) * inv)
+            self._accumulate(self._expand_reduced(g, axis, keepdims) * inv, owned=True)
 
         return self._track(
             self.data.mean(axis=axis, keepdims=keepdims, dtype=np.float32), (self,), backward
@@ -316,7 +415,7 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             grad = np.zeros_like(self.data)
             np.add.at(grad, index, g)
-            self._accumulate(grad)
+            self._accumulate(grad, owned=True)
 
         return self._track(self.data[index], (self,), backward)
 
@@ -326,13 +425,13 @@ class Tensor:
         out_data = np.exp(self.data)
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * out_data)
+            self._accumulate(g * out_data, owned=True)
 
         return self._track(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g / self.data)
+            self._accumulate(g / self.data, owned=True)
 
         return self._track(np.log(self.data), (self,), backward)
 
@@ -340,7 +439,7 @@ class Tensor:
         out_data = np.tanh(self.data)
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * (1.0 - out_data * out_data))
+            self._accumulate(g * (1.0 - out_data * out_data), owned=True)
 
         return self._track(out_data, (self,), backward)
 
@@ -348,7 +447,7 @@ class Tensor:
         positive = self.data > 0
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * positive)
+            self._accumulate(g * positive, owned=True)
 
         return self._track(np.where(positive, self.data, np.float32(0.0)), (self,), backward)
 
@@ -356,7 +455,7 @@ class Tensor:
         out_data = _sigmoid(self.data)
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * out_data * (1.0 - out_data))
+            self._accumulate(g * out_data * (1.0 - out_data), owned=True)
 
         return self._track(out_data, (self,), backward)
 
@@ -365,7 +464,7 @@ class Tensor:
         out_data = np.maximum(self.data, 0.0) + np.log1p(np.exp(-np.abs(self.data)))
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * _sigmoid(self.data))
+            self._accumulate(g * _sigmoid(self.data), owned=True)
 
         return self._track(_f32(out_data), (self,), backward)
 
@@ -384,10 +483,17 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Softmax along ``axis``, max-shifted for stability.
 
     The shift is a detached constant: softmax is invariant to it, so the
-    gradient is exact without differentiating through the max.
+    gradient is exact without differentiating through the max.  The
+    ``exp`` node is :meth:`Tensor.exp` with its gradient flushed of
+    subnormals (module docstring).
     """
     shifted = x - x.data.max(axis=axis, keepdims=True)
-    e = shifted.exp()
+    e_data = np.exp(shifted.data)
+
+    def exp_backward(g: np.ndarray) -> None:
+        shifted._accumulate(_flush_subnormals(g * e_data), owned=True)
+
+    e = shifted._track(e_data, (shifted,), exp_backward)
     return e / e.sum(axis=axis, keepdims=True)
 
 

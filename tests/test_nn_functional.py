@@ -73,22 +73,30 @@ def test_additive_mask_bias_values_and_shape():
     assert np.array_equal(bias.reshape(2, 3), expected)
 
 
-def test_mask_bias_cache_memoizes_by_identity():
+def test_mask_bias_cache_recomputes_into_held_buffer():
     cache = MaskBiasCache()
     mask = np.array([[1.0, 0.0]], dtype=np.float32)
     bias1 = cache.get(mask)
-    bias2 = cache.get(mask)
-    assert bias2 is bias1 and cache.hits == 1 and cache.misses == 1
-    # A different mask object of the same shape recomputes into the
-    # held buffer — zero steady-state allocation.
+    assert np.array_equal(bias1, F.additive_mask_bias(mask))
+    # Another mask of the same geometry recomputes into the held
+    # buffer — zero steady-state allocation.
     other = np.array([[0.0, 1.0]], dtype=np.float32)
-    bias3 = cache.get(other)
-    assert bias3 is bias1  # same buffer, new contents
-    assert np.array_equal(bias3, F.additive_mask_bias(other))
-    assert cache.misses == 2
+    bias2 = cache.get(other)
+    assert bias2 is bias1  # same buffer, new contents
+    assert np.array_equal(bias2, F.additive_mask_bias(other))
     # New geometry allocates a fresh buffer.
     wide = np.ones((1, 5), dtype=np.float32)
     assert cache.get(wide).shape == (1, 1, 1, 5)
+
+
+def test_mask_bias_cache_sees_in_place_mutation():
+    """Regression: the cache used to memoize by mask identity, so a mask
+    buffer refilled in place (a pooled gather buffer) got a stale bias."""
+    cache = MaskBiasCache()
+    mask = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]], dtype=np.float32)
+    cache.get(mask)
+    mask[:] = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]], dtype=np.float32)
+    assert np.array_equal(cache.get(mask), F.additive_mask_bias(mask))
 
 
 def test_attention_module_shares_the_cache():

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.nn import Tensor, as_tensor, assert_gradients_match, softmax
+from repro.core.tlp_model import TLPModel, TLPModelConfig
+from repro.nn import Tensor, as_tensor, assert_gradients_match, lambda_rank_loss, softmax
+from repro.nn.tensor import _unbroadcast
 from repro.utils.rng import stream
 
 _RNG = stream("test.nn.tensor")
@@ -157,3 +160,194 @@ def test_gradcheck_elementwise(name, fn, offset):
 def test_gradcheck_softmax():
     x = _t((2, 4), scale=0.7)
     assert_gradients_match(lambda: (softmax(x, axis=-1) ** 2).sum(), [x])
+
+
+# -- backward contract -------------------------------------------------
+#
+# The backward pass skips gradients nobody reads, adopts freshly
+# allocated gradient arrays, accumulates batched weight gradients per
+# sample, and flushes subnormals out of the attention products — and
+# none of that may move a bit of what the old formulas computed.
+
+_TINY = np.finfo(np.float32).tiny
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The raw float32 bit patterns: equality that tells -0.0 from 0.0."""
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+
+def _subnormal(a: np.ndarray) -> np.ndarray:
+    return (a != 0) & (np.abs(a) < _TINY)
+
+
+def _flushed(a: np.ndarray) -> np.ndarray:
+    """Plain-numpy reference flush: subnormals to zero of the same sign."""
+    return np.where(_subnormal(a), a * np.float32(0.0), a)
+
+
+def _batched_linear_grads(n, length, k, e, seed):
+    """Input and weight gradients of ``[N, L, K] @ [K, E]`` from the tape,
+    then the same two from the pre-change formulas."""
+    rng = stream(f"test.nn.tensor.batched.{n}.{length}.{k}.{e}.{seed}")
+    x = rng.standard_normal((n, length, k)).astype(np.float32)
+    w = rng.standard_normal((k, e)).astype(np.float32)
+    g = rng.standard_normal((n, length, e)).astype(np.float32)
+    x[rng.random(x.shape) < 0.2] = 0.0  # ReLU-like zeros
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    (xt @ wt).backward(g)
+    ref_x = g @ w.swapaxes(-1, -2)
+    ref_w = _unbroadcast(x.swapaxes(-1, -2) @ g, w.shape)
+    return xt.grad, wt.grad, ref_x, ref_w
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    length=st.integers(1, 6),
+    k=st.integers(1, 9),
+    e=st.integers(1, 9),
+    seed=st.integers(0, 3),
+)
+def test_batched_matmul_grads_match_old_formulas_bitwise(n, length, k, e, seed):
+    gx, gw, ref_x, ref_w = _batched_linear_grads(n, length, k, e, seed)
+    assert gx.shape == ref_x.shape and gw.shape == ref_w.shape
+    assert gx.dtype == gw.dtype == np.float32
+    assert np.array_equal(_bits(gx), _bits(ref_x))
+    assert np.array_equal(_bits(gw), _bits(ref_w))
+
+
+@pytest.mark.parametrize("n, length, k, e", [
+    (64, 25, 22, 128), (64, 25, 128, 256), (64, 25, 256, 256),  # perfbench model
+    (64, 25, 24, 48), (64, 25, 48, 48),  # smoke-train model
+    (1, 25, 256, 256), (64, 1, 256, 256), (64, 25, 1, 256), (64, 25, 256, 1),
+])
+def test_batched_matmul_grads_match_old_formulas_at_model_shapes(n, length, k, e):
+    gx, gw, ref_x, ref_w = _batched_linear_grads(n, length, k, e, 0)
+    assert np.array_equal(_bits(gx), _bits(ref_x))
+    assert np.array_equal(_bits(gw), _bits(ref_w))
+
+
+@pytest.mark.parametrize("name, fn", [
+    ("add", lambda x, c: x + c), ("radd", lambda x, c: c + x),
+    ("sub", lambda x, c: x - c), ("rsub", lambda x, c: c - x),
+    ("mul", lambda x, c: x * c), ("rmul", lambda x, c: c * x),
+    ("div", lambda x, c: x / c),
+    ("rdiv", lambda x, c: c / (x * x + np.float32(1.0))),
+    ("matmul", lambda x, c: x @ c), ("rmatmul", lambda x, c: c @ x),
+])
+def test_constant_operands_get_no_grad(name, fn):
+    x = _t((3, 3))
+    const = Tensor(np.abs(_RNG.standard_normal((3, 3))).astype(np.float32) + 1.0)
+    fn(x, const).sum().backward()
+    assert const.grad is None
+    assert x.grad is not None and x.grad.shape == (3, 3)
+
+
+def test_model_inputs_get_no_grad():
+    """The feature block and every parameter-free operand of the Fig. 7
+    forward (mask bias, pooling mask, loss constants) stay grad-free."""
+    model = TLPModel(TLPModelConfig(emb=6, hidden=8, n_heads=2, n_res_blocks=1,
+                                    stream_name="test.nn.tensor.model"))
+    x = Tensor(_RNG.standard_normal((5, 4, 6)).astype(np.float32))
+    mask = np.array([[1, 1, 1, 0]] * 5, dtype=np.float32)
+    labels = np.linspace(0.2, 1.0, 5, dtype=np.float32)
+    lambda_rank_loss(model(x, mask), labels).backward()
+    assert x.grad is None
+    assert all(p.grad is not None for p in model.parameters())
+
+
+def _tape(root: Tensor) -> list[Tensor]:
+    seen: dict[int, Tensor] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("name, build", [
+    ("a_plus_a", lambda a, b: a + a),
+    ("x_plus_y", lambda a, b: a + b),
+    ("reshape_transpose_chain",
+     lambda a, b: a.reshape(3, 2).transpose((1, 0)).reshape(6).reshape(2, 3) + b),
+    ("transpose_both", lambda a, b: a.transpose((1, 0)) + b.transpose((1, 0))),
+    ("sum_broadcast", lambda a, b: a.sum(axis=0, keepdims=True) + b),
+    ("gather_of_transpose",
+     lambda a, b: a.transpose((1, 0))[np.array([2, 0, 1])] * b.transpose((1, 0))),
+])
+def test_no_two_grads_share_memory(name, build):
+    a, b = _t((2, 3)), _t((2, 3))
+    out = build(a, b)
+    out.backward(np.ones_like(out.data))
+    grads = [t.grad for t in _tape(out) if t.grad is not None]
+    assert len(grads) >= 2
+    # Every gradient has the C layout a copy gives, whatever its
+    # tensor's layout: matmul bits depend on operand layout.
+    assert all(g.flags.c_contiguous for g in grads)
+    for i, gi in enumerate(grads):
+        for gj in grads[i + 1:]:
+            assert not np.shares_memory(gi, gj)
+    # Mutating one gradient in place leaves every other one alone.
+    before = [g.copy() for g in grads]
+    grads[0] += np.float32(100.0)
+    for g, old in zip(grads[1:], before[1:]):
+        assert np.array_equal(g, old)
+
+
+def _softmax_backward_reference(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The tape's softmax backward in plain numpy, same float32 op order,
+    without any flush."""
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    z = e.sum(axis=-1, keepdims=True)
+    ge = g / z
+    ge += (-g * e / (z * z)).sum(axis=-1, keepdims=True)
+    return ge * e
+
+
+def _saturated_logits(shape: tuple[int, ...], rng) -> np.ndarray:
+    """Rows spread over ~0..-120, so exp underflows through the subnormal
+    range (-87.3..-103.3) into exact zeros."""
+    base = np.linspace(0.0, -120.0, shape[-1], dtype=np.float32)
+    return base + rng.standard_normal(shape).astype(np.float32)
+
+
+def test_softmax_backward_flushes_subnormals():
+    rng = stream("test.nn.tensor.saturated.softmax")
+    x = Tensor(_saturated_logits((4, 3, 40), rng), requires_grad=True)
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    softmax(x, axis=-1).backward(g)
+    ref = _softmax_backward_reference(x.data, g)
+    assert _subnormal(ref).any()  # the case is not vacuous
+    assert not _subnormal(x.grad).any()
+    assert np.array_equal(_bits(x.grad), _bits(_flushed(ref)))
+
+
+def test_score_matmul_backward_flushes_subnormals():
+    """``softmax(q @ kᵀ)`` on saturated scores: neither the softmax nor
+    the score matmul hands a subnormal to the projections upstream.
+    With ``k = 0.1 I`` the scores are the saturated logits and ``dq`` is
+    a tenth of the score gradient, whose ~1e-38 entries it pushes into
+    the subnormal range."""
+    rng = stream("test.nn.tensor.saturated.scores")
+    length = 40
+    shape = (3, 2, length, length)
+    q = Tensor(_saturated_logits(shape, rng) * np.float32(10.0), requires_grad=True)
+    k = Tensor(np.broadcast_to(np.eye(length, dtype=np.float32) * np.float32(0.1), shape),
+               requires_grad=True)
+    scores = q @ k.transpose((0, 1, 3, 2))
+    g = rng.standard_normal(scores.shape).astype(np.float32)
+    softmax(scores, axis=-1).backward(g)
+
+    gs_ref = _softmax_backward_reference(scores.data, g)
+    assert _subnormal(gs_ref).any()
+    assert np.array_equal(_bits(scores.grad), _bits(_flushed(gs_ref)))
+    gs = _flushed(gs_ref)
+    dq_ref = gs @ k.data
+    dk_ref = (q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+    assert _subnormal(dq_ref).any()
+    for grad, ref in ((q.grad, dq_ref), (k.grad, dk_ref)):
+        assert not _subnormal(grad).any()
+        assert np.array_equal(_bits(grad), _bits(_flushed(ref)))

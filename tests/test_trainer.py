@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from repro.core.tlp_model import TLPModel, TLPModelConfig
+from repro.core import NonFiniteTrainingError
 from repro.core.trainer import TrainConfig, Trainer, _run_digest
 from repro.dataset.pipeline import build_dataset
 from repro.dataset.reader import ShardReader
 from repro.dataset.spec import DatasetSpec
+from repro.nn import Tensor
 
 _NETWORKS = ("bert_tiny", "resnet18", "resnet50", "bert_base", "mobilenet_v2")
 
@@ -170,3 +172,62 @@ def test_train_config_validation():
         TrainConfig(platform_fractions={"x": 0.0})
     with pytest.raises(ValueError, match="eval_every"):
         TrainConfig(eval_every=-1)
+
+
+def _poison_nth_gather(trainer, monkeypatch, n):
+    """Put a NaN label into the ``n``-th training batch gather."""
+    gather = trainer.reader.gather
+    calls = {"n": 0}
+
+    def poisoned(rows, columns, out=None):
+        result = gather(rows, columns, out=out)
+        calls["n"] += 1
+        if calls["n"] == n:
+            result[columns.index("label")][0] = np.nan
+        return result
+
+    monkeypatch.setattr(trainer.reader, "gather", poisoned)
+
+
+def _state(model, trainer):
+    return {**{f"m/{k}": v.copy() for k, v in model.state_dict().items()},
+            **{f"o/{k}": v for k, v in trainer.optimizer.state_dict().items()}}
+
+
+def test_nan_label_raises_named_error_before_the_optimizer_step(store, monkeypatch):
+    model, trainer = _make_trainer(store)
+    batches = list(trainer.loader.iter_indices())
+    _poison_nth_gather(trainer, monkeypatch, 3)
+    for idx, gids in batches[:2]:
+        trainer.train_step(idx, gids)
+    before = _state(model, trainer)
+
+    idx, gids = batches[2]
+    with pytest.raises(NonFiniteTrainingError) as err:
+        trainer.train_step(idx, gids)
+    message = str(err.value)
+    assert "non-finite loss nan" in message
+    assert "epoch 1, step 3" in message
+    n_plat = len(trainer.store_platforms)
+    first = int(gids[0])
+    assert f"(task {first // n_plat}, platinum-8272)" in message
+    after = _state(model, trainer)
+    assert before.keys() == after.keys()
+    assert all(np.array_equal(before[k], after[k]) for k in before)
+
+
+def test_non_finite_gradient_raises_and_names_the_parameter(store, monkeypatch):
+    model, trainer = _make_trainer(store, epochs=1)
+    backward = Tensor.backward
+
+    def inf_grad(self, grad=None):
+        backward(self, grad)
+        model.head.bias.grad[0] = np.inf
+
+    monkeypatch.setattr(Tensor, "backward", inf_grad)
+    before = _state(model, trainer)
+    with pytest.raises(NonFiniteTrainingError, match=r"gradient of head\.bias at epoch 1, step 1"):
+        trainer.fit()
+    after = _state(model, trainer)
+    assert all(np.array_equal(before[k], after[k]) for k in before)
+    assert trainer.epochs_done == 0 and trainer.history == []
