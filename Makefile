@@ -20,10 +20,10 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Wall-clock perf floors (speedup ratios, time budgets): the tests marked
-# bench_check, which tier-1 skips because load makes them fail.  Not part
-# of `make check`; CI runs it as its own job.
+# bench_check, which pytest.ini deselects from tier-1 because load makes
+# them fail.  Not part of `make check`; CI runs it as its own job.
 bench-check:
-	$(PYTHON) -m pytest benchmarks -q -m bench_check --bench-check
+	$(PYTHON) -m pytest benchmarks -q -m bench_check
 
 bench-save:
 	$(PYTHON) benchmarks/bench_save.py

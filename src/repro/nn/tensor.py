@@ -29,10 +29,10 @@ The backward pass does only the work somebody reads:
   intermediate.
 
 Subnormal float32 gradients are flushed to (signed) zero where the
-attention backward creates them: the ``exp`` backward inside
-:func:`softmax` (probabilities of keys a saturated row scores ~88-104
-below its max are subnormal) and the operand gradients of batched
-activation-by-activation matmuls (attention's ``q @ kᵀ`` and
+attention backward creates them: the :meth:`Tensor.exp` backward,
+which :func:`softmax` uses (probabilities of keys a saturated row
+scores ~88-104 below its max are subnormal), and the operand gradients
+of batched activation-by-activation matmuls (attention's ``q @ kᵀ`` and
 ``attn @ v``).  On x86 every arithmetic op that meets a subnormal takes
 a microcode assist, ~100x the cost of the op; left alone, the ~1% of
 subnormal entries those products emit slow each downstream
@@ -192,13 +192,16 @@ class Tensor:
 
         ``owned`` marks an array the calling closure has just allocated
         and nobody else references: it becomes ``self.grad`` without a
-        copy, provided it already has the C layout a copy would give
-        (matmul bits depend on operand layout, and ``zeros_like`` of a
-        transposed tensor is not C-ordered).  Anything else — above all
-        a view of another tensor's ``.grad`` — is copied.
+        copy, provided it is already the C-ordered float32 ndarray a copy
+        would give (matmul bits depend on operand layout, and
+        ``zeros_like`` of a transposed tensor is not C-ordered; on numpy
+        1.x a 0-d float32 times a Python float is float64, and unary
+        ``-`` of a 0-d array is a numpy scalar).  Anything else — above
+        all a view of another tensor's ``.grad`` — is copied.
         """
         if self.grad is None:
-            if owned and grad.flags.c_contiguous:
+            if (owned and isinstance(grad, np.ndarray) and grad.dtype == np.float32
+                    and grad.flags.c_contiguous):
                 self.grad = grad
             else:
                 self.grad = _f32(grad).copy()
@@ -425,7 +428,7 @@ class Tensor:
         out_data = np.exp(self.data)
 
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g * out_data, owned=True)
+            self._accumulate(_flush_subnormals(g * out_data), owned=True)
 
         return self._track(out_data, (self,), backward)
 
@@ -483,17 +486,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Softmax along ``axis``, max-shifted for stability.
 
     The shift is a detached constant: softmax is invariant to it, so the
-    gradient is exact without differentiating through the max.  The
-    ``exp`` node is :meth:`Tensor.exp` with its gradient flushed of
-    subnormals (module docstring).
+    gradient is exact without differentiating through the max.
     """
     shifted = x - x.data.max(axis=axis, keepdims=True)
-    e_data = np.exp(shifted.data)
-
-    def exp_backward(g: np.ndarray) -> None:
-        shifted._accumulate(_flush_subnormals(g * e_data), owned=True)
-
-    e = shifted._track(e_data, (shifted,), exp_backward)
+    e = shifted.exp()
     return e / e.sum(axis=axis, keepdims=True)
 
 

@@ -36,6 +36,14 @@ def test_tensor_is_float32_everywhere():
     assert out.data.dtype == np.float32
     out.backward()
     assert t.grad is None  # requires_grad defaults to False
+    # 0-d operands: ops on them return numpy scalars, and on numpy 1.x a
+    # Python-float factor (tanh, pow, sigmoid) promotes them to float64;
+    # the gradient must still land as a float32 ndarray.
+    for op in (Tensor.tanh, Tensor.sigmoid, Tensor.__neg__, lambda v: v ** 3.0):
+        x = Tensor(np.float32(0.5), requires_grad=True)
+        op(x).backward()
+        assert type(x.grad) is np.ndarray
+        assert x.grad.dtype == np.float32 and x.grad.shape == ()
 
 
 def test_item_extracts_any_single_element_shape():
