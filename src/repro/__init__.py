@@ -5,9 +5,11 @@ Currently present:
 
 * ``repro.utils``    — seeded RNG streams, structured logging, timers.
 * ``repro.tensorir`` — subgraphs, loop-nest IR, the 11 Ansor-style schedule
-  primitive kinds, a schedule applier, sketch rules and a random sampler.
-* ``repro.analysis`` — static verification of primitive sequences
-  (no schedule application, no latency simulation) plus a repo self-lint.
+  primitive kinds, schedules, sketch rules and a random sampler.
+* ``repro.analysis`` — the one interpreter of primitive sequences:
+  static verification, static profiles and the loop nest
+  ``Schedule.apply()`` returns, without latency simulation; plus a repo
+  lint.
 * ``repro.core``     — TLP feature extraction: batch-first featurizer over
   primitive sequences (Fig. 4/5) with Table 4 crop/pad, the Fig. 7
   attention cost model and its MTL multi-head variant, the offline

@@ -1,19 +1,19 @@
-"""Static analysis: schedule-sequence verification, abstract
-interpretation, and the repo lint.
+"""Static analysis: the primitive-sequence interpreter, its verifier
+view, and the repo lint.
 
-* ``verifier`` — checks primitive sequences against their subgraph without
-  applying them (structural E1xx rules, axis-liveness E2xx dataflow,
-  W3xx performance smells).
+* ``absint`` — the one interpreter of the 11 primitive kinds, run over
+  an abstract loop-nest interval domain without applying the schedule:
+  in raise mode it yields a :class:`~repro.analysis.absint.StaticProfile`
+  (the concrete nest ``Schedule.apply()`` returns, the static feature
+  plane, draft scores for draft-then-verify ranking); in collect mode
+  it yields diagnostics.
+* ``verifier`` — thin functions over the collect mode: structural E1xx
+  rules, axis-liveness E2xx dataflow, W3xx performance smells, and the
+  fail-closed ``assert_valid*`` gates.
 * ``diagnostics`` — the :class:`Diagnostic` record and error-code taxonomy.
-* ``absint`` — abstract interpreter over the loop-nest interval domain:
-  symbolic execution of a primitive sequence into a
-  :class:`~repro.analysis.absint.StaticProfile` (static feature plane,
-  draft scores for draft-then-verify ranking, W304–W306 smells) without
-  applying the schedule.
 * ``lint`` — pluggable AST rule framework enforcing DESIGN.md §7
   conventions over the source tree
-  (``python -m repro.analysis.lint src/ tests/ benchmarks/``);
-  ``selfcheck`` remains as its compatibility shim.
+  (``python -m repro.analysis.lint src/ tests/ benchmarks/``).
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from repro.analysis.absint import (
     profile_many,
 )
 from repro.analysis.verifier import (
-    SequenceVerifier,
-    VerifierConfig,
     assert_valid,
     assert_valid_many,
     verify_many,
@@ -49,10 +47,8 @@ __all__ = [
     "CODES",
     "Diagnostic",
     "InvalidScheduleError",
-    "SequenceVerifier",
     "Severity",
     "StaticProfile",
-    "VerifierConfig",
     "profile",
     "profile_many",
     "assert_valid",

@@ -1,31 +1,32 @@
-"""Abstract interpretation of schedule primitive sequences.
+"""The one interpreter of schedule primitive sequences.
 
-The verifier (``repro.analysis.verifier``) proves a sequence *valid*
-without applying it; this module goes one step further and derives *what
-the schedule does* — loop extents, tile footprints, parallel/vector
-structure, GPU grid geometry — still without ever calling
-``Schedule.apply``.  That static profile is exactly the pre-screen a
-Pruner-style draft-then-verify search loop needs (PAPERS.md: a cheap
-static draft score in front of the learned model), and a second,
-independent implementation to cross-check the applier and ``repro.simhw``
-against.
+:class:`Interpreter` is the only code that gives the 11 primitive kinds
+a meaning.  It runs a sequence over an abstract loop nest, without ever
+building a program, and every view of a sequence is one of its runs:
+
+* **raise mode** — :func:`profile` stops at the first invalid step with
+  :class:`AbsIntError` and otherwise returns the :class:`StaticProfile`:
+  loop extents, tile footprints, parallel/vector structure, GPU grid
+  geometry.  ``Schedule.apply()`` is that profile concretized
+  (:meth:`StaticProfile.to_nest`), and the dataset build gates on it.
+* **collect mode** — ``repro.analysis.verifier`` turns every rejection
+  into a :class:`~repro.analysis.diagnostics.Diagnostic` (E1xx/E2xx,
+  plus the W301–W303 smells at the step that causes them) and recovers:
+  an erroring primitive changes no state, except that a split carrying
+  the wrong extent (E108) proceeds with the tracked one and a name
+  defined twice (E203) is skipped while the rest of its primitive
+  proceeds.  ``stop_on_error`` ends the run after the first primitive
+  with an error.  A collect-all run with no error derives the W304–W306
+  smells from its own final state.
 
 The abstract domain is an ordered list of loops whose trip counts are
-:class:`Interval` values.  On concrete schedules every interval's upper
-bound is the padded extent the applier would produce (the differential
-property in ``tests/test_absint.py`` pins this exactly), while the lower
-bound tracks the minimum number of *useful* iterations once split padding
-is accounted for — a padded split leaves its first inner level with a
-ragged final tile, so that loop's interval widens while every trip count
-stays exact.
+intervals ``[lo, extent]``.  ``extent`` is the padded trip count — what
+the loop really runs — while ``lo`` is the minimum number of *useful*
+iterations once split padding is accounted for: a padded split leaves
+its first inner level with a ragged final tile, so that loop's interval
+widens while every trip count stays exact.
 
-Rejection semantics are the union of the applier's and the verifier's:
-:func:`profile` raises :class:`AbsIntError` on any sequence the verifier
-would flag with an error diagnostic (the property tests assert both
-directions: verifier-clean ⇒ absint succeeds, verifier-rejected ⇒ absint
-raises).
-
-Three consumers:
+Three more consumers of the profile:
 
 * :func:`profile_many` — fixed-width float32 static-feature plane
   (``STATIC_FEATURE_NAMES`` columns) for screening models.
@@ -33,19 +34,19 @@ Three consumers:
   costed on the target's *reference* ``simhw`` platform, no TLP model
   involved.  ``CandidateScorer.propose_topk(draft_keep=...)`` uses it to
   run ``TLPModel.predict`` on the top slice only.
-* :func:`smell_diagnostics` — the W304–W306 facts the verifier emits
-  (footprint vs last-level cache, under-parallelization, unroll bodies
-  past the icache budget).
+* :func:`smell_diagnostics` — the W304–W306 facts (footprint vs last-level
+  cache, under-parallelization, unroll bodies past the icache budget).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from repro.analysis.diagnostics import Diagnostic, make
 from repro.simhw.cache import (
     BYTES_PER_POINT,
     NestFeatures,
@@ -65,21 +66,26 @@ from repro.tensorir.primitives import (
     fused_name,
     split_names,
 )
-from repro.tensorir.schedule import PAD_ALLOWANCE, split_parts
+from repro.tensorir.schedule import PAD_ALLOWANCE, ScheduleError, split_parts
 from repro.tensorir.subgraph import Subgraph
 
+#: ``auto_unroll_max_step`` values above this trigger W302.
+MAX_AUTO_UNROLL: int = 512
 
-class AbsIntError(Exception):
-    """A primitive sequence is invalid under abstract interpretation.
 
-    Raised for exactly the sequences the verifier would reject with an
-    error diagnostic (the absint/verifier agreement property); ``step``
-    is the index of the offending primitive.
+class AbsIntError(ScheduleError):
+    """A primitive sequence is invalid: the first error diagnostic of a run.
+
+    ``step`` is the index of the offending primitive and ``code`` the
+    diagnostic code the collect mode reports for it.  A
+    :class:`~repro.tensorir.schedule.ScheduleError`, so
+    ``Schedule.apply()`` raises it as is.
     """
 
-    def __init__(self, step: int, message: str):
-        super().__init__(f"step {step}: {message}")
+    def __init__(self, step: int, code: str, message: str):
+        super().__init__(f"step {step}: {code} {message}")
         self.step = step
+        self.code = code
 
 
 @dataclass(frozen=True)
@@ -110,12 +116,18 @@ class Interval:
         return str(self.hi) if self.exact else f"[{self.lo}, {self.hi}]"
 
 
-@dataclass(frozen=True)
-class AbstractLoop:
-    """One loop of the abstract nest (outermost-first order)."""
+class AbstractLoop(NamedTuple):
+    """One loop of the abstract nest (outermost-first order).
+
+    Immutable, so a run shares the subgraph's initial loops and replaces
+    a loop when a primitive changes it.
+    """
 
     name: str
-    trip: Interval
+    #: The concrete (padded) trip count, the upper end of :attr:`trip`.
+    extent: int
+    #: The fewest useful iterations, the lower end of :attr:`trip`.
+    lo: int
     is_reduction: bool = False
     kind: LoopKind = LoopKind.SERIAL
     thread_tag: str = ""
@@ -123,9 +135,8 @@ class AbstractLoop:
     rfactored: bool = False
 
     @property
-    def extent(self) -> int:
-        """The concrete (padded) trip count — what the applier produces."""
-        return self.trip.hi
+    def trip(self) -> Interval:
+        return Interval(self.lo, self.extent)
 
 
 #: Columns of the :func:`profile_many` static-feature plane, in order.
@@ -205,9 +216,6 @@ class StaticProfile:
     parallel_facts: tuple[tuple[int, str, int], ...]
     #: (step index, axis name) per ``unroll`` annotation.
     unroll_facts: tuple[tuple[int, str], ...]
-    #: Per-step nest snapshots ((name, extent), ...) when profiled with
-    #: ``trace=True`` — the differential hook against ``apply_trace``.
-    trace: tuple[tuple[tuple[str, int], ...], ...] | None = None
 
     @property
     def depth(self) -> int:
@@ -221,7 +229,7 @@ class StaticProfile:
 
     def useful_points(self) -> int:
         """Lower bound on useful iterations (product of interval floors)."""
-        return math.prod(l.trip.lo for l in self.loops)
+        return math.prod(l.lo for l in self.loops)
 
     def padding_ratio(self) -> float:
         if self.domain_points <= 0:
@@ -229,19 +237,18 @@ class StaticProfile:
         return self.padded_points() / self.domain_points
 
     def to_nest(self) -> LoopNest:
-        """Concretize the abstract nest — must equal ``Schedule.apply()``
-        output on any verifier-clean sequence (the differential property)."""
+        """The concrete loop nest — what ``Schedule.apply()`` returns."""
         return LoopNest(
             subgraph_name=self.subgraph_name,
             loops=[
                 Loop(
                     l.name,
                     l.extent,
-                    is_reduction=l.is_reduction,
-                    kind=l.kind,
-                    thread_tag=l.thread_tag,
-                    pragmas=l.pragmas,
-                    rfactored=l.rfactored,
+                    l.is_reduction,
+                    l.kind,
+                    l.thread_tag,
+                    l.pragmas,
+                    l.rfactored,
                 )
                 for l in self.loops
             ],
@@ -355,315 +362,502 @@ class StaticProfile:
         return np.asarray(row, dtype=np.float32)
 
 
-@dataclass
-class _MutableLoop:
-    name: str
-    trip: Interval
-    is_reduction: bool
-    kind: LoopKind = LoopKind.SERIAL
-    thread_tag: str = ""
-    pragmas: tuple[tuple[str, int], ...] = ()
-    rfactored: bool = False
+def _split_lows(lo: int, extent: int, parts: tuple[int, ...], padded: int) -> tuple[int, ...]:
+    """Useful-iteration floors of the loops a split produces.
 
-    def freeze(self) -> AbstractLoop:
-        return AbstractLoop(
-            self.name,
-            self.trip,
-            self.is_reduction,
-            self.kind,
-            self.thread_tag,
-            self.pragmas,
-            self.rfactored,
-        )
+    Trip counts are exact (the parts themselves).  When the factors do
+    not divide the extent, the last outer iteration covers only the
+    remainder, so the first inner level's useful count drops — the
+    remainder is attributed there and deeper levels stay exact.
+    """
+    if lo != extent:
+        # Splitting an already widened interval: trip counts stay exact,
+        # the useful floors collapse to 1 (sound but coarse).
+        return (1,) * len(parts)
+    if padded == extent or len(parts) < 2:
+        return parts
+    outer, first, *deeper = parts
+    remainder = extent - (outer - 1) * math.prod(parts[1:])
+    first_lo = min(first, max(1, math.ceil(remainder / math.prod(deeper))))
+    return (outer, first_lo, *deeper)
 
 
-@dataclass
-class _Interpreter:
-    """One abstract execution of a sequence over the loop-interval domain.
+class Interpreter:
+    """The meaning of the 11 primitive kinds, set up for one (subgraph, target).
 
-    Bookkeeping intentionally mirrors *both* reference implementations:
-    loop structure follows the applier (fuse drops annotations, split
-    drops pragmas), while rejection follows the stricter verifier (bound
-    thread tags and axis-name history persist across fuse/split, the
-    padding allowance is enforced) — so absint rejects exactly the
-    sequences the verifier errors on and concretizes to exactly the nest
-    the applier builds on the rest.
+    Construction is the per-batch set-up (the subgraph's initial loop
+    table; the W304–W306 thresholds on the first collect-all run); each
+    :meth:`profile` or :meth:`diagnose` call is one run over one
+    sequence.  The ``_visit_*`` handlers read and write the run state
+    below; they report through :meth:`_error`, which raises in raise mode
+    and records in collect mode, so one body serves both.
     """
 
-    subgraph: Subgraph
-    target: str
-    primitives: tuple[Primitive, ...]
-    pad_allowance: float = PAD_ALLOWANCE
+    def __init__(self, subgraph: Subgraph, target: str = "cpu"):
+        self.subgraph = subgraph
+        self.target = target
+        self._domain_points = subgraph.total_points
+        self._initial_order = tuple(a.name for a in subgraph.axes)
+        self._initial_loops = {
+            a.name: AbstractLoop(a.name, a.extent, a.extent, a.is_reduction)
+            for a in subgraph.axes
+        }
+        self._smell_bars: tuple[float, int, int] | None = None
 
-    loops: list[_MutableLoop] = field(init=False)
-    seen_names: set[str] = field(init=False)
-    bound_tags: set[str] = field(init=False)
+    # -- the two modes ----------------------------------------------------
 
-    def __post_init__(self) -> None:
-        self.loops = [
-            _MutableLoop(a.name, Interval(a.extent, a.extent), a.is_reduction)
-            for a in self.subgraph.axes
-        ]
-        self.seen_names = {a.name for a in self.subgraph.axes}
-        self.bound_tags = set()
-        self.cache_write = False
-        self.inlined = False
-        self.compute_at_axis = ""
-        self.compute_root = False
-        self.rfactor_seen = False
-        self.parallel_facts: list[tuple[int, str, int]] = []
-        self.unroll_facts: list[tuple[int, str]] = []
-        self._step = 0
+    def profile(self, primitives: tuple[Primitive, ...]) -> StaticProfile:
+        """Raise mode: the run's :class:`StaticProfile`, or
+        :class:`AbsIntError` at the first invalid step."""
+        self._run(primitives, None, False)
+        return self._freeze()
 
-    # -- plumbing ---------------------------------------------------------
+    def diagnose(
+        self, primitives: tuple[Primitive, ...], stop_on_error: bool = False
+    ) -> list[Diagnostic]:
+        """Collect mode: every diagnostic of the run, in step order, then
+        the W304–W306 smells when the run had no error and ran to the end."""
+        diags: list[Diagnostic] = []
+        self._run(primitives, diags, stop_on_error)
+        if not stop_on_error and not self.n_errors:
+            diags.extend(self.smells(self._freeze()))
+        return diags
 
-    def _fail(self, message: str):
-        raise AbsIntError(self._step, message)
+    def smells(self, prof: StaticProfile) -> list[Diagnostic]:
+        """W304–W306 from a profile, against the *worst* platform of the
+        target — the smallest last-level cache, core count and unroll
+        cap — so a warning means "smells on at least one simulated device"."""
+        if self._smell_bars is None:
+            self._smell_bars = (
+                reference_llc_kb(self.target),
+                reference_min_cores(self.target),
+                reference_unroll_budget(self.target),
+            )
+        llc_kb, min_parallel_extent, unroll_body_budget = self._smell_bars
+        diags: list[Diagnostic] = []
+        target = prof.target
 
-    def _index(self, axis: str) -> int:
-        for i, l in enumerate(self.loops):
-            if l.name == axis:
-                return i
-        if axis in self.seen_names:
-            self._fail(f"axis {axis!r} was already consumed")
-        self._fail(f"axis {axis!r} was never defined")
+        # W304: one outermost-loop iteration's working set overflows the LLC.
+        if prof.loops and not prof.inlined:
+            tile_bytes = working_set_bytes(prof.outer_tile_points())
+            if tile_bytes > llc_kb * 1024.0:
+                diags.append(
+                    make(
+                        "W304",
+                        -1,
+                        f"static outer-tile working set {tile_bytes / 1024.0:.0f} KB "
+                        f"exceeds the {llc_kb:.0f} KB last-level cache of the "
+                        f"smallest {target} platform",
+                    )
+                )
 
-    def _check_arity(self, kind: PrimitiveKind, prim: Primitive) -> None:
-        n_axes, min_ints, max_ints, needs_attr = ARITY[kind]
-        if n_axes is not None and len(prim.axes) != n_axes:
-            self._fail(f"{kind.value} expects {n_axes} axis, got {len(prim.axes)}")
-        if len(prim.ints) < min_ints or (max_ints is not None and len(prim.ints) > max_ints):
-            self._fail(f"{kind.value} has bad numeric arity {list(prim.ints)}")
-        if needs_attr and not prim.attr:
-            self._fail(f"{kind.value} requires an attr token")
+        # W305: parallel annotation on an axis too small to feed the cores.
+        for step, axis, extent in prof.parallel_facts:
+            if extent < min_parallel_extent:
+                diags.append(
+                    make(
+                        "W305",
+                        step,
+                        f"parallel annotation on {axis!r} with abstract extent "
+                        f"{extent}, below the minimum core count "
+                        f"{min_parallel_extent} of the {target} platforms",
+                        axis,
+                    )
+                )
+
+        # W306: unroll directive whose statically-bounded body blows the icache.
+        if prof.unroll_facts:
+            by_name = {l.name: i for i, l in enumerate(prof.loops)}
+            for step, axis in prof.unroll_facts:
+                at = by_name.get(axis)
+                if at is None:
+                    continue  # annotated loop later fused away
+                body_points = math.prod(l.extent for l in prof.loops[at:])
+                body_instrs = body_points * max(prof.flops_per_point, 1.0)
+                if body_instrs > unroll_body_budget:
+                    diags.append(
+                        make(
+                            "W306",
+                            step,
+                            f"unroll of {axis!r} replicates a statically-bounded body of "
+                            f"~{body_instrs:.0f} instructions, beyond the {target} "
+                            f"icache budget {unroll_body_budget}",
+                            axis,
+                        )
+                    )
+        return diags
 
     # -- the run ----------------------------------------------------------
 
-    def run(self, trace: bool = False) -> StaticProfile:
-        snapshots: list[tuple[tuple[str, int], ...]] = []
-        for index, prim in enumerate(self.primitives):
-            self._step = index
-            kind = KIND_BY_VALUE.get(prim.kind)
-            if kind is None:
-                self._fail(f"unknown primitive kind {prim.kind!r}")
-            if self.inlined:
-                self._fail(f"{kind.value} after compute-inline")
-            self._check_arity(kind, prim)
-            getattr(self, f"_visit_{kind.value.lower()}")(prim)
-            if trace:
-                snapshots.append(tuple((l.name, l.trip.hi) for l in self.loops))
+    def _run(
+        self,
+        primitives: tuple[Primitive, ...],
+        diags: list[Diagnostic] | None,
+        stop_on_error: bool,
+    ) -> None:
+        self.primitives = primitives
+        self.diags = diags
+        self.n_errors = 0
+        # Live axis names, outermost first, and their loops.
+        self.order = list(self._initial_order)
+        self.live = dict(self._initial_loops)
+        # Consumed axis name -> the step that consumed it.
+        self.consumed: dict[str, int] = {}
+        self.bound_tags: set[str] = set()
+        self.cache_write = self.compute_root = self.rfactored = False
+        self.compute_at_axis = ""
+        self.inlined_at: int | None = None
+        self.parallel_facts: list[tuple[int, str, int]] = []
+        self.unroll_facts: list[tuple[int, str]] = []
+        rules = _RULES
+        for index, prim in enumerate(primitives):
+            rule = rules.get(prim.kind)
+            if rule is None:
+                self._error("E101", index, f"unknown primitive kind {prim.kind!r}")
+            elif self.inlined_at is not None:
+                self._error(
+                    "E206",
+                    index,
+                    f"{rule[0].value} after compute-inline at step {self.inlined_at}",
+                )
+                break
+            else:
+                kind, visit = rule
+                if self._check_arity(kind, prim, index):
+                    visit(self, prim, index)
+            if stop_on_error and self.n_errors:
+                break
+
+    def _freeze(self) -> StaticProfile:
+        live = self.live
         return StaticProfile(
             subgraph_name=self.subgraph.name,
             target=self.target,
             n_steps=len(self.primitives),
-            loops=tuple(l.freeze() for l in self.loops),
+            loops=tuple([live[name] for name in self.order]),
             cache_write=self.cache_write,
-            inlined=self.inlined,
+            inlined=self.inlined_at is not None,
             compute_at_axis=self.compute_at_axis,
             compute_root=self.compute_root,
-            domain_points=self.subgraph.total_points,
+            domain_points=self._domain_points,
             flops_per_point=float(self.subgraph.flops_per_point),
             parallel_facts=tuple(self.parallel_facts),
             unroll_facts=tuple(self.unroll_facts),
-            trace=tuple(snapshots) if trace else None,
         )
+
+    # -- plumbing ---------------------------------------------------------
+
+    def _error(self, code: str, index: int, message: str, axis: str = "") -> None:
+        if self.diags is None:
+            raise AbsIntError(index, code, message)
+        self.n_errors += 1
+        self.diags.append(make(code, index, message, axis))
+
+    def _check_arity(self, kind: PrimitiveKind, prim: Primitive, index: int) -> bool:
+        n_axes, min_ints, max_ints, needs_attr = ARITY[kind]
+        ok = True
+        if n_axes is not None and len(prim.axes) != n_axes:
+            self._error("E101", index, f"{kind.value} expects {n_axes} axis, got {len(prim.axes)}")
+            ok = False
+        if len(prim.ints) < min_ints or (max_ints is not None and len(prim.ints) > max_ints):
+            self._error("E101", index, f"{kind.value} has bad numeric arity {list(prim.ints)}")
+            ok = False
+        if needs_attr and not prim.attr:
+            self._error("E101", index, f"{kind.value} requires an attr token")
+            ok = False
+        return ok
+
+    def _resolve(self, axis: str, index: int) -> AbstractLoop | None:
+        """The live loop named ``axis``, or ``None`` after an E201/E202."""
+        loop = self.live.get(axis)
+        if loop is None:
+            step = self.consumed.get(axis)
+            if step is None:
+                self._error("E201", index, f"axis {axis!r} is not live: it was never defined", axis)
+            else:
+                self._error(
+                    "E202", index, f"axis {axis!r} is not live: it was consumed at step {step}", axis
+                )
+        return loop
+
+    def _consume(self, axis: str, index: int) -> None:
+        del self.live[axis]
+        self.consumed[axis] = index
+
+    def _define(self, loop: AbstractLoop, at: int, index: int) -> None:
+        name = loop.name
+        if name in self.live or name in self.consumed:
+            self._error("E203", index, f"axis {name!r} defined twice", name)
+            return
+        self.live[name] = loop
+        self.order.insert(at, name)
 
     # -- split family -----------------------------------------------------
 
-    def _split(self, axis: str, carried_extent: int, factors: tuple[int, ...]) -> None:
-        bad = [f for f in factors if not isinstance(f, int) or f < 1]
-        if bad:
-            self._fail(f"split of {axis!r} has non-positive factors {bad}")
-        idx = self._index(axis)
-        old = self.loops[idx]
-        extent = old.trip.hi
-        if carried_extent != extent:
-            self._fail(
-                f"split of {axis!r} carries extent {carried_extent}, "
-                f"abstract extent is {extent}"
+    def _split(self, prim: Primitive, index: int, factors: tuple[int, ...]) -> None:
+        axis = prim.axes[0]
+        loop = self._resolve(axis, index)
+        if loop is None:
+            return
+        extent = loop.extent
+        if prim.ints[0] != extent:
+            self._error(
+                "E108",
+                index,
+                f"split of {axis!r} carries extent {prim.ints[0]}, tracked extent is {extent}",
+                axis,
             )
         parts = split_parts(extent, factors)
         padded = math.prod(parts)
-        if padded > extent * (1.0 + self.pad_allowance):
-            self._fail(
+        if padded > extent * (1.0 + PAD_ALLOWANCE):
+            self._error(
+                "E103",
+                index,
                 f"split of {axis!r} pads {extent} to {padded}, beyond the "
-                f"{self.pad_allowance:.0%} allowance"
+                f"{PAD_ALLOWANCE:.0%} allowance",
+                axis,
             )
-        names = split_names(axis, len(parts))
-        for name in names:
-            if name in self.seen_names:
-                self._fail(f"axis {name!r} defined twice")
-        trips = _split_intervals(old.trip, parts, padded)
-        self.loops[idx : idx + 1] = [
-            _MutableLoop(name, trip, old.is_reduction)
-            for name, trip in zip(names, trips)
-        ]
-        self.seen_names.update(names)
+            return
+        diags = self.diags
+        if diags is not None:
+            for f in factors:
+                if f == 1 or f == extent:
+                    diags.append(make("W303", index, f"degenerate split factor {f} on {axis!r}", axis))
+            for f in factors[:-1]:
+                if f >= POW2_CONFLICT_THRESHOLD and (f & (f - 1)) == 0:
+                    diags.append(
+                        make(
+                            "W301",
+                            index,
+                            f"middle-loop extent {f} on {axis!r} is a large power of two "
+                            "(cache-set / bank conflict smell)",
+                            axis,
+                        )
+                    )
+        at = self.order.index(axis)
+        del self.order[at]
+        self._consume(axis, index)
+        is_reduction = loop.is_reduction
+        lows = _split_lows(loop.lo, extent, parts, padded)
+        for offset, name in enumerate(split_names(axis, len(parts))):
+            self._define(
+                AbstractLoop(name, parts[offset], lows[offset], is_reduction), at + offset, index
+            )
 
-    def _visit_sp(self, prim: Primitive) -> None:
-        self._split(prim.axes[0], prim.ints[0], tuple(prim.ints[1:]))
+    def _visit_sp(self, prim: Primitive, index: int) -> None:
+        factors = prim.ints[1:]
+        bad = [f for f in factors if not isinstance(f, int) or f < 1]
+        if bad:
+            axis = prim.axes[0]
+            self._error("E102", index, f"split of {axis!r} has non-positive factors {bad}", axis)
+            return
+        self._split(prim, index, factors)
 
-    def _visit_fsp(self, prim: Primitive) -> None:
-        (axis,) = prim.axes
+    def _visit_fsp(self, prim: Primitive, index: int) -> None:
+        axis = prim.axes[0]
         src_step = prim.ints[1]
         if not 0 <= src_step < len(self.primitives):
-            self._fail(f"follow-split references missing step {src_step}")
-        if src_step >= self._step:
-            self._fail(
+            self._error("E107", index, f"follow-split references missing step {src_step}", axis)
+            return
+        if src_step >= index:
+            # Ansor traces are causal: a follow-split reuses the factors
+            # of a step that already ran.
+            self._error(
+                "E107",
+                index,
                 f"follow-split references step {src_step}, which is not strictly "
-                f"earlier than step {self._step}"
+                f"earlier than step {index}",
+                axis,
             )
+            return
         src = self.primitives[src_step]
         if KIND_BY_VALUE.get(src.kind) is not PrimitiveKind.SP or len(src.ints) < 2:
-            self._fail(f"follow-split references step {src_step} which is not a split")
-        self._split(axis, prim.ints[0], tuple(src.ints[1:]))
+            self._error(
+                "E107", index, f"follow-split references step {src_step} which is not a split", axis
+            )
+            return
+        factors = tuple(src.ints[1:])
+        if any(not isinstance(f, int) or f < 1 for f in factors):
+            self._error("E102", index, f"followed split has non-positive factors {factors}", axis)
+            return
+        self._split(prim, index, factors)
 
     # -- order primitives -------------------------------------------------
 
-    def _visit_re(self, prim: Primitive) -> None:
+    def _visit_re(self, prim: Primitive, index: int) -> None:
         named = list(prim.axes)
-        for axis in dict.fromkeys(named):  # order-preserving dedup
-            self._index(axis)
-        live = [l.name for l in self.loops]
-        if sorted(named) != sorted(live):
-            self._fail(f"reorder {named} is not a permutation of the live order {live}")
-        by_name = {l.name: l for l in self.loops}
-        self.loops = [by_name[n] for n in named]
+        order = self.order
+        if sorted(named) == sorted(order):
+            self.order = named
+            return
+        # dict.fromkeys, not set(): diagnostic order must not depend on
+        # string hashing (bit-reproducibility, lint rule SC105).
+        for axis in dict.fromkeys(named):
+            self._resolve(axis, index)
+        missing = sorted(set(order) - set(named))
+        extra = sorted(set(named) - set(order))
+        dupes = sorted({a for a in named if named.count(a) > 1})
+        detail = []
+        if missing:
+            detail.append(f"missing {missing}")
+        if extra:
+            detail.append(f"extra {extra}")
+        if dupes:
+            detail.append(f"duplicated {dupes}")
+        self._error(
+            "E104", index, f"reorder is not a permutation of the live order ({'; '.join(detail)})"
+        )
 
-    def _visit_fu(self, prim: Primitive) -> None:
-        named = list(prim.axes)
+    def _visit_fu(self, prim: Primitive, index: int) -> None:
+        named = prim.axes
         if len(named) < 2 or len(set(named)) != len(named):
-            self._fail(f"fuse needs >=2 distinct axes, got {named}")
-        indices = [self._index(a) for a in named]
-        if indices != list(range(indices[0], indices[0] + len(indices))):
-            self._fail(f"fuse axes {named} are not adjacent")
-        merged = self.loops[indices[0] : indices[-1] + 1]
-        name = fused_name(tuple(named))
-        if name in self.seen_names:
-            self._fail(f"axis {name!r} defined twice")
-        trip = merged[0].trip
-        for l in merged[1:]:
-            trip = trip * l.trip
-        fused = _MutableLoop(name, trip, any(l.is_reduction for l in merged))
-        self.loops[indices[0] : indices[-1] + 1] = [fused]
-        self.seen_names.add(name)
+            self._error("E109", index, f"fuse needs >=2 distinct axes, got {list(named)}")
+            return
+        loops = [self._resolve(a, index) for a in named]
+        if any(l is None for l in loops):
+            return
+        order = self.order
+        at = order.index(named[0])
+        if order[at : at + len(named)] != list(named):
+            self._error("E109", index, f"fuse axes {list(named)} are not adjacent in {order}")
+            return
+        del order[at : at + len(named)]
+        for axis in named:
+            self._consume(axis, index)
+        fused = AbstractLoop(
+            fused_name(named),
+            math.prod(l.extent for l in loops),
+            math.prod(l.lo for l in loops),
+            any(l.is_reduction for l in loops),
+        )
+        self._define(fused, at, index)
 
     # -- annotation primitives --------------------------------------------
 
-    def _visit_an(self, prim: Primitive) -> None:
-        (axis,) = prim.axes
-        if prim.attr not in ANNOTATIONS:
-            self._fail(f"unknown annotation {prim.attr!r}")
-        is_bind = prim.attr.startswith(GPU_BIND_PREFIX)
+    def _visit_an(self, prim: Primitive, index: int) -> None:
+        axis = prim.axes[0]
+        attr = prim.attr
+        if attr not in ANNOTATIONS:
+            self._error("E105", index, f"unknown annotation {attr!r}", axis)
+            return
+        is_bind = attr.startswith(GPU_BIND_PREFIX)
         if is_bind and self.target != "gpu":
-            self._fail(f"GPU bind {prim.attr!r} under target {self.target!r}")
-        loop = self.loops[self._index(axis)]
+            self._error("E106", index, f"GPU bind {attr!r} under target {self.target!r}", axis)
+            return
+        loop = self._resolve(axis, index)
+        if loop is None:
+            return
         if loop.kind is not LoopKind.SERIAL:
-            self._fail(f"axis {axis!r} already annotated as {loop.kind.value}")
+            self._error("E205", index, f"axis {axis!r} already annotated {loop.kind.value!r}", axis)
+            return
         if is_bind:
-            tag = prim.attr[len(GPU_BIND_PREFIX) :]
+            tag = attr[len(GPU_BIND_PREFIX) :]
             if tag in self.bound_tags:
-                self._fail(f"thread tag {tag!r} bound twice")
+                self._error("E205", index, f"thread tag {tag!r} bound twice", axis)
+                return
             self.bound_tags.add(tag)
-            loop.kind = LoopKind.BOUND
-            loop.thread_tag = tag
+            kind = LoopKind.BOUND
         else:
-            loop.kind = ANNOTATION_KINDS[prim.attr]
-            if prim.attr == "parallel":
-                self.parallel_facts.append((self._step, axis, loop.trip.hi))
-            elif prim.attr == "unroll":
-                self.unroll_facts.append((self._step, axis))
+            tag = ""
+            kind = ANNOTATION_KINDS[attr]
+            if kind is LoopKind.PARALLEL:
+                self.parallel_facts.append((index, axis, loop.extent))
+            elif kind is LoopKind.UNROLLED:
+                self.unroll_facts.append((index, axis))
+        self.live[axis] = AbstractLoop(
+            axis, loop.extent, loop.lo, loop.is_reduction, kind, tag, loop.pragmas, loop.rfactored
+        )
 
-    def _visit_pr(self, prim: Primitive) -> None:
-        (axis,) = prim.axes
-        if prim.attr not in PRAGMAS:
-            self._fail(f"unknown pragma {prim.attr!r}")
-        loop = self.loops[self._index(axis)]
-        loop.pragmas = (*loop.pragmas, (prim.attr, prim.ints[0]))
+    def _visit_pr(self, prim: Primitive, index: int) -> None:
+        axis = prim.axes[0]
+        attr = prim.attr
+        if attr not in PRAGMAS:
+            self._error("E105", index, f"unknown pragma {attr!r}", axis)
+            return
+        loop = self._resolve(axis, index)
+        if loop is None:
+            return
+        value = prim.ints[0]
+        if self.diags is not None and attr == "auto_unroll_max_step" and value > MAX_AUTO_UNROLL:
+            self.diags.append(
+                make(
+                    "W302",
+                    index,
+                    f"auto_unroll_max_step {value} exceeds cap {MAX_AUTO_UNROLL}",
+                    axis,
+                )
+            )
+        self.live[axis] = AbstractLoop(
+            axis,
+            loop.extent,
+            loop.lo,
+            loop.is_reduction,
+            loop.kind,
+            loop.thread_tag,
+            (*loop.pragmas, (attr, value)),
+            loop.rfactored,
+        )
 
     # -- stage primitives -------------------------------------------------
 
-    def _visit_ca(self, prim: Primitive) -> None:
-        self._index(prim.axes[0])
-        self.compute_at_axis = prim.axes[0]
+    def _visit_ca(self, prim: Primitive, index: int) -> None:
+        axis = prim.axes[0]
+        if self._resolve(axis, index) is not None:
+            self.compute_at_axis = axis
 
-    def _visit_chw(self, prim: Primitive) -> None:
+    def _visit_chw(self, prim: Primitive, index: int) -> None:
         self.cache_write = True
 
-    def _visit_rf(self, prim: Primitive) -> None:
-        loop = self.loops[self._index(prim.axes[0])]
+    def _visit_rf(self, prim: Primitive, index: int) -> None:
+        axis = prim.axes[0]
+        loop = self._resolve(axis, index)
+        if loop is None:
+            return
         if not loop.is_reduction:
-            self._fail(f"rfactor of non-reduction axis {prim.axes[0]!r}")
-        loop.rfactored = True
-        self.rfactor_seen = True
+            self._error("E204", index, f"rfactor of non-reduction axis {axis!r}", axis)
+            return
+        self.live[axis] = loop._replace(rfactored=True)
+        self.rfactored = True
 
-    def _visit_ci(self, prim: Primitive) -> None:
+    def _visit_ci(self, prim: Primitive, index: int) -> None:
         conflicts = [
             name
             for name, flag in (
                 ("CHW", self.cache_write),
                 ("CA", bool(self.compute_at_axis)),
                 ("CP", self.compute_root),
-                ("RF", self.rfactor_seen),
+                ("RF", self.rfactored),
             )
             if flag
         ]
         if conflicts:
-            self._fail(f"compute-inline conflicts with {'/'.join(conflicts)}")
-        self.inlined = True
+            self._error("E206", index, f"compute-inline conflicts with {'/'.join(conflicts)}")
+            return
+        self.inlined_at = index
 
-    def _visit_cp(self, prim: Primitive) -> None:
+    def _visit_cp(self, prim: Primitive, index: int) -> None:
         self.compute_root = True
 
 
-def _split_intervals(
-    trip: Interval, parts: tuple[int, ...], padded: int
-) -> tuple[Interval, ...]:
-    """Trip intervals of the loops a split produces.
-
-    Trip counts are exact (``hi == part``).  When the factors do not
-    divide the extent, the last outer iteration covers only the remainder,
-    so the first inner level's useful count drops — the remainder is
-    attributed there and deeper levels stay exact.  Splitting an already
-    widened interval keeps only the outermost bound tight (sound, coarse).
-    """
-    outer, *inner = parts
-    if not trip.exact:
-        # Splitting an already widened interval: trip counts stay exact,
-        # the useful floors collapse to 1 (sound but coarse).
-        return tuple(Interval(1, p) for p in parts)
-    if padded == trip.hi or not inner:
-        return tuple(Interval(p, p) for p in parts)
-    inner_points = math.prod(inner)
-    deeper = math.prod(inner[1:])  # 1 when the split has a single factor
-    remainder = trip.hi - (outer - 1) * inner_points
-    first_lo = min(inner[0], max(1, math.ceil(remainder / deeper)))
-    return (
-        Interval(outer, outer),
-        Interval(first_lo, inner[0]),
-        *(Interval(p, p) for p in inner[1:]),
-    )
+#: Kind value -> (kind, handler), keyed like ``KIND_BY_VALUE``:
+#: ``PrimitiveKind`` is a str enum, so one probe resolves enum members and
+#: raw kind strings (``"SP"``) alike.
+_RULES: dict[str, tuple] = {
+    value: (kind, getattr(Interpreter, f"_visit_{value.lower()}"))
+    for value, kind in KIND_BY_VALUE.items()
+}
 
 
-def _primitives_of(sequence: "Primitive | object") -> tuple[Primitive, ...]:
-    prims = getattr(sequence, "primitives", sequence)
-    return tuple(prims)
+def _primitives_of(sequence: "Sequence[Primitive] | object") -> tuple[Primitive, ...]:
+    return tuple(getattr(sequence, "primitives", sequence))
 
 
 def profile(
-    subgraph: Subgraph,
-    sequence: "Sequence[Primitive] | object",
-    target: str = "cpu",
-    *,
-    pad_allowance: float = PAD_ALLOWANCE,
-    trace: bool = False,
+    subgraph: Subgraph, sequence: "Sequence[Primitive] | object", target: str = "cpu"
 ) -> StaticProfile:
     """Abstractly interpret one sequence (a ``Schedule`` or primitive
     tuple), raising :class:`AbsIntError` on any invalid step."""
-    interp = _Interpreter(
-        subgraph, target, _primitives_of(sequence), pad_allowance=pad_allowance
-    )
-    return interp.run(trace=trace)
+    return Interpreter(subgraph, target).profile(_primitives_of(sequence))
 
 
 def profile_many(
@@ -673,19 +867,17 @@ def profile_many(
 ) -> np.ndarray:
     """Static-feature plane (float32 ``[N, len(STATIC_FEATURE_NAMES)]``)
     for a batch of already-valid sequences against one subgraph."""
-    n = len(sequences)
-    plane = np.empty((n, len(STATIC_FEATURE_NAMES)), dtype=np.float32)
+    interp = Interpreter(subgraph, target)
+    plane = np.empty((len(sequences), len(STATIC_FEATURE_NAMES)), dtype=np.float32)
     for i, seq in enumerate(sequences):
-        plane[i] = profile(subgraph, seq, target).features()
+        plane[i] = interp.profile(_primitives_of(seq)).features()
     return plane
 
 
 def nest_features(
     subgraph: Subgraph, profiles: Sequence[StaticProfile]
 ) -> NestFeatures:
-    """``simhw.cache.NestFeatures`` built from static profiles alone —
-    bit-identical to ``NestFeatures.from_nests`` over the applied nests
-    (the three-subsystem differential property)."""
+    """``simhw.cache.NestFeatures`` built from static profiles alone."""
     return NestFeatures.from_nests(subgraph, [p.to_nest() for p in profiles])
 
 
@@ -704,7 +896,8 @@ def draft_scores(
 
     if not sequences:
         return np.empty(0, dtype=np.float32)
-    profiles = [profile(subgraph, seq, target) for seq in sequences]
+    interp = Interpreter(subgraph, target)
+    profiles = [interp.profile(_primitives_of(seq)) for seq in sequences]
     feats = nest_features(subgraph, profiles)
     model = gpu_model if target == "gpu" else cpu_model
     seconds, _ = model.latency_seconds(feats, reference_platform(target))
@@ -713,88 +906,24 @@ def draft_scores(
 
 
 def smell_diagnostics(
-    subgraph: Subgraph,
-    primitives: tuple[Primitive, ...],
-    target: str = "cpu",
-    *,
-    llc_kb: float | None = None,
-    min_parallel_extent: int | None = None,
-    unroll_body_budget: int | None = None,
-) -> list:
-    """W304–W306 diagnostics from absint facts (empty if absint rejects).
-
-    Thresholds default to the *worst* platform of the target — the
-    smallest last-level cache, core count, and unroll cap — so a warning
-    means "smells on at least one simulated device".
-    """
-    from repro.analysis.diagnostics import Diagnostic, make  # local: avoid cycle
-
+    subgraph: Subgraph, primitives: tuple[Primitive, ...], target: str = "cpu"
+) -> list[Diagnostic]:
+    """W304–W306 diagnostics of one sequence (empty if it is invalid);
+    see :meth:`Interpreter.smells`."""
+    interp = Interpreter(subgraph, target)
     try:
-        prof = profile(subgraph, primitives, target)
+        prof = interp.profile(_primitives_of(primitives))
     except AbsIntError:
         return []
-    diags: list[Diagnostic] = []
-    if llc_kb is None:
-        llc_kb = reference_llc_kb(target)
-    if min_parallel_extent is None:
-        min_parallel_extent = reference_min_cores(target)
-    if unroll_body_budget is None:
-        unroll_body_budget = reference_unroll_budget(target)
-
-    # W304: one outermost-loop iteration's working set overflows the LLC.
-    if prof.loops and not prof.inlined:
-        tile_bytes = working_set_bytes(prof.outer_tile_points())
-        if tile_bytes > llc_kb * 1024.0:
-            diags.append(
-                make(
-                    "W304",
-                    -1,
-                    f"static outer-tile working set {tile_bytes / 1024.0:.0f} KB "
-                    f"exceeds the {llc_kb:.0f} KB last-level cache of the "
-                    f"smallest {target} platform",
-                )
-            )
-
-    # W305: parallel annotation on an axis too small to feed the cores.
-    for step, axis, extent in prof.parallel_facts:
-        if extent < min_parallel_extent:
-            diags.append(
-                make(
-                    "W305",
-                    step,
-                    f"parallel annotation on {axis!r} with abstract extent "
-                    f"{extent}, below the minimum core count "
-                    f"{min_parallel_extent} of the {target} platforms",
-                    axis,
-                )
-            )
-
-    # W306: unroll directive whose statically-bounded body blows the icache.
-    by_name = {l.name: i for i, l in enumerate(prof.loops)}
-    for step, axis in prof.unroll_facts:
-        at = by_name.get(axis)
-        if at is None:
-            continue  # annotated loop later fused away
-        body_points = math.prod(l.extent for l in prof.loops[at:])
-        body_instrs = body_points * max(prof.flops_per_point, 1.0)
-        if body_instrs > unroll_body_budget:
-            diags.append(
-                make(
-                    "W306",
-                    step,
-                    f"unroll of {axis!r} replicates a statically-bounded body of "
-                    f"~{body_instrs:.0f} instructions, beyond the {target} "
-                    f"icache budget {unroll_body_budget}",
-                    axis,
-                )
-            )
-    return diags
+    return interp.smells(prof)
 
 
 __all__ = [
     "AbsIntError",
     "AbstractLoop",
+    "Interpreter",
     "Interval",
+    "MAX_AUTO_UNROLL",
     "STATIC_FEATURE_NAMES",
     "StaticProfile",
     "draft_scores",

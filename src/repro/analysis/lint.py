@@ -1,10 +1,8 @@
 """Pluggable AST repo-lint enforcing DESIGN.md §7 conventions.
 
-The generalization of the original ``selfcheck`` module: every rule is a
-:class:`LintRule` subclass carrying its own id, description, and path
-scope, registered in :data:`RULE_REGISTRY`; one AST walk per file
-dispatches nodes to every in-scope rule.  ``repro.analysis.selfcheck``
-remains as a thin compatibility shim over this module.
+Every rule is a :class:`LintRule` subclass carrying its own id,
+description, and path scope, registered in :data:`RULE_REGISTRY`; one
+AST walk per file dispatches nodes to every in-scope rule.
 
 Rules (stable ids, never renumbered):
 
@@ -343,7 +341,7 @@ RULE_REGISTRY: tuple[LintRule, ...] = (
     UnusedSuppressionRule(),
 )
 
-#: id -> description, for docs and the CLI (back-compat with selfcheck.RULES).
+#: id -> description, for docs and the CLI.
 RULES: dict[str, str] = {rule.id: rule.description for rule in RULE_REGISTRY}
 
 
@@ -473,7 +471,7 @@ def main(argv: "list[str] | None" = None) -> int:
     violations: list[LintViolation] = []
     for root in roots:
         if not root.exists():
-            print(f"selfcheck: path {root} does not exist", file=sys.stderr)
+            print(f"lint: path {root} does not exist", file=sys.stderr)
             return 2
         violations.extend(check_tree(root))
     if fmt == "json":
@@ -486,10 +484,10 @@ def main(argv: "list[str] | None" = None) -> int:
     for v in violations:
         print(v)
     if violations:
-        print(f"selfcheck: {len(violations)} violation(s)", file=sys.stderr)
+        print(f"lint: {len(violations)} violation(s)", file=sys.stderr)
         return 1
     checked = ", ".join(str(r) for r in roots)
-    print(f"selfcheck: clean ({checked})")
+    print(f"lint: clean ({checked})")
     return 0
 
 

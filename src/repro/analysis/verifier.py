@@ -1,525 +1,111 @@
 """Static verification of schedule primitive sequences.
 
 Checks a primitive sequence against its subgraph *without* applying the
-schedule or simulating latency: per-primitive structural rules (E1xx), a
-whole-sequence dataflow pass over an axis-liveness lattice (E2xx), and
-performance-smell warnings (W3xx).  See ``repro.analysis.diagnostics`` for
-the code taxonomy.
+schedule or simulating latency: per-primitive structural rules (E1xx),
+whole-sequence dataflow over axis liveness (E2xx), and performance-smell
+warnings (W3xx).  See ``repro.analysis.diagnostics`` for the code
+taxonomy.
 
-The liveness lattice tracks each axis name through
-``UNDEFINED -> LIVE -> CONSUMED``: subgraph axes start LIVE; SP/FSP and FU
-consume their inputs and define fresh axes; every other primitive may only
-reference LIVE axes.  The verifier never raises on bad input — it records
-diagnostics and recovers best-effort so one corrupt step does not mask
-later ones.  The contract with ``repro.tensorir.schedule`` (enforced by
-property tests) is: a sequence with zero error diagnostics always applies
-without exception.
+Every function here is a thin view of the one interpreter,
+:class:`repro.analysis.absint.Interpreter`, run in collect mode: an axis
+name goes ``UNDEFINED -> LIVE -> CONSUMED`` (subgraph axes start live;
+SP/FSP and FU consume their inputs and define fresh axes; every other
+primitive may only reference live axes), each rejection is recorded as a
+:class:`Diagnostic`, and the run recovers so one corrupt step does not
+mask later ones.  ``Schedule.apply()`` and ``absint.profile`` are the
+same run in raise mode, so a sequence with no error diagnostic always
+applies and profiles, and one with an error never does.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Sequence
 
-from repro.analysis import absint
-from repro.analysis.diagnostics import Diagnostic, InvalidScheduleError, errors, make
-from repro.simhw.cache import POW2_CONFLICT_THRESHOLD
-from repro.tensorir.primitives import (
-    ANNOTATIONS,
-    ARITY,
-    GPU_BIND_PREFIX,
-    KIND_BY_VALUE,
-    PRAGMAS,
-    Primitive,
-    PrimitiveKind,
-    fused_name,
-    split_names,
-)
-from repro.tensorir.schedule import PAD_ALLOWANCE, Schedule, split_parts
+from repro.analysis.absint import Interpreter
+from repro.analysis.diagnostics import Diagnostic, InvalidScheduleError, errors
+from repro.tensorir.primitives import Primitive
+from repro.tensorir.schedule import Schedule
 from repro.tensorir.subgraph import Subgraph
 
 
-@dataclass(frozen=True)
-class VerifierConfig:
-    """Tunable thresholds for the structural rules and smell detectors."""
-
-    #: Max allowed ratio of padded iterations to the true extent for one
-    #: split (DESIGN.md §6: bounded padding keeps latency spreads sane).
-    #: Defaults to the same constant the sampler's by-construction check
-    #: uses, so the two cannot drift.
-    pad_allowance: float = PAD_ALLOWANCE
-    #: Middle-loop extents >= this that are powers of two trigger W301.
-    #: The default is ``repro.simhw.cache.POW2_CONFLICT_THRESHOLD`` — one
-    #: shared constant, so the static smell marks exactly what the
-    #: simulated hardware punishes.
-    pow2_conflict_threshold: int = POW2_CONFLICT_THRESHOLD
-    #: ``auto_unroll_max_step`` values above this trigger W302.
-    max_auto_unroll: int = 512
-    #: Run the abstract interpreter on error-free sequences to emit the
-    #: W304–W306 smells.  Only the full-diagnostics mode pays for it —
-    #: ``stop_on_error`` callers (the generate/score hot paths) skip it.
-    absint_smells: bool = True
-    #: Thresholds for W304/W305/W306; ``None`` derives each from the
-    #: worst platform of the target (see ``repro.analysis.absint``).
-    footprint_llc_kb: float | None = None
-    parallel_min_extent: int | None = None
-    unroll_body_budget: int | None = None
-
-
-class _Liveness(Enum):
-    LIVE = "live"
-    CONSUMED = "consumed"
-
-
-@dataclass
-class _AxisState:
-    extent: int
-    is_reduction: bool
-    status: _Liveness = _Liveness.LIVE
-    defined_at: int = -1
-    consumed_at: int | None = None
-    kind_annotation: str = ""
-
-
-# Shared with the abstract interpreter via ``repro.tensorir.primitives``
-# so the E101 rule and absint's structural checks cannot drift.
-_ARITY = ARITY
-_KIND_BY_VALUE = KIND_BY_VALUE
-
-
-class SequenceVerifier:
-    """Verifies primitive sequences against one subgraph and target.
-
-    One instance is reusable across sequences: the per-kind visit dispatch
-    and the subgraph's initial axis table are precomputed at construction,
-    and :meth:`verify` resets only the per-sequence state.  That is what
-    makes :func:`verify_many` cheaper than constructing a verifier per
-    sequence in a Python loop.
-    """
-
-    def __init__(
-        self, subgraph: Subgraph, target: str = "cpu", config: VerifierConfig | None = None
-    ):
-        self.subgraph = subgraph
-        self.target = target
-        self.config = config or VerifierConfig()
-        self._dispatch = {
-            kind: getattr(self, f"_visit_{kind.value.lower()}") for kind in PrimitiveKind
-        }
-        self._axis_init = tuple((a.name, a.extent, a.is_reduction) for a in subgraph.axes)
-
-    def _reset(self, primitives: tuple[Primitive, ...]) -> None:
-        self.diags: list[Diagnostic] = []
-        self.axes: dict[str, _AxisState] = {
-            name: _AxisState(extent, is_red) for name, extent, is_red in self._axis_init
-        }
-        self.order: list[str] = [name for name, _, _ in self._axis_init]
-        self.bound_tags: set[str] = set()
-        self.cache_write = False
-        self.compute_at = False
-        self.compute_root = False
-        self.rfactored = False
-        self._inlined_at: int | None = None
-        self.primitives = tuple(primitives)
-
-    def verify(
-        self, primitives: tuple[Primitive, ...], *, stop_on_error: bool = False
-    ) -> list[Diagnostic]:
-        """Verify one sequence, returning its diagnostics.
-
-        With ``stop_on_error`` the pass returns after the first primitive
-        that produced an error diagnostic — the hot-path mode for callers
-        that only gate on validity (warnings before the stop are kept).
-        """
-        self._reset(primitives)
-        diags = self.diags
-        dispatch = self._dispatch
-        for index, prim in enumerate(self.primitives):
-            checkpoint = len(diags)
-            kind = _KIND_BY_VALUE.get(prim.kind)
-            if kind is None:
-                self._emit("E101", index, f"unknown primitive kind {prim.kind!r}")
-            elif self._inlined_at is not None:
-                self._emit(
-                    "E206", index, f"{kind.value} after compute-inline at step {self._inlined_at}"
-                )
-                break
-            elif self._check_arity(kind, prim, index):
-                dispatch[kind](prim, index)
-            if stop_on_error and any(d.is_error for d in diags[checkpoint:]):
-                break
-        if (
-            not stop_on_error
-            and self.config.absint_smells
-            and not any(d.is_error for d in diags)
-        ):
-            # Error-free sequence: derive the W304–W306 smells from the
-            # abstract interpreter's facts.  Fast-path callers gate on
-            # validity only and never reach this.
-            diags.extend(
-                absint.smell_diagnostics(
-                    self.subgraph,
-                    self.primitives,
-                    self.target,
-                    llc_kb=self.config.footprint_llc_kb,
-                    min_parallel_extent=self.config.parallel_min_extent,
-                    unroll_body_budget=self.config.unroll_body_budget,
-                )
-            )
-        return diags
-
-    # -- plumbing -------------------------------------------------------
-
-    def _emit(self, code: str, index: int, message: str, axis: str = "") -> None:
-        self.diags.append(make(code, index, message, axis))
-
-    def _check_arity(self, kind: PrimitiveKind, prim: Primitive, index: int) -> bool:
-        n_axes, min_ints, max_ints, needs_attr = _ARITY[kind]
-        ok = True
-        if n_axes is not None and len(prim.axes) != n_axes:
-            self._emit("E101", index, f"{kind.value} expects {n_axes} axis, got {len(prim.axes)}")
-            ok = False
-        if len(prim.ints) < min_ints or (max_ints is not None and len(prim.ints) > max_ints):
-            self._emit("E101", index, f"{kind.value} has bad numeric arity {list(prim.ints)}")
-            ok = False
-        if needs_attr and not prim.attr:
-            self._emit("E101", index, f"{kind.value} requires an attr token")
-            ok = False
-        return ok
-
-    def _resolve(self, axis: str, index: int) -> _AxisState | None:
-        state = self.axes.get(axis)
-        if state is None:
-            self._emit("E201", index, f"axis {axis!r} was never defined", axis)
-            return None
-        if state.status is _Liveness.CONSUMED:
-            self._emit(
-                "E202",
-                index,
-                f"axis {axis!r} was consumed at step {state.consumed_at}",
-                axis,
-            )
-            return None
-        return state
-
-    def _consume(self, axis: str, index: int) -> None:
-        state = self.axes[axis]
-        state.status = _Liveness.CONSUMED
-        state.consumed_at = index
-        self.order.remove(axis)
-
-    def _define(self, axis: str, extent: int, is_reduction: bool, index: int, at: int) -> None:
-        if axis in self.axes:
-            self._emit("E203", index, f"axis {axis!r} defined twice", axis)
-            return
-        self.axes[axis] = _AxisState(extent, is_reduction, defined_at=index)
-        self.order.insert(at, axis)
-
-    # -- split family ---------------------------------------------------
-
-    def _visit_split(
-        self, prim: Primitive, index: int, factors: tuple[int, ...], check_factors: bool
-    ) -> None:
-        (axis,) = prim.axes
-        carried_extent = prim.ints[0]
-        if check_factors:
-            bad = [f for f in factors if not isinstance(f, int) or f < 1]
-            if bad:
-                self._emit("E102", index, f"split of {axis!r} has non-positive factors {bad}", axis)
-                return
-        state = self._resolve(axis, index)
-        if state is None:
-            return
-        if carried_extent != state.extent:
-            self._emit(
-                "E108",
-                index,
-                f"split of {axis!r} carries extent {carried_extent}, tracked extent is {state.extent}",
-                axis,
-            )
-        extent = state.extent
-        parts = split_parts(extent, factors)
-        padded = math.prod(parts)
-        if padded > extent * (1.0 + self.config.pad_allowance):
-            self._emit(
-                "E103",
-                index,
-                f"split of {axis!r} pads {extent} to {padded}, beyond the "
-                f"{self.config.pad_allowance:.0%} allowance",
-                axis,
-            )
-            return
-        for f in factors:
-            if f == 1 or f == extent:
-                self._emit("W303", index, f"degenerate split factor {f} on {axis!r}", axis)
-        for f in factors[:-1]:
-            if f >= self.config.pow2_conflict_threshold and (f & (f - 1)) == 0:
-                self._emit(
-                    "W301",
-                    index,
-                    f"middle-loop extent {f} on {axis!r} is a large power of two "
-                    "(cache-set / bank conflict smell)",
-                    axis,
-                )
-        at = self.order.index(axis)
-        self._consume(axis, index)
-        for offset, (name, part_extent) in enumerate(zip(split_names(axis, len(parts)), parts)):
-            self._define(name, part_extent, state.is_reduction, index, at + offset)
-
-    def _visit_sp(self, prim: Primitive, index: int) -> None:
-        self._visit_split(prim, index, tuple(prim.ints[1:]), check_factors=True)
-
-    def _visit_fsp(self, prim: Primitive, index: int) -> None:
-        (axis,) = prim.axes
-        src_step = prim.ints[1]
-        if not 0 <= src_step < len(self.primitives):
-            self._emit("E107", index, f"follow-split references missing step {src_step}", axis)
-            return
-        if src_step >= index:
-            # Ansor traces are strictly causal: a follow-split can only
-            # reuse the factors of a step that already executed.  A
-            # forward (or self) reference would make the applier read
-            # factors from a step that has not run yet.
-            self._emit(
-                "E107",
-                index,
-                f"follow-split references step {src_step}, which is not strictly "
-                f"earlier than step {index}",
-                axis,
-            )
-            return
-        src = self.primitives[src_step]
-        if src.kind is not PrimitiveKind.SP or len(src.ints) < 2:
-            self._emit(
-                "E107", index, f"follow-split references step {src_step} which is not a split", axis
-            )
-            return
-        factors = tuple(src.ints[1:])
-        if any(not isinstance(f, int) or f < 1 for f in factors):
-            self._emit("E102", index, f"followed split has non-positive factors {factors}", axis)
-            return
-        self._visit_split(prim, index, factors, check_factors=False)
-
-    # -- order primitives -----------------------------------------------
-
-    def _visit_re(self, prim: Primitive, index: int) -> None:
-        named = list(prim.axes)
-        # dict.fromkeys, not set(): diagnostic emission order must not
-        # depend on string hashing (bit-reproducibility, lint rule SC105).
-        for axis in dict.fromkeys(named):
-            self._resolve(axis, index)
-        if sorted(named) != sorted(self.order):
-            missing = sorted(set(self.order) - set(named))
-            extra = sorted(set(named) - set(self.order))
-            dupes = sorted({a for a in named if named.count(a) > 1})
-            detail = []
-            if missing:
-                detail.append(f"missing {missing}")
-            if extra:
-                detail.append(f"extra {extra}")
-            if dupes:
-                detail.append(f"duplicated {dupes}")
-            self._emit(
-                "E104",
-                index,
-                f"reorder is not a permutation of the live order ({'; '.join(detail)})",
-            )
-            return
-        self.order = named
-
-    def _visit_fu(self, prim: Primitive, index: int) -> None:
-        named = list(prim.axes)
-        if len(named) < 2 or len(set(named)) != len(named):
-            self._emit("E109", index, f"fuse needs >=2 distinct axes, got {named}")
-            return
-        states = [self._resolve(a, index) for a in named]
-        if any(s is None for s in states):
-            return
-        positions = [self.order.index(a) for a in named]
-        if positions != list(range(positions[0], positions[0] + len(positions))):
-            self._emit("E109", index, f"fuse axes {named} are not adjacent in {self.order}")
-            return
-        extent = math.prod(s.extent for s in states)
-        is_reduction = any(s.is_reduction for s in states)
-        at = positions[0]
-        for a in named:
-            self._consume(a, index)
-        self._define(fused_name(tuple(named)), extent, is_reduction, index, at)
-
-    # -- annotation primitives ------------------------------------------
-
-    def _visit_an(self, prim: Primitive, index: int) -> None:
-        (axis,) = prim.axes
-        if prim.attr not in ANNOTATIONS:
-            self._emit("E105", index, f"unknown annotation {prim.attr!r}", axis)
-            return
-        is_bind = prim.attr.startswith(GPU_BIND_PREFIX)
-        if is_bind and self.target != "gpu":
-            self._emit(
-                "E106", index, f"GPU bind {prim.attr!r} under target {self.target!r}", axis
-            )
-            return
-        state = self._resolve(axis, index)
-        if state is None:
-            return
-        if state.kind_annotation:
-            self._emit(
-                "E205",
-                index,
-                f"axis {axis!r} already annotated {state.kind_annotation!r}",
-                axis,
-            )
-            return
-        if is_bind:
-            tag = prim.attr[len(GPU_BIND_PREFIX) :]
-            if tag in self.bound_tags:
-                self._emit("E205", index, f"thread tag {tag!r} bound twice", axis)
-                return
-            self.bound_tags.add(tag)
-        state.kind_annotation = prim.attr
-
-    def _visit_pr(self, prim: Primitive, index: int) -> None:
-        (axis,) = prim.axes
-        if prim.attr not in PRAGMAS:
-            self._emit("E105", index, f"unknown pragma {prim.attr!r}", axis)
-            return
-        if self._resolve(axis, index) is None:
-            return
-        if prim.attr == "auto_unroll_max_step" and prim.ints[0] > self.config.max_auto_unroll:
-            self._emit(
-                "W302",
-                index,
-                f"auto_unroll_max_step {prim.ints[0]} exceeds cap {self.config.max_auto_unroll}",
-                axis,
-            )
-
-    # -- stage primitives -----------------------------------------------
-
-    def _visit_ca(self, prim: Primitive, index: int) -> None:
-        (axis,) = prim.axes
-        if self._resolve(axis, index) is None:
-            return
-        self.compute_at = True
-
-    def _visit_chw(self, prim: Primitive, index: int) -> None:
-        self.cache_write = True
-
-    def _visit_rf(self, prim: Primitive, index: int) -> None:
-        (axis,) = prim.axes
-        state = self._resolve(axis, index)
-        if state is None:
-            return
-        if not state.is_reduction:
-            self._emit("E204", index, f"rfactor of non-reduction axis {axis!r}", axis)
-            return
-        self.rfactored = True
-
-    def _visit_ci(self, prim: Primitive, index: int) -> None:
-        conflicts = [
-            name
-            for name, flag in (
-                ("CHW", self.cache_write),
-                ("CA", self.compute_at),
-                ("CP", self.compute_root),
-                ("RF", self.rfactored),
-            )
-            if flag
-        ]
-        if conflicts:
-            self._emit("E206", index, f"compute-inline conflicts with {'/'.join(conflicts)}")
-            return
-        self._inlined_at = index
-
-    def _visit_cp(self, prim: Primitive, index: int) -> None:
-        self.compute_root = True
-
-
 def verify_sequence(
-    subgraph: Subgraph,
-    primitives: tuple[Primitive, ...],
-    target: str = "cpu",
-    config: VerifierConfig | None = None,
+    subgraph: Subgraph, primitives: tuple[Primitive, ...], target: str = "cpu"
 ) -> list[Diagnostic]:
     """Statically verify a primitive sequence against a subgraph."""
-    return SequenceVerifier(subgraph, target, config).verify(tuple(primitives))
+    return Interpreter(subgraph, target).diagnose(tuple(primitives))
 
 
 def verify_many(
     subgraph: Subgraph,
     sequences: "Iterable[tuple[Primitive, ...]]",
     target: str = "cpu",
-    config: VerifierConfig | None = None,
     *,
     stop_on_error: bool = False,
 ) -> list[list[Diagnostic]]:
     """Verify a batch of sequences against one subgraph and target.
 
-    Beats a Python loop of :func:`verify_sequence` by constructing the
-    verifier (visit dispatch + initial axis table) once and resetting it
-    per sequence; ``stop_on_error`` additionally early-exits each sequence
-    at its first error — the screening mode for batch producers that only
-    gate on validity.
+    Beats a Python loop of :func:`verify_sequence` by setting up the
+    interpreter (initial loop table, smell thresholds) once for the
+    batch; ``stop_on_error`` additionally ends each sequence at its first
+    error — the screening mode for batch producers that only gate on
+    validity.
     """
-    verifier = SequenceVerifier(subgraph, target, config)
-    return [
-        verifier.verify(tuple(seq), stop_on_error=stop_on_error) for seq in sequences
-    ]
+    interp = Interpreter(subgraph, target)
+    return [interp.diagnose(tuple(seq), stop_on_error) for seq in sequences]
 
 
-def verify_schedule(schedule: Schedule, config: VerifierConfig | None = None) -> list[Diagnostic]:
+def verify_schedule(schedule: Schedule) -> list[Diagnostic]:
     """Statically verify a :class:`Schedule` (sequence + subgraph + target)."""
-    return verify_sequence(schedule.subgraph, schedule.primitives, schedule.target, config)
+    return verify_sequence(schedule.subgraph, schedule.primitives, schedule.target)
 
 
-def assert_valid(schedule: Schedule, config: VerifierConfig | None = None) -> list[Diagnostic]:
+def _raise_invalid(schedule: Schedule, bad: list[Diagnostic]) -> None:
+    raise InvalidScheduleError(
+        f"schedule of {schedule.subgraph.name!r} failed static verification", bad
+    )
+
+
+def assert_valid(schedule: Schedule) -> list[Diagnostic]:
     """Fail-closed gate: raise on any error diagnostic, return all diagnostics.
 
     This is what the sampler (and later: dataset generation, autotuner
     mutation) calls on every sequence before it is allowed downstream.
     """
-    diags = verify_schedule(schedule, config)
+    diags = verify_schedule(schedule)
     bad = errors(diags)
     if bad:
-        raise InvalidScheduleError(
-            f"schedule of {schedule.subgraph.name!r} failed static verification", bad
-        )
+        _raise_invalid(schedule, bad)
     return diags
 
 
-def assert_valid_many(
-    schedules: Sequence[Schedule], config: VerifierConfig | None = None
-) -> list[list[Diagnostic]]:
-    """Fail-closed gate over a batch: one verifier pass, raise on any error.
+def assert_valid_many(schedules: Sequence[Schedule]) -> list[list[Diagnostic]]:
+    """Fail-closed gate over a batch: raise on any error.
 
     The batch analogue of :func:`assert_valid` — what the sketch
-    generator's batch sampling calls, so producing N schedules costs one
-    verifier construction per (subgraph, target) run instead of N.
-    Sequences are screened with per-sequence early exit; warnings on
-    sequences before the failing one are still returned.
+    generator's batch sampling calls.  Consecutive schedules of an equal
+    (subgraph, target) share one interpreter set-up; sequences are
+    screened with per-sequence early exit, and warnings on sequences
+    before the failing one are still returned.
     """
     all_diags: list[list[Diagnostic]] = []
-    verifier: SequenceVerifier | None = None
-    key: tuple[int, str] | None = None
+    interp: Interpreter | None = None
     for schedule in schedules:
-        k = (id(schedule.subgraph), schedule.target)
-        if verifier is None or k != key:
-            verifier = SequenceVerifier(schedule.subgraph, schedule.target, config)
-            key = k
-        diags = verifier.verify(schedule.primitives, stop_on_error=True)
+        subgraph, target = schedule.subgraph, schedule.target
+        if (
+            interp is None
+            or target != interp.target
+            or (subgraph is not interp.subgraph and subgraph != interp.subgraph)
+        ):
+            interp = Interpreter(subgraph, target)
+        diags = interp.diagnose(schedule.primitives, stop_on_error=True)
         bad = errors(diags)
         if bad:
-            raise InvalidScheduleError(
-                f"schedule of {schedule.subgraph.name!r} failed static verification", bad
-            )
+            _raise_invalid(schedule, bad)
         all_diags.append(diags)
     return all_diags
 
 
 __all__ = [
-    "SequenceVerifier",
-    "VerifierConfig",
     "assert_valid",
     "assert_valid_many",
     "verify_many",

@@ -10,10 +10,10 @@ pipeline spreads over a measurement farm:
 2. **Profile (the fail-closed gate)** — ``repro.analysis.absint.profile``
    abstractly interprets each sequence *once*, yielding both the static
    feature plane and the concrete loop nest (``StaticProfile.to_nest()``),
-   so schedules are never applied a second time for measurement.  absint
+   so schedules are never applied a second time for measurement.  The
+   verifier is the same interpreter in collect mode, so ``profile``
    raises ``AbsIntError`` on exactly the sequences the verifier rejects
-   (the differential property in ``tests/test_absint.py``), so one pass
-   both checks and profiles: an invalid candidate becomes a
+   and one pass both checks and profiles: an invalid candidate becomes a
    :class:`DatasetError` naming the task, target, candidate index and
    step, before any row of its batch reaches the :class:`ShardWriter`.
    Only the featurizer-fit corpus (``fit_featurizer``) still runs the

@@ -11,7 +11,7 @@ gradient that the finite-difference checks in ``repro.nn.gradcheck``
 pin to < 1e-3 relative error.
 
 Everything stays float32 end to end (DESIGN.md §7, enforced by
-selfcheck SC103); gradients are plain ndarrays, not tensors, so the
+lint rule SC103); gradients are plain ndarrays, not tensors, so the
 tape never grows through optimizer steps.
 
 The backward pass does only the work somebody reads:

@@ -9,7 +9,7 @@ schedules takes seconds on one core (``benchmarks/bench_simhw.py``).
 
 Determinism contract: a measurement is a **pure function of
 (subgraph, primitive sequence, platform, root seed)**.  No wall clock
-anywhere (``repro.analysis.selfcheck`` rule SC104 lints for it); the
+anywhere (``repro.analysis.lint`` rule SC104 lints for it); the
 only stochastic ingredient is the deterministic micro-architectural
 "quirk" multiplier, drawn from named ``repro.utils.rng`` streams keyed
 on (ISA family | platform, program-shape signature, root seed) — so

@@ -1,8 +1,9 @@
 """Tensor-program IR: subgraphs, loop nests, schedule primitives, sampling.
 
 The TVM/Ansor substitute (DESIGN.md §2): computational subgraphs expose an
-iteration domain, schedule primitives transform it, the applier produces a
-loop nest for the analytical hardware models, and the sketch
+iteration domain, schedule primitives transform it, ``Schedule.apply()``
+produces a loop nest for the analytical hardware models (through the one
+primitive interpreter, ``repro.analysis.absint``), and the sketch
 generator/sampler produce the random-but-valid schedules every downstream
 subsystem consumes.  All generated sequences pass through the static
 verifier in ``repro.analysis`` fail-closed.

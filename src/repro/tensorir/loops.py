@@ -9,7 +9,7 @@ never does — that asymmetry is the paper's whole point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -40,12 +40,6 @@ class Loop:
     thread_tag: str = ""  # e.g. "blockIdx.x" when kind is BOUND
     pragmas: tuple[tuple[str, int], ...] = field(default=())
     rfactored: bool = False
-
-    def with_kind(self, kind: LoopKind, thread_tag: str = "") -> "Loop":
-        return replace(self, kind=kind, thread_tag=thread_tag)
-
-    def with_pragma(self, name: str, value: int) -> "Loop":
-        return replace(self, pragmas=(*self.pragmas, (name, value)))
 
 
 @dataclass

@@ -1,27 +1,20 @@
-"""Schedule = subgraph + primitive sequence, and the applier.
+"""Schedule = subgraph + primitive sequence.
 
-``Schedule.apply()`` rewrites the subgraph's initial loop nest primitive
-by primitive, raising :class:`ScheduleError` on any structurally invalid
-step.  The static verifier in ``repro.analysis`` checks the same rules
-*without* building the nest; the contract (enforced by property tests) is
-that any sequence the verifier passes clean applies without exception.
+``Schedule.apply()`` returns the loop nest the sequence builds.  It has
+no interpreter of its own: the nest is the concretized run of
+``repro.analysis.absint.Interpreter``, the one code that gives the
+primitive kinds a meaning, so ``apply()`` raises :class:`ScheduleError`
+(an ``AbsIntError``) on exactly the sequences the static verifier
+rejects, at the first step it flags.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.tensorir.loops import ANNOTATION_KINDS, Loop, LoopKind, LoopNest
-from repro.tensorir.primitives import (
-    ANNOTATIONS,
-    GPU_BIND_PREFIX,
-    PRAGMAS,
-    Primitive,
-    PrimitiveKind,
-    fused_name,
-    split_names,
-)
+from repro.tensorir.loops import LoopNest
+from repro.tensorir.primitives import Primitive
 from repro.tensorir.subgraph import Subgraph
 
 
@@ -31,8 +24,8 @@ class ScheduleError(Exception):
 
 #: Max allowed ratio of padded iterations to the true extent for one split
 #: (DESIGN.md §6: bounded padding keeps intra-task latency spreads sane).
-#: Shared by the sampler's by-construction check and the verifier's E103
-#: rule so the two can never drift apart.
+#: Shared by the sampler's by-construction check and the interpreter's
+#: E103 rule so the two can never drift apart.
 PAD_ALLOWANCE: float = 0.25
 
 
@@ -63,209 +56,13 @@ class Schedule:
 
     def apply(self) -> LoopNest:
         """Apply every primitive, returning the resulting loop nest."""
-        return _Applier(self).run()
+        # Imported at call time: repro.analysis imports repro.tensorir.
+        from repro.analysis.absint import profile
 
-    def apply_trace(self) -> list[LoopNest]:
-        """Apply step by step, returning the nest snapshot after each
-        primitive (introspection hook for differential testing against
-        ``repro.analysis.absint``).  The last snapshot equals ``apply()``.
-        """
-        return _Applier(self).run_trace()
+        return profile(self.subgraph, self.primitives, self.target).to_nest()
 
     def __len__(self) -> int:
         return len(self.primitives)
-
-
-@dataclass
-class _Applier:
-    schedule: Schedule
-    nest: LoopNest = field(init=False)
-    #: Index of the primitive currently being applied — FSP resolution
-    #: must only see strictly earlier steps (Ansor traces are causal).
-    _step: int = field(init=False, default=0)
-
-    def __post_init__(self) -> None:
-        sg = self.schedule.subgraph
-        self.nest = LoopNest(
-            subgraph_name=sg.name,
-            loops=[Loop(a.name, a.extent, is_reduction=a.is_reduction) for a in sg.axes],
-        )
-
-    def run(self) -> LoopNest:
-        for index, prim in enumerate(self.schedule.primitives):
-            self._step = index
-            if self.nest.inlined:
-                raise ScheduleError(f"step {index}: primitive after compute-inline")
-            try:
-                self._apply_one(prim)
-            except ScheduleError:
-                raise
-            except (KeyError, ValueError, IndexError) as exc:
-                raise ScheduleError(f"step {index}: {exc}") from exc
-        return self.nest
-
-    def run_trace(self) -> list[LoopNest]:
-        """Like :meth:`run`, but snapshot the nest after every primitive.
-
-        Loops are frozen dataclasses, so a shallow list copy per step is
-        a faithful snapshot.
-        """
-        snapshots: list[LoopNest] = []
-        for index, prim in enumerate(self.schedule.primitives):
-            self._step = index
-            if self.nest.inlined:
-                raise ScheduleError(f"step {index}: primitive after compute-inline")
-            try:
-                self._apply_one(prim)
-            except ScheduleError:
-                raise
-            except (KeyError, ValueError, IndexError) as exc:
-                raise ScheduleError(f"step {index}: {exc}") from exc
-            snapshots.append(
-                LoopNest(
-                    subgraph_name=self.nest.subgraph_name,
-                    loops=list(self.nest.loops),
-                    cache_write=self.nest.cache_write,
-                    inlined=self.nest.inlined,
-                    compute_at_axis=self.nest.compute_at_axis,
-                    compute_root=self.nest.compute_root,
-                )
-            )
-        return snapshots
-
-    def _index(self, axis: str) -> int:
-        for i, l in enumerate(self.nest.loops):
-            if l.name == axis:
-                return i
-        raise ScheduleError(f"axis {axis!r} is not live in {self.nest.names}")
-
-    def _apply_one(self, prim: Primitive) -> None:
-        handler = getattr(self, f"_apply_{prim.kind.value.lower()}")
-        handler(prim)
-
-    # -- loop-structure primitives --------------------------------------
-
-    def _split(self, axis: str, extent: int, factors: tuple[int, ...]) -> None:
-        idx = self._index(axis)
-        old = self.nest.loops[idx]
-        if old.extent != extent:
-            raise ScheduleError(
-                f"split of {axis!r} carries extent {extent} but loop extent is {old.extent}"
-            )
-        if not factors or any((not isinstance(f, int)) or f < 1 for f in factors):
-            raise ScheduleError(f"split of {axis!r} has invalid factors {factors}")
-        parts = split_parts(extent, factors)
-        names = split_names(axis, len(parts))
-        self.nest.loops[idx : idx + 1] = [
-            Loop(n, e, is_reduction=old.is_reduction) for n, e in zip(names, parts)
-        ]
-
-    def _apply_sp(self, prim: Primitive) -> None:
-        (axis,) = prim.axes
-        extent, *factors = prim.ints
-        self._split(axis, extent, tuple(factors))
-
-    def _apply_fsp(self, prim: Primitive) -> None:
-        (axis,) = prim.axes
-        extent, src_step = prim.ints
-        if not 0 <= src_step < len(self.schedule.primitives):
-            raise ScheduleError(f"follow-split of {axis!r} references missing step {src_step}")
-        if src_step >= self._step:
-            raise ScheduleError(
-                f"follow-split of {axis!r} references step {src_step}, which is not "
-                f"strictly earlier than step {self._step}"
-            )
-        src = self.schedule.primitives[src_step]
-        if src.kind is not PrimitiveKind.SP:
-            raise ScheduleError(f"follow-split of {axis!r} references non-SP step {src_step}")
-        self._split(axis, extent, tuple(src.ints[1:]))
-
-    def _apply_re(self, prim: Primitive) -> None:
-        if sorted(prim.axes) != sorted(self.nest.names):
-            raise ScheduleError(
-                f"reorder {list(prim.axes)} is not a permutation of {self.nest.names}"
-            )
-        by_name = {l.name: l for l in self.nest.loops}
-        self.nest.loops = [by_name[n] for n in prim.axes]
-
-    def _apply_fu(self, prim: Primitive) -> None:
-        if len(prim.axes) < 2:
-            raise ScheduleError(f"fuse needs >=2 axes, got {list(prim.axes)}")
-        indices = [self._index(a) for a in prim.axes]
-        if indices != list(range(indices[0], indices[0] + len(indices))):
-            raise ScheduleError(f"fuse axes {list(prim.axes)} are not adjacent in {self.nest.names}")
-        merged = self.nest.loops[indices[0] : indices[-1] + 1]
-        extent = 1
-        for l in merged:
-            extent *= l.extent
-        fused = Loop(
-            fused_name(prim.axes), extent, is_reduction=any(l.is_reduction for l in merged)
-        )
-        self.nest.loops[indices[0] : indices[-1] + 1] = [fused]
-
-    # -- annotation primitives ------------------------------------------
-
-    def _apply_an(self, prim: Primitive) -> None:
-        (axis,) = prim.axes
-        idx = self._index(axis)
-        loop = self.nest.loops[idx]
-        if prim.attr not in ANNOTATIONS:
-            raise ScheduleError(f"unknown annotation {prim.attr!r} on {axis!r}")
-        if loop.kind is not LoopKind.SERIAL:
-            raise ScheduleError(f"axis {axis!r} already annotated as {loop.kind.value}")
-        if prim.attr.startswith(GPU_BIND_PREFIX):
-            if self.schedule.target != "gpu":
-                raise ScheduleError(f"GPU bind {prim.attr!r} under target {self.schedule.target!r}")
-            tag = prim.attr[len(GPU_BIND_PREFIX) :]
-            if any(l.thread_tag == tag for l in self.nest.loops):
-                raise ScheduleError(f"thread tag {tag!r} bound twice")
-            self.nest.loops[idx] = loop.with_kind(LoopKind.BOUND, thread_tag=tag)
-        else:
-            self.nest.loops[idx] = loop.with_kind(ANNOTATION_KINDS[prim.attr])
-
-    def _apply_pr(self, prim: Primitive) -> None:
-        (axis,) = prim.axes
-        idx = self._index(axis)
-        if prim.attr not in PRAGMAS:
-            raise ScheduleError(f"unknown pragma {prim.attr!r} on {axis!r}")
-        (value,) = prim.ints
-        self.nest.loops[idx] = self.nest.loops[idx].with_pragma(prim.attr, value)
-
-    # -- stage primitives -----------------------------------------------
-
-    def _apply_ca(self, prim: Primitive) -> None:
-        (axis,) = prim.axes
-        self._index(axis)
-        self.nest.compute_at_axis = axis
-
-    def _apply_chw(self, prim: Primitive) -> None:
-        self.nest.cache_write = True
-
-    def _apply_rf(self, prim: Primitive) -> None:
-        (axis,) = prim.axes
-        idx = self._index(axis)
-        loop = self.nest.loops[idx]
-        if not loop.is_reduction:
-            raise ScheduleError(f"rfactor of non-reduction axis {axis!r}")
-        self.nest.loops[idx] = Loop(
-            loop.name,
-            loop.extent,
-            is_reduction=loop.is_reduction,
-            kind=loop.kind,
-            thread_tag=loop.thread_tag,
-            pragmas=loop.pragmas,
-            rfactored=True,
-        )
-
-    def _apply_ci(self, prim: Primitive) -> None:
-        if self.nest.cache_write or self.nest.compute_at_axis or self.nest.compute_root:
-            raise ScheduleError("compute-inline conflicts with CHW/CA/CP on the same stage")
-        if any(l.rfactored for l in self.nest.loops):
-            raise ScheduleError("compute-inline conflicts with rfactor")
-        self.nest.inlined = True
-
-    def _apply_cp(self, prim: Primitive) -> None:
-        self.nest.compute_root = True
 
 
 __all__ = ["PAD_ALLOWANCE", "Schedule", "ScheduleError", "split_parts"]

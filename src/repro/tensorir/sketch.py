@@ -76,17 +76,16 @@ class SketchGenerator:
         The sampler constructs sequences that are valid by definition of
         its own bookkeeping, so verification is a guard against sampler
         bugs, not a filter: it runs once over the whole batch
-        (``repro.analysis.assert_valid_many`` reuses a single verifier and
-        early-exits each sequence) instead of constructing a fresh
-        verifier per sample.  Equivalent to ``n`` :meth:`generate` calls
-        on the same ``rng`` stream, just cheaper.
+        (``repro.analysis.assert_valid_many`` sets the interpreter up once
+        and early-exits each sequence).  Equivalent to ``n``
+        :meth:`generate` calls on the same ``rng`` stream, just cheaper.
 
         ``verify=False`` skips that pass and returns the raw samples (the
         rng draws are the same either way).  Only a caller that abstractly
         interprets *every* returned schedule before using it may pass it,
         and it must then run ``repro.analysis.absint.profile`` on each one
-        and treat an ``AbsIntError`` as fatal: absint rejects exactly the
-        sequences the verifier rejects, so that pass is the same gate.
+        and treat an ``AbsIntError`` as fatal: the verifier is the same
+        interpreter in collect mode, so that pass is the same gate.
         The dataset build (``repro.dataset.pipeline``) is that caller;
         everything else keeps the default.
         """

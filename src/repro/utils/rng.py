@@ -7,7 +7,7 @@ any experiment is bit-for-bit reproducible given the root seed (DESIGN.md
 with the root seed, so adding a new stream never perturbs existing ones.
 
 This module is the only place in ``src/`` allowed to touch ``np.random``
-directly — ``repro.analysis.selfcheck`` enforces that with an AST lint.
+directly — ``repro.analysis.lint`` rule SC101 enforces that.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
-"""repro.analysis.absint — the schedule abstract interpreter.
+"""repro.analysis.absint — the one interpreter of the primitive kinds.
 
-The load-bearing contract is differential (DESIGN.md §8): on every
-verifier-clean sequence the abstract nest concretizes to *exactly* what
-``Schedule.apply()`` builds (per step, via the traces), and the static
+The verifier, ``Schedule.apply()`` and ``absint.profile`` are views of
+one run (DESIGN.md §8): on every verifier-clean sequence the profile
+concretizes to what ``Schedule.apply()`` returns and the static
 ``NestFeatures`` are bit-identical to featurizing the applied nests; on
-every verifier-rejected sequence the interpreter raises
-:class:`AbsIntError`.  Around that sit unit tests for the interval
-domain, the static feature plane, the draft scores, and the W304–W306
-smells the verifier now emits from absint facts.
+every verifier-rejected sequence both the profile and ``apply()`` raise.
+``tests/test_semantics_digest.py`` pins the nests, trips and features
+themselves.  Around that sit unit tests for the interval domain, the
+static feature plane, the draft scores, and the W304–W306 smells.
 """
 
 from __future__ import annotations
@@ -21,9 +21,15 @@ from hypothesis import given, settings, strategies as st
 from corruptions import CORRUPTIONS
 from repro.analysis import absint, has_errors, verify_schedule, verify_sequence
 from repro.analysis.absint import AbsIntError, Interval, StaticProfile
-from repro.analysis.verifier import VerifierConfig
 from repro.simhw.platform import ALL_PLATFORMS
-from repro.tensorir import SketchConfig, SketchGenerator, sample_subgraph_pool
+from repro.tensorir import (
+    Primitive,
+    Schedule,
+    ScheduleError,
+    SketchConfig,
+    SketchGenerator,
+    sample_subgraph_pool,
+)
 from repro.tensorir import primitives as P
 from repro.tensorir.subgraph import elementwise_subgraph, matmul_subgraph
 from repro.utils.rng import stream
@@ -80,7 +86,7 @@ def test_absint_error_carries_step_index():
     assert err.value.step == 0 and "step 0" in str(err.value)
 
 
-# -- the differential property (both directions) -----------------------------
+# -- one rule for every view (both directions) -------------------------------
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,19 +94,11 @@ def test_absint_error_carries_step_index():
 def test_clean_sequences_profile_and_match_the_applier(schedule):
     diags = verify_schedule(schedule)
     assert not has_errors(diags)
-    prof = absint.profile(
-        schedule.subgraph, schedule, schedule.target, trace=True
-    )
+    prof = absint.profile(schedule.subgraph, schedule, schedule.target)
     assert isinstance(prof, StaticProfile)
     # Final nests identical — loops (name/extent/kind/tag/pragmas/
     # rfactored) and stage state, via LoopNest equality.
     assert prof.to_nest() == schedule.apply()
-    # Per-step name/extent snapshots identical too.
-    applied = [
-        tuple((l.name, l.extent) for l in snap.loops)
-        for snap in schedule.apply_trace()
-    ]
-    assert list(prof.trace) == applied
     row = prof.features()
     assert row.shape == (len(absint.STATIC_FEATURE_NAMES),)
     assert np.isfinite(row).all()
@@ -114,13 +112,17 @@ def test_rejected_sequences_raise_and_warned_ones_do_not(schedule, corruption):
     if mutated is None:
         return
     diags = verify_sequence(schedule.subgraph, mutated, schedule.target)
+    applied = Schedule(schedule.subgraph, mutated, schedule.target)
     if has_errors(diags):
         with pytest.raises(AbsIntError):
             absint.profile(schedule.subgraph, mutated, schedule.target)
+        with pytest.raises(ScheduleError):
+            applied.apply()
     else:
-        # Warning-only corruptions stay interpretable — absint rejection
-        # must exactly track *error* diagnostics, not smells.
+        # Warning-only corruptions stay interpretable — rejection must
+        # exactly track *error* diagnostics, not smells.
         absint.profile(schedule.subgraph, mutated, schedule.target)
+        applied.apply()
 
 
 def test_nest_features_bit_identical_to_applied_path():
@@ -212,11 +214,6 @@ def test_w304_fires_on_oversized_outer_tile():
     assert "W304" not in codes(verify_sequence(matmul_subgraph(), ()))
 
 
-def test_w304_threshold_override():
-    cfg = VerifierConfig(footprint_llc_kb=1.0)  # absurdly small LLC
-    assert "W304" in codes(verify_sequence(matmul_subgraph(), (), config=cfg))
-
-
 def test_w305_fires_on_thin_parallel_axis():
     sg = matmul_subgraph()
     seq = (P.split("i", 128, (64,)), P.annotate("i.0", "parallel"))
@@ -256,10 +253,6 @@ def test_smells_gated_off_on_errors_and_by_config():
     bad_diags = verify_sequence(sg, bad)
     assert has_errors(bad_diags)
     assert not codes(bad_diags) & {"W304", "W305", "W306"}
-    # And the config switch disables them wholesale.
-    cfg = VerifierConfig(absint_smells=False)
-    diags = verify_sequence(sg, (P.annotate("i", "unroll"),), config=cfg)
-    assert "W306" not in codes(diags)
 
 
 def test_smell_diagnostics_empty_on_uninterpretable_sequence():
@@ -273,3 +266,31 @@ def test_working_set_matches_simhw_reuse_model():
     t = 12345.0
     assert absint.working_set_bytes(t) == BYTES_PER_POINT * t ** REUSE_EXPONENT
     assert math.log2(absint.working_set_bytes(1.0)) == 2.0
+
+
+# -- one meaning for raw-string kinds ----------------------------------------
+
+
+def test_raw_string_kinds_mean_what_enum_kinds_mean():
+    sg = matmul_subgraph()
+    enum_seq = (P.split("i", 128, (4,)), P.follow_split("j", 128, 0))
+    raw_seq = (Primitive("SP", ("i",), (128, 4)), P.follow_split("j", 128, 0))
+    assert not has_errors(verify_sequence(sg, raw_seq))
+    assert verify_sequence(sg, raw_seq) == verify_sequence(sg, enum_seq)
+    raw, enum = absint.profile(sg, raw_seq), absint.profile(sg, enum_seq)
+    assert raw == enum
+    assert np.array_equal(raw.features(), enum.features())
+    nest = Schedule(sg, raw_seq).apply()
+    assert nest == Schedule(sg, enum_seq).apply() == raw.to_nest()
+    assert nest.names == ["i.0", "i.1", "j.0", "j.1", "k"]
+
+
+def test_unknown_kind_is_e101_and_a_schedule_error():
+    sg = matmul_subgraph()
+    seq = (Primitive("XX", ("i",)),)
+    assert [d.code for d in verify_sequence(sg, seq)] == ["E101"]
+    with pytest.raises(ScheduleError, match="unknown primitive kind"):
+        Schedule(sg, seq).apply()
+    with pytest.raises(AbsIntError) as err:
+        absint.profile(sg, seq)
+    assert err.value.code == "E101" and err.value.step == 0

@@ -1,7 +1,7 @@
 """repro.analysis.lint — the pluggable rule framework.
 
-The legacy rule behaviors (SC101–SC104) stay covered by
-``test_selfcheck.py`` through the compatibility shim; this module covers
+The original rule behaviors (SC101–SC104) are covered by
+``test_selfcheck.py``; this module covers
 the framework itself (registry, path scoping, rule-scoped suppressions,
 unused-suppression detection, JSON output) and the new rules SC105–SC107.
 """
@@ -197,11 +197,3 @@ def test_violations_sorted_and_deterministic(tmp_path):
     assert first == second
     assert [v.line for v in first] == sorted(v.line for v in first)
     assert rules(first) == {"SC101", "SC102"}
-
-
-def test_selfcheck_shim_reexports_lint():
-    from repro.analysis import selfcheck
-
-    assert selfcheck.check_source is lint.check_source
-    assert selfcheck.LintViolation is lint.LintViolation
-    assert selfcheck.RULES is lint.RULES

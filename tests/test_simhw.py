@@ -14,15 +14,17 @@ The load-bearing claims, in paper order:
   primitive sequence, platform, root seed) — bit-identical after the
   quirk-stream caches are dropped and re-derived, and across separate
   processes (the digest subprocess test).
-* **Throughput**: ``measure_many`` labels 10k verified schedules on one
-  platform in far under the 10 s budget.
+
+The 10k-schedule throughput budget is a ``bench_check`` floor
+(``benchmarks/bench_simhw.py::test_perf_floors``, ``make bench-check``);
+its tier-1 half (finite, positive, bit-reproducible labels for a 10k
+batch) is ``bench_simhw.py::test_perf_claims``.
 """
 
 from __future__ import annotations
 
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -310,13 +312,3 @@ def test_labels_reject_nonpositive_and_pass_empty():
     with pytest.raises(ValueError, match="positive"):
         labels_from_latencies(np.array([1.0, 0.0], dtype=np.float32))
     assert labels_from_latencies(np.array([], dtype=np.float32)).size == 0
-
-
-def test_measure_many_labels_10k_schedules_in_budget():
-    gen = SketchGenerator(SketchConfig("cpu"))
-    schedules = gen.generate_many(_SUB, 10_000, stream("test.simhw.10k"))
-    start = time.perf_counter()
-    latencies = measure_many(_SUB, schedules, _INTEL)
-    elapsed = time.perf_counter() - start
-    assert latencies.shape == (10_000,) and np.all(latencies > 0)
-    assert elapsed < 10.0, f"measure_many took {elapsed:.2f}s for 10k schedules"

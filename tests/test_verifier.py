@@ -6,7 +6,7 @@ import pytest
 
 from corruptions import CORRUPTIONS
 from repro.analysis import InvalidScheduleError, assert_valid, has_errors, verify_schedule
-from repro.analysis.verifier import VerifierConfig, verify_sequence
+from repro.analysis.verifier import verify_sequence
 from repro.tensorir import Axis, Schedule, Subgraph, matmul_subgraph
 from repro.tensorir import primitives as P
 
@@ -122,9 +122,3 @@ def test_w303_degenerate_factor(matmul):
     diags = verify_sequence(matmul, (P.split("i", 128, (1,)),))
     assert "W303" in codes(diags)
     assert not has_errors(diags)
-
-
-def test_verifier_config_thresholds(matmul):
-    cfg = VerifierConfig(max_auto_unroll=8192)
-    diags = verify_sequence(matmul, (P.pragma("i", "auto_unroll_max_step", 4096),), config=cfg)
-    assert "W302" not in codes(diags)

@@ -1,7 +1,7 @@
 """Batch verification (`verify_many`) agrees with the per-sequence path.
 
-The batch mode is a pure hot-path optimization: one verifier instance,
-precomputed dispatch, optional early exit.  These tests pin that it is
+The batch mode is a pure hot-path optimization: one interpreter set-up
+per batch, optional early exit.  These tests pin that it is
 *observationally identical* to a Python loop of ``verify_sequence``
 calls — on clean sampler output and on corrupted sequences — and that
 ``generate_many`` (which feeds it) equals ``n`` single ``generate``
