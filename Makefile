@@ -16,8 +16,10 @@ lint-json:
 gradcheck:
 	$(PYTHON) -m pytest -x -q -m gradcheck
 
+# pytest.ini disables pytest-benchmark's timing rounds for tier-1;
+# this target turns them back on.
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) -m pytest benchmarks/ --benchmark-enable --benchmark-only
 
 # Wall-clock perf floors (speedup ratios, time budgets): the tests marked
 # bench_check, which pytest.ini deselects from tier-1 because load makes
@@ -25,13 +27,9 @@ bench:
 bench-check:
 	$(PYTHON) -m pytest benchmarks -q -m bench_check
 
+# Every benchmark scenario (~4 min): rewrites the BENCH_*.json files.
 bench-save:
-	$(PYTHON) benchmarks/bench_save.py
-	$(PYTHON) benchmarks/bench_save_inference.py
-	$(PYTHON) benchmarks/bench_save_simhw.py
-	$(PYTHON) benchmarks/bench_save_absint.py
-	$(PYTHON) benchmarks/bench_save_dataset.py
-	$(PYTHON) benchmarks/bench_save_training.py
+	$(PYTHON) benchmarks/save.py
 
 # perfbench's own tests (~10 s): its helpers, a tiny run of every
 # workload, and test_instrument_patches_resolve, which fails as soon as a

@@ -9,7 +9,8 @@ preserving the full path's exact top-1 pick.  For the draft to be a
 so the fixture briefly trains the TLP model on ``simhw`` labels (the
 seeded recipe below is deterministic end to end); at ``hidden=256`` one
 predict over 1,024 candidates costs ~0.7 s, which is the regime where a
-free static draft pays for itself.
+free static draft pays for itself.  :func:`scenario` records the numbers
+into ``BENCH_absint.json`` (``python benchmarks/save.py absint``).
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from repro.nn import Adam, mse_loss
 from repro.simhw import labels_from_latencies, measure_many
 from repro.tensorir import SketchConfig, SketchGenerator, matmul_subgraph
 from repro.utils.rng import stream
-from repro.utils.timer import best_of
+from repro.utils.timer import Timer, best_of
 
 N_CANDIDATES = 1024
+REPEATS = 3
 TOP_K = 16
 DRAFT_KEEP = 0.5
 
@@ -84,11 +86,14 @@ def scorer(subgraph):
     return build_trained_scorer(subgraph)
 
 
+def build_candidates(subgraph):
+    gen = SketchGenerator(SketchConfig("cpu"))
+    return gen.generate_many(subgraph, N_CANDIDATES, stream("bench.absint.plane"))
+
+
 @pytest.fixture(scope="module")
 def candidates(subgraph):
-    gen = SketchGenerator(SketchConfig("cpu"))
-    return gen.generate_many(subgraph, N_CANDIDATES,
-                             stream("bench.absint.plane"))
+    return build_candidates(subgraph)
 
 
 def test_profile_many_throughput(benchmark, subgraph, candidates):
@@ -149,3 +154,37 @@ def test_draft_then_verify_speedup_floor(benchmark, subgraph, scorer):
     benchmark.extra_info["t_full_ms"] = t_full * 1e3
     benchmark.extra_info["t_draft_ms"] = t_draft * 1e3
     benchmark.extra_info["speedup"] = speedup
+
+
+def scenario() -> dict:
+    """The ``absint`` scenario: profiling and drafting 1,024 candidates and
+    the full vs drafted serving round, best of 3; the drafted round must
+    keep the full round's top-1 pick."""
+    subgraph = build_subgraph()
+    candidates = build_candidates(subgraph)
+    t_profile = best_of(lambda: absint.profile_many(subgraph, candidates), REPEATS)
+    t_draft = best_of(lambda: absint.draft_scores(subgraph, candidates), REPEATS)
+    with Timer() as t_train:
+        scorer = build_trained_scorer(subgraph)
+    _, top_full = _propose(scorer, subgraph)
+    _, top_draft = _propose(scorer, subgraph, draft_keep=DRAFT_KEEP)
+    assert top_full.indices[0] == top_draft.indices[0], (
+        f"draft-then-verify changed the top-1 pick: "
+        f"{top_full.indices[0]} -> {top_draft.indices[0]}")
+    return {
+        "config": {"subgraph": subgraph.name, "candidates": N_CANDIDATES, "top_k": TOP_K,
+                   "draft_keep": DRAFT_KEEP, "repeats": REPEATS},
+        "throughput": {"profiles_per_sec": N_CANDIDATES / t_profile},
+        "stages": {
+            "profile_many": t_profile,
+            "draft_scores": t_draft,
+            "train": t_train.elapsed,
+            "full_round": best_of(lambda: _propose(scorer, subgraph), REPEATS),
+            "draft_round": best_of(
+                lambda: _propose(scorer, subgraph, draft_keep=DRAFT_KEEP), REPEATS),
+        },
+        "counters": {"static_features": len(absint.STATIC_FEATURE_NAMES),
+                     "n_predicted_full": int(top_full.n_predicted),
+                     "n_predicted_draft": int(top_draft.n_predicted)},
+        "digest": None,
+    }

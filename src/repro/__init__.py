@@ -3,7 +3,7 @@
 Subsystems land incrementally (see DESIGN.md §3 for the full inventory).
 Currently present:
 
-* ``repro.utils``    — seeded RNG streams, structured logging, timers.
+* ``repro.utils``    — seeded RNG streams, wall-clock timers.
 * ``repro.tensorir`` — subgraphs, loop-nest IR, the 11 Ansor-style schedule
   primitive kinds, schedules, sketch rules and a random sampler.
 * ``repro.analysis`` — the one interpreter of primitive sequences:

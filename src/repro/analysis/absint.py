@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from repro.simhw.cache import (
     REUSE_EXPONENT,
 )
 from repro.simhw.platform import ALL_PLATFORMS, Platform
-from repro.tensorir.loops import ANNOTATION_KINDS, Loop, LoopKind, LoopNest
+from repro.tensorir.loops import ANNOTATION_KINDS, Interval, Loop, LoopKind, LoopNest
 from repro.tensorir.primitives import (
     ANNOTATIONS,
     ARITY,
@@ -86,57 +86,6 @@ class AbsIntError(ScheduleError):
         super().__init__(f"step {step}: {code} {message}")
         self.step = step
         self.code = code
-
-
-@dataclass(frozen=True)
-class Interval:
-    """An integer interval ``[lo, hi]`` of useful-iteration counts.
-
-    ``hi`` is the loop's (padded) trip count — exact, since padded splits
-    run all iterations and mask the padding.  ``lo`` is the minimum
-    number of useful iterations any instance of the loop performs; the
-    two coincide unless some enclosing split padded the axis.
-    """
-
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.lo <= self.hi:
-            raise ValueError(f"bad interval [{self.lo}, {self.hi}]")
-
-    @property
-    def exact(self) -> bool:
-        return self.lo == self.hi
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo * other.lo, self.hi * other.hi)
-
-    def __str__(self) -> str:
-        return str(self.hi) if self.exact else f"[{self.lo}, {self.hi}]"
-
-
-class AbstractLoop(NamedTuple):
-    """One loop of the abstract nest (outermost-first order).
-
-    Immutable, so a run shares the subgraph's initial loops and replaces
-    a loop when a primitive changes it.
-    """
-
-    name: str
-    #: The concrete (padded) trip count, the upper end of :attr:`trip`.
-    extent: int
-    #: The fewest useful iterations, the lower end of :attr:`trip`.
-    lo: int
-    is_reduction: bool = False
-    kind: LoopKind = LoopKind.SERIAL
-    thread_tag: str = ""
-    pragmas: tuple[tuple[str, int], ...] = ()
-    rfactored: bool = False
-
-    @property
-    def trip(self) -> Interval:
-        return Interval(self.lo, self.extent)
 
 
 #: Columns of the :func:`profile_many` static-feature plane, in order.
@@ -205,7 +154,7 @@ class StaticProfile:
     subgraph_name: str
     target: str
     n_steps: int
-    loops: tuple[AbstractLoop, ...]
+    loops: tuple[Loop, ...]
     cache_write: bool
     inlined: bool
     compute_at_axis: str
@@ -240,18 +189,7 @@ class StaticProfile:
         """The concrete loop nest — what ``Schedule.apply()`` returns."""
         return LoopNest(
             subgraph_name=self.subgraph_name,
-            loops=[
-                Loop(
-                    l.name,
-                    l.extent,
-                    l.is_reduction,
-                    l.kind,
-                    l.thread_tag,
-                    l.pragmas,
-                    l.rfactored,
-                )
-                for l in self.loops
-            ],
+            loops=self.loops,
             cache_write=self.cache_write,
             inlined=self.inlined,
             compute_at_axis=self.compute_at_axis,
@@ -399,7 +337,7 @@ class Interpreter:
         self._domain_points = subgraph.total_points
         self._initial_order = tuple(a.name for a in subgraph.axes)
         self._initial_loops = {
-            a.name: AbstractLoop(a.name, a.extent, a.extent, a.is_reduction)
+            a.name: Loop(a.name, a.extent, a.extent, a.is_reduction)
             for a in subgraph.axes
         }
         self._smell_bars: tuple[float, int, int] | None = None
@@ -567,7 +505,7 @@ class Interpreter:
             ok = False
         return ok
 
-    def _resolve(self, axis: str, index: int) -> AbstractLoop | None:
+    def _resolve(self, axis: str, index: int) -> Loop | None:
         """The live loop named ``axis``, or ``None`` after an E201/E202."""
         loop = self.live.get(axis)
         if loop is None:
@@ -584,7 +522,7 @@ class Interpreter:
         del self.live[axis]
         self.consumed[axis] = index
 
-    def _define(self, loop: AbstractLoop, at: int, index: int) -> None:
+    def _define(self, loop: Loop, at: int, index: int) -> None:
         name = loop.name
         if name in self.live or name in self.consumed:
             self._error("E203", index, f"axis {name!r} defined twice", name)
@@ -641,7 +579,7 @@ class Interpreter:
         lows = _split_lows(loop.lo, extent, parts, padded)
         for offset, name in enumerate(split_names(axis, len(parts))):
             self._define(
-                AbstractLoop(name, parts[offset], lows[offset], is_reduction), at + offset, index
+                Loop(name, parts[offset], lows[offset], is_reduction), at + offset, index
             )
 
     def _visit_sp(self, prim: Primitive, index: int) -> None:
@@ -724,7 +662,7 @@ class Interpreter:
         del order[at : at + len(named)]
         for axis in named:
             self._consume(axis, index)
-        fused = AbstractLoop(
+        fused = Loop(
             fused_name(named),
             math.prod(l.extent for l in loops),
             math.prod(l.lo for l in loops),
@@ -764,7 +702,7 @@ class Interpreter:
                 self.parallel_facts.append((index, axis, loop.extent))
             elif kind is LoopKind.UNROLLED:
                 self.unroll_facts.append((index, axis))
-        self.live[axis] = AbstractLoop(
+        self.live[axis] = Loop(
             axis, loop.extent, loop.lo, loop.is_reduction, kind, tag, loop.pragmas, loop.rfactored
         )
 
@@ -787,7 +725,7 @@ class Interpreter:
                     axis,
                 )
             )
-        self.live[axis] = AbstractLoop(
+        self.live[axis] = Loop(
             axis,
             loop.extent,
             loop.lo,
@@ -920,7 +858,6 @@ def smell_diagnostics(
 
 __all__ = [
     "AbsIntError",
-    "AbstractLoop",
     "Interpreter",
     "Interval",
     "MAX_AUTO_UNROLL",

@@ -1,6 +1,6 @@
 """Loop-nest IR — the result of applying a schedule to a subgraph.
 
-A :class:`LoopNest` is an ordered list of loops (outermost first) plus
+A :class:`LoopNest` is an ordered tuple of loops (outermost first) plus
 stage-level flags (cache write, inline, compute-at).  The analytical
 hardware models in ``repro.simhw`` read this structure; the TLP cost model
 never does — that asymmetry is the paper's whole point.
@@ -9,8 +9,9 @@ never does — that asymmetry is the paper's whole point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class LoopKind(str, Enum):
@@ -30,16 +31,55 @@ ANNOTATION_KINDS: dict[str, LoopKind] = {
 
 
 @dataclass(frozen=True)
-class Loop:
-    """One loop of the nest."""
+class Interval:
+    """An integer interval ``[lo, hi]`` of useful-iteration counts.
+
+    ``hi`` is the loop's (padded) trip count — exact, since padded splits
+    run all iterations and mask the padding.  ``lo`` is the minimum
+    number of useful iterations any instance of the loop performs; the
+    two coincide unless some enclosing split padded the axis.
+    """
+
+    lo: int
+    hi: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.lo <= self.hi:
+            raise ValueError(f"bad interval [{self.lo}, {self.hi}]")
+
+    @property
+    def exact(self) -> bool:
+        return self.lo == self.hi
+
+    def __mul__(self, other: "Interval") -> "Interval":
+        return Interval(self.lo * other.lo, self.hi * other.hi)
+
+    def __str__(self) -> str:
+        return str(self.hi) if self.exact else f"[{self.lo}, {self.hi}]"
+
+
+class Loop(NamedTuple):
+    """One loop of the nest (outermost-first order).
+
+    Immutable, so the abstract interpreter (``repro.analysis.absint``)
+    shares the subgraph's initial loops, replaces a loop when a primitive
+    changes it, and hands its final loop tuple to :class:`LoopNest` as is.
+    """
 
     name: str
+    #: The concrete (padded) trip count, the upper end of :attr:`trip`.
     extent: int
+    #: The fewest useful iterations, the lower end of :attr:`trip`.
+    lo: int
     is_reduction: bool = False
     kind: LoopKind = LoopKind.SERIAL
     thread_tag: str = ""  # e.g. "blockIdx.x" when kind is BOUND
-    pragmas: tuple[tuple[str, int], ...] = field(default=())
+    pragmas: tuple[tuple[str, int], ...] = ()
     rfactored: bool = False
+
+    @property
+    def trip(self) -> Interval:
+        return Interval(self.lo, self.extent)
 
 
 @dataclass
@@ -47,7 +87,7 @@ class LoopNest:
     """An ordered loop nest (outermost first) with stage flags."""
 
     subgraph_name: str
-    loops: list[Loop]
+    loops: tuple[Loop, ...]
     cache_write: bool = False
     inlined: bool = False
     compute_at_axis: str = ""
@@ -103,4 +143,4 @@ class LoopNest:
         return "\n".join(lines)
 
 
-__all__ = ["ANNOTATION_KINDS", "Loop", "LoopKind", "LoopNest"]
+__all__ = ["ANNOTATION_KINDS", "Interval", "Loop", "LoopKind", "LoopNest"]

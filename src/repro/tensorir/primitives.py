@@ -120,7 +120,10 @@ class Primitive:
         return cached
 
     def __str__(self) -> str:
-        parts = [self.kind.value]
+        # A raw-string kind ("SP") prints like its enum member; an unknown
+        # one (an E101 sequence) prints as given.
+        kind = KIND_BY_VALUE.get(self.kind)
+        parts = [kind.value if kind is not None else str(self.kind)]
         if self.axes:
             parts.append(",".join(self.axes))
         if self.ints:

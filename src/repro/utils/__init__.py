@@ -1,17 +1,14 @@
-"""Shared utilities: seeded RNG streams, logging, wall-clock timing."""
+"""Shared utilities: seeded RNG streams and wall-clock timing."""
 
 from __future__ import annotations
 
-from repro.utils.logging import get_logger
 from repro.utils.rng import ROOT_SEED, seed_for, stream
-from repro.utils.timer import Timer, best_of, format_seconds
+from repro.utils.timer import Timer, best_of
 
 __all__ = [
     "ROOT_SEED",
     "Timer",
     "best_of",
-    "format_seconds",
-    "get_logger",
     "seed_for",
     "stream",
 ]

@@ -1,7 +1,8 @@
 """Wall-clock instrumentation (DESIGN.md §3).
 
 A tiny, dependency-free layer over ``time.perf_counter`` used by the
-benchmark harness (``make bench-save``) and anywhere a subsystem wants a
+benchmark scenarios (``python benchmarks/save.py``, ``make bench-save``),
+the wall-clock floors, the smokes, and anywhere a subsystem wants a
 structured timing without pulling in pytest-benchmark.
 """
 
@@ -45,8 +46,8 @@ def best_of(fn: Callable[[], object], repeats: int = 5) -> float:
     """Minimum wall-clock seconds of ``fn()`` over ``repeats`` runs.
 
     The min — not the mean — estimates the true cost of the code path
-    under scheduler noise; this is the measurement ``make bench-save``
-    records in the ``BENCH_*.json`` perf trajectory.
+    under scheduler noise; this is the measurement the benchmark
+    scenarios record as ``stages`` in the ``BENCH_*.json`` files.
     """
     if repeats < 1:
         raise ValueError("best_of needs repeats >= 1")
@@ -58,27 +59,4 @@ def best_of(fn: Callable[[], object], repeats: int = 5) -> float:
     return best
 
 
-def format_seconds(seconds: float) -> str:
-    """Human-scale rendering: ``1.23s`` / ``4.56ms`` / ``789us``.
-
-    Non-positive durations render as ``0us``: ``perf_counter`` deltas can
-    come out marginally negative under clock skew, and a signed
-    microsecond count is never what a timing report means.
-
-    The unit is chosen *after* rounding, not before: 9.999e-4 s rounds to
-    1000 us, which must promote to ``1.00ms`` (and 0.9999995 s to
-    ``1.00s``) — picking the unit from the raw value first would emit
-    ``1000us`` / ``1000.00ms``.
-    """
-    if seconds <= 0.0:
-        return "0us"
-    us = f"{seconds * 1e6:.0f}"
-    if seconds < 1e-3 and float(us) < 1000.0:
-        return f"{us}us"
-    ms = f"{seconds * 1e3:.2f}"
-    if seconds < 1.0 and float(ms) < 1000.0:
-        return f"{ms}ms"
-    return f"{seconds:.2f}s"
-
-
-__all__ = ["Timer", "best_of", "format_seconds"]
+__all__ = ["Timer", "best_of"]

@@ -26,6 +26,12 @@ def test_eleven_primitive_kinds():
     }
 
 
+def test_raw_string_kind_prints_like_its_enum_kind():
+    raw = P.Primitive("SP", ("i",), (128, 4))
+    assert str(raw) == str(P.split("i", 128, (4,))) == "(SP; i; 128,4)"
+    assert str(P.Primitive("XX", ("i",))) == "(XX; i)"
+
+
 def test_subgraph_structure():
     sg = matmul_subgraph(64, 32, 16)
     assert [a.name for a in sg.spatial_axes] == ["i", "j"]

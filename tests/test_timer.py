@@ -1,4 +1,4 @@
-"""repro.utils.timer: the bench-save measurement layer."""
+"""repro.utils.timer: the benchmark scenarios' measurement layer."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.utils.timer import Timer, best_of, format_seconds
+from repro.utils.timer import Timer, best_of
 
 
 def test_timer_measures_elapsed_wall_clock():
@@ -50,43 +50,3 @@ def test_best_of_returns_min_and_runs_repeats_times():
 def test_best_of_rejects_zero_repeats():
     with pytest.raises(ValueError):
         best_of(lambda: None, repeats=0)
-
-
-def test_format_seconds_scales_units():
-    assert format_seconds(1.234) == "1.23s"
-    assert format_seconds(0.004567) == "4.57ms"
-    assert format_seconds(0.000789) == "789us"
-
-
-def test_format_seconds_clamps_negative_durations():
-    # perf_counter skew can make a delta marginally negative; never render
-    # a signed duration like "-500000us".
-    assert format_seconds(-0.5) == "0us"
-    assert format_seconds(-1e-9) == "0us"
-
-
-def test_format_seconds_zero():
-    assert format_seconds(0.0) == "0us"
-
-
-def test_format_seconds_tiny_positive_rounds_to_zero_us():
-    assert format_seconds(1e-9) == "0us"
-    assert format_seconds(9e-7) == "1us"
-
-
-def test_format_seconds_promotes_unit_at_rounding_boundary():
-    # Durations that round up to 1000 of the smaller unit must promote to
-    # the next unit instead of rendering "1000us" / "1000.00ms".
-    assert format_seconds(9.999e-4) == "1.00ms"
-    assert format_seconds(0.999999) == "1.00s"
-    assert format_seconds(0.9999951) == "1.00s"
-
-
-def test_format_seconds_just_under_boundary_keeps_small_unit():
-    assert format_seconds(9.994e-4) == "999us"
-    assert format_seconds(0.9999) == "999.90ms"
-
-
-def test_format_seconds_exact_boundaries():
-    assert format_seconds(1e-3) == "1.00ms"
-    assert format_seconds(1.0) == "1.00s"
