@@ -27,7 +27,7 @@ bench:
 bench-check:
 	$(PYTHON) -m pytest benchmarks -q -m bench_check
 
-# Every benchmark scenario (~4 min): rewrites the BENCH_*.json files.
+# Every benchmark scenario (~3 min): rewrites the BENCH_*.json files.
 bench-save:
 	$(PYTHON) benchmarks/save.py
 

@@ -3,14 +3,16 @@
     python benchmarks/save.py                  # every scenario, in order
     python benchmarks/save.py simhw absint     # only the named ones
 
-``make bench-save`` runs them all (~4 min on one core, half of it the
+``make bench-save`` runs them all (~3 min on one core, most of it the
 ``dataset`` scenario).  A scenario is the ``scenario()`` function of the
 benchmark module whose tier-1 tests check the same paths, so its inputs
 are built in one place.  It returns every field of the one schema but
 ``scenario``:
 
 * ``config`` — the inputs: sizes, streams, model and train configs;
-* ``stages`` — best-of wall seconds per timed path;
+* ``stages`` — wall seconds per timed path: the best of the scenario's
+  repeats, or one run for a path that only runs once (a cold start, a
+  build, a training run);
 * ``throughput`` — named rates;
 * ``counters`` — every other measured value (arena hits, records, peak
   RSS, final loss, top-k, ...);
