@@ -38,7 +38,9 @@ perfbench-test:
 	$(PYTHON) -m pytest perfbench -q
 
 # ~2 s end-to-end serving smoke: propose -> verify -> featurize ->
-# predict -> top-k, asserting predict bit-identical to the taped forward.
+# predict -> top-k, asserting predict bit-identical to the taped forward
+# on the featurized batch at the smoke model's geometry and at the
+# default TLPModelConfig() (hidden 256, 8 heads) that search serves.
 smoke-infer:
 	$(PYTHON) -c "import repro.core.scoring as s; raise SystemExit(s.main())"
 

@@ -15,12 +15,16 @@ Two execution paths share the weights:
   (and as the bit-exactness oracle for the fast path).
 * :meth:`TLPModel.predict` — the tape-free serving path: a compiled
   :class:`_InferencePlan` reads the raw weight ndarrays out of the
-  module tree once per call, then drives the fused in-place kernels of
+  module tree once per call, then drives the packed in-place kernels of
   :mod:`repro.nn.functional` over a persistent
-  :class:`~repro.nn.functional.ScratchArena`, chunking the batch to
-  bound peak scratch memory.  ``predict`` is property-pinned
+  :class:`~repro.nn.functional.ScratchArena`, chunk by chunk.  Each
+  chunk computes only its rows whose mask is non-zero, bar two row
+  rules that keep the taped forward's BLAS call shapes (a chunk with
+  fewer than 2 kept rows runs all its rows; at ``L == 1`` every row
+  stays its own gemv), and its buffers are sized by the chunk capacity
+  ``n * L``, not by the kept-row count.  ``predict`` is property-pinned
   bit-identical to eval-mode ``forward`` and performs zero large
-  allocations in steady state.
+  allocations in steady state, whatever the masks.
 
 :meth:`TLPModel.pool_features` exposes the taped trunk up to the pooled
 ``[N, hidden]`` representation; ``repro.core.mtl`` hangs per-platform
@@ -108,19 +112,25 @@ class _InferencePlan:
                   mask: np.ndarray, bias: np.ndarray,
                   pooled_out: np.ndarray) -> None:
         """Pool one chunk's features into ``pooled_out`` (a slice of the
-        full-batch pooled buffer) using only arena scratch.  The head
-        layer is deliberately *not* chunked: its single-column GEMM is
+        full-batch pooled buffer) using only arena scratch.
+
+        The chunk's kept rows are gathered once and every row-wise layer
+        runs over them alone; only the attention's ``L x L`` block sees
+        the dense chunk (see :mod:`repro.nn.functional`).  The head layer
+        is deliberately *not* chunked: its single-column GEMM is
         bit-sensitive to the row count, so ``predict`` runs it once over
         the whole batch at the same M as the taped forward."""
-        h = F.linear(arena, "up1", X, self.up1_w, self.up1_b, relu=True)
-        h = F.linear(arena, "up2", h, self.up2_w, self.up2_b, relu=True)
+        rows = F.PackedRows(arena, "rows", mask)
+        x = rows.gather(arena, "x", X)
+        h = F.linear(arena, "up1", x, self.up1_w, self.up1_b, relu=True, rows=rows)
+        h = F.linear(arena, "up2", h, self.up2_w, self.up2_b, relu=True, rows=rows)
         a = F.attention(arena, "attn", h, self.qkv_w, self.qkv_b,
-                        self.out_w, self.out_b, self.n_heads, mask_bias=bias)
+                        self.out_w, self.out_b, self.n_heads, rows, mask_bias=bias)
         np.add(h, a, out=a)  # residual join, same operand order as forward
-        h = F.layer_norm(arena, "norm", a, self.gamma, self.beta, self.eps)
+        h = F.layer_norm(arena, "norm", a, self.gamma, self.beta, self.eps, rows=rows)
         for i, (w, b) in enumerate(self.res):
-            h = F.residual_relu_linear(arena, f"res{i}", h, w, b)
-        F.masked_sum_pool(arena, "pool", h, mask, out=pooled_out)
+            h = F.residual_relu_linear(arena, f"res{i}", h, w, b, rows=rows)
+        F.masked_sum_pool(arena, "pool", h, rows, out=pooled_out)
 
 
 class TLPModel(Module):
@@ -188,38 +198,32 @@ class TLPModel(Module):
                 max_chunk: int = 128) -> np.ndarray:
         """Tape-free scores, bit-identical to eval-mode :meth:`forward`.
 
-        Compiles the weight snapshot once, then runs the fused kernels
-        chunk by chunk (``max_chunk`` schedules at a time) so peak
-        scratch memory is bounded by the chunk geometry, not the batch.
-        The default of 128 keeps the working set cache-resident — it
-        measured fastest across chunk sizes 64..1024 at batch 1024 —
-        and results are bit-identical for every ``max_chunk`` (chunk
-        rows are independent through each GEMM).
-        Scratch persists on the model between calls: after the first
-        call at a given chunk geometry, no large buffers are allocated
-        (dropout, if configured, is skipped — eval semantics — and the
-        returned ``[N]`` float32 array is the only per-call allocation).
+        Compiles the weight snapshot once, then runs the packed kernels
+        chunk by chunk (``max_chunk`` schedules at a time), each chunk
+        over its kept rows only, so peak scratch memory is bounded by
+        the chunk geometry, not the batch.  The default of 128 keeps the
+        working set cache-resident — it measured fastest across chunk
+        sizes 64..1024 at batch 1024 — and results are bit-identical for
+        every ``max_chunk`` (rows are independent through each GEMM).
+        Scratch persists on the model between calls and is sized by the
+        chunk capacity: after the first call at a given chunk geometry,
+        no large buffers are allocated for any mask (dropout, if
+        configured, is skipped — eval semantics — and the returned
+        ``[N]`` float32 array is the only large per-call allocation).
         """
         X = np.ascontiguousarray(np.asarray(X, dtype=np.float32))
         mask = self._check_geometry(X, mask)
         if max_chunk < 1:
             raise ValueError(f"max_chunk must be >= 1, got {max_chunk}")
-        n, length, _ = X.shape
+        n = X.shape[0]
         arena = self._arena
         plan = _InferencePlan(self, arena)
         # One mask conversion for the whole batch (into the buffer the
         # taped attention path also uses); chunks slice it.
         bias = self.attention.mask_bias(mask)
-        # Chunk boundaries keep every GEMM's row count out of the M == 1
-        # gemv class (different accumulation bits — see functional.py):
-        # with length 1 a chunk's rows are its GEMM M, so chunks of one
-        # row are never isolated.
-        eff = max_chunk if length > 1 else max(max_chunk, 2)
-        edges = list(range(0, n, eff)) + [n]
-        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-            del edges[-2]  # merge the 1-row tail into the previous chunk
         pooled = arena.take("plan.pooled", (n, self.config.hidden))
-        for start, stop in zip(edges, edges[1:]):
+        for start in range(0, n, max_chunk):
+            stop = min(start + max_chunk, n)
             plan.run_chunk(arena, X[start:stop], mask[start:stop],
                            bias[start:stop], pooled[start:stop])
         # Head once, full batch: same GEMM row count as the taped path.

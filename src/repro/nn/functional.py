@@ -1,4 +1,4 @@
-"""Tape-free fused inference kernels over raw float32 ndarrays.
+"""Tape-free packed inference kernels over raw float32 ndarrays.
 
 The taped ops in :mod:`repro.nn.tensor` allocate a fresh array per
 operation and keep every intermediate alive for a backward pass that
@@ -7,25 +7,55 @@ counterparts: each one fuses a whole layer into a handful of in-place
 ufunc calls writing into preallocated :class:`ScratchArena` buffers, so
 steady-state inference performs zero large allocations.
 
-Bit-identity with the taped path is a hard contract (property-tested in
-``tests/test_nn_functional.py`` and ``tests/test_predict.py``): every
-kernel replays the exact float32 operation sequence of its taped layer —
-same ufuncs, same operand order, same memory layouts into ``np.matmul``
+**Which rows are computed.**  A padding row (mask 0) changes no score:
+with a 0/1 padding mask (what ``TLPFeaturizer.transform`` emits) the
+masked softmax gives its key exactly zero weight next to any real key,
+and the masked pool drops its output.  :class:`PackedRows` therefore
+gathers the rows
+of a ``[n, L]`` chunk whose mask is non-zero once, and every row-wise
+layer (linear, the stacked q/k/v projection, the output projection,
+the residual join, LayerNorm, the residual blocks) runs as one GEMM or
+ufunc pass over those rows only.  The ``L x L`` block (``q @ kᵀ``,
+softmax, ``attn @ v``) stays dense: q/k/v are scattered into the usual
+``[n, L, heads, head_dim]`` layout with zeros on the skipped rows, and
+the packed rows are gathered back out of its result.  The pool adds
+each sample's kept rows, times their mask values, in row order.  Two
+row rules keep the BLAS call shapes of the taped forward:
+
+1. A chunk with fewer than 2 kept rows runs all its rows: a 1-row GEMM
+   falls to a gemv kernel with other accumulation bits.
+2. At ``L == 1`` the taped per-sample GEMMs are themselves 1-row gemv
+   calls, so packed activations keep a ``[R, 1, width]`` shape and each
+   row stays its own gemv.
+
+A sample with no kept row pools to zeros.
+
+**Bounded scratch.**  Every packed buffer is sized by the chunk
+capacity ``n * L`` and sliced to the kept-row count ``R``, so the
+arena holds one buffer per call site and chunk geometry whatever the
+masks are; keying a buffer by ``R`` would allocate one per distinct
+count.  Only a chunk's small index arrays (the kept-row ids and
+per-sample offsets) are allocated per call.
+
+**Bit-identity with the taped path** is a hard contract
+(property-tested in ``tests/test_nn_functional.py`` and
+``tests/test_predict.py``): every kernel replays the exact float32
+operation sequence of its taped layer on the rows it computes — same
+ufuncs, same operand order, same memory layouts into ``np.matmul``
 (layout matters: this BLAS does not produce identical bits for
 contiguous and non-contiguous operands, so head splits are materialized
-contiguous exactly where the taped reshape does).  The only allowed
-deviations are ``out=`` targets and algebraically-identity rewrites
-verified bit-exact on float32 (``np.maximum(x, 0)`` for
-``np.where(x > 0, x, 0)``, commuted addition).
+contiguous exactly where the taped reshape does).  A GEMM over gathered
+rows reproduces the taped per-sample GEMM's rows bit for bit whenever
+it has at least 2 rows (checked on every weight shape of the repo's
+model configs), and a skipped key gets softmax weight exactly 0 on both
+paths.  The only other deviations are ``out=`` targets and
+algebraically-identity rewrites verified bit-exact on float32
+(``np.maximum(x, 0)`` for ``np.where(x > 0, x, 0)``, commuted addition,
+adding a sample's kept rows without the ``±0`` of its skipped ones).
 
-A caller-facing sharp edge: BLAS kernel dispatch depends on the GEMM
-row count M.  Measured on this BLAS, ``x @ W`` row blocks reproduce the
-full-matrix bits for every M >= 2 when W has more than one column, but
-M == 1 falls to a gemv kernel with different accumulation, and
-single-column GEMMs (W of shape ``[K, 1]``) are erratic across small M.
-The inference plan therefore never isolates a 1-row chunk and runs the
-single-column head layer once over the whole batch, at the same M the
-taped forward uses.
+Single-column GEMMs (W of shape ``[K, 1]``) are erratic across small
+row counts on this BLAS, so the inference plan runs the score head once
+over the whole batch, at the same row count the taped forward uses.
 """
 
 from __future__ import annotations
@@ -46,8 +76,9 @@ class ScratchArena:
 
     ``take(name, shape)`` returns the pooled buffer for that key,
     allocating only on first use — callers with a fixed batch geometry
-    (the compiled inference plan) hit the pool on every call after the
-    first.  Keys include the call-site name so two live buffers of equal
+    (the compiled inference plan, whose packed buffers are sized by the
+    chunk capacity: :meth:`PackedRows.take`) hit the pool on every call
+    after the first, whatever the masks.  Keys include the call-site name so two live buffers of equal
     shape never alias.  Contents are undefined on ``take``; every kernel
     fully overwrites what it takes.
 
@@ -133,19 +164,79 @@ class MaskBiasCache:
         return self._bias
 
 
+class PackedRows:
+    """The rows of one ``[n, L]`` chunk that the packed kernels compute.
+
+    ``index`` holds the flat ids (``s * L + l``) of the rows whose mask
+    is non-zero, in row order; ``weight`` their mask values; sample
+    ``s`` owns ``index[bounds[s]:bounds[s + 1]]``.  Packed activations
+    are ``lead + (width,)`` arrays, ``lead`` being ``(R,)``, or
+    ``(R, 1)`` at ``L == 1`` (row rule 2 of the module docstring).  A
+    chunk with fewer than 2 kept rows keeps all its rows (row rule 1).
+    """
+
+    __slots__ = ("n", "length", "index", "bounds", "lead", "weight")
+
+    def __init__(self, arena: "ScratchArena", name: str, mask: np.ndarray):
+        n, length = mask.shape
+        flat = mask.reshape(n * length)
+        self.n, self.length = n, length
+        self.index = np.flatnonzero(flat)
+        counts = np.count_nonzero(mask, axis=1)
+        if self.index.shape[0] < 2:
+            self.index = np.arange(n * length)
+            counts = np.full(n, length)
+        self.bounds = [0, *np.cumsum(counts).tolist()]
+        kept = self.index.shape[0]
+        self.lead = (kept, 1) if length == 1 else (kept,)
+        self.weight = self.take(arena, f"{name}.weight", 1)
+        np.take(flat, self.index, out=self.weight.reshape(kept), mode="clip")
+
+    def take(self, arena: "ScratchArena", name: str, width: int) -> np.ndarray:
+        """Packed scratch, ``width`` columns a row: a view of the first
+        ``R`` rows of a buffer sized by the chunk capacity ``n * L``."""
+        buf = arena.take(name, (self.n * self.length, width))
+        return buf[:self.index.shape[0]].reshape(self.lead + (width,))
+
+    def gather(self, arena: "ScratchArena", name: str, x: np.ndarray) -> np.ndarray:
+        """The kept rows of a dense ``[n, L, width]`` array, packed."""
+        width = x.shape[-1]
+        out = self.take(arena, name, width)
+        # mode="clip" writes straight into ``out`` (the default "raise"
+        # buffers); the index never leaves the array.
+        np.take(x.reshape(-1, width), self.index, axis=0,
+                out=out.reshape(-1, width), mode="clip")
+        return out
+
+    def scatter(self, packed: np.ndarray, dense: np.ndarray) -> None:
+        """Packed ``[R, width]`` rows into a dense ``[n * L, width]``
+        array, zeros on the skipped rows."""
+        dense.fill(_F32_ZERO)
+        dense[self.index] = packed
+
+
 # -- fused layer kernels -------------------------------------------------
 #
 # Each kernel takes the arena plus a call-site name, reads raw weight
-# ndarrays, and returns an arena-backed result.  Inputs are never
-# modified unless the kernel documents in-place consumption.
+# ndarrays, and returns an arena-backed result.  Row-wise kernels take
+# the chunk's ``rows`` to size their scratch by its capacity; without
+# it the input's own shape sizes it.  Inputs are never modified unless
+# the kernel documents in-place consumption.
+
+
+def _scratch(arena: ScratchArena, name: str, x: np.ndarray, width: int,
+             rows: PackedRows | None) -> np.ndarray:
+    if rows is None:
+        return arena.take(name, x.shape[:-1] + (width,))
+    return rows.take(arena, name, width)
 
 
 def linear(arena: ScratchArena, name: str, x: np.ndarray,
            weight: np.ndarray, bias: np.ndarray | None,
-           relu: bool = False) -> np.ndarray:
+           relu: bool = False, rows: PackedRows | None = None) -> np.ndarray:
     """Fused ``relu(x @ W + b)``: one GEMM into scratch, bias add and
     ReLU in place.  Matches ``Linear`` (+ ``.relu()``) bit for bit."""
-    out = arena.take(name, x.shape[:-1] + (weight.shape[1],))
+    out = _scratch(arena, name, x, weight.shape[1], rows)
     np.matmul(x, weight, out=out)
     if bias is not None:
         out += bias
@@ -155,7 +246,8 @@ def linear(arena: ScratchArena, name: str, x: np.ndarray,
 
 
 def layer_norm(arena: ScratchArena, name: str, x: np.ndarray,
-               gamma: np.ndarray, beta: np.ndarray, eps: float) -> np.ndarray:
+               gamma: np.ndarray, beta: np.ndarray, eps: float,
+               rows: PackedRows | None = None) -> np.ndarray:
     """Fused LayerNorm over the last axis.  Consumes ``x`` in place
     (callers pass scratch they no longer need) and returns it.
 
@@ -165,13 +257,12 @@ def layer_norm(arena: ScratchArena, name: str, x: np.ndarray,
     but runs in three scratch buffers with every elementwise step
     in place.
     """
-    stat_shape = x.shape[:-1] + (1,)
-    mu = arena.take(f"{name}.mu", stat_shape)
+    mu = _scratch(arena, f"{name}.mu", x, 1, rows)
     np.mean(x, axis=-1, keepdims=True, dtype=np.float32, out=mu)
     np.subtract(x, mu, out=x)  # x is now `centered`
-    sq = arena.take(f"{name}.sq", x.shape)
+    sq = _scratch(arena, f"{name}.sq", x, x.shape[-1], rows)
     np.multiply(x, x, out=sq)
-    var = arena.take(f"{name}.var", stat_shape)
+    var = _scratch(arena, f"{name}.var", x, 1, rows)
     np.mean(sq, axis=-1, keepdims=True, dtype=np.float32, out=var)
     var += np.float32(eps)
     np.power(var, np.float32(-0.5), out=var)  # 1 / sqrt(var + eps)
@@ -220,32 +311,38 @@ def softmax_(x: np.ndarray, arena: ScratchArena, name: str) -> np.ndarray:
 def attention(arena: ScratchArena, name: str, x: np.ndarray,
               qkv_weight: np.ndarray, qkv_bias: np.ndarray,
               out_weight: np.ndarray, out_bias: np.ndarray,
-              n_heads: int, mask_bias: np.ndarray | None = None) -> np.ndarray:
-    """Fused multi-head self-attention, bit-identical to
-    ``MultiHeadSelfAttention.forward``.
+              n_heads: int, rows: PackedRows,
+              mask_bias: np.ndarray | None = None) -> np.ndarray:
+    """Fused multi-head self-attention over packed rows, bit-identical
+    on them to ``MultiHeadSelfAttention.forward``.
 
-    The q/k/v projections run as one stacked GEMM against the
-    ``[D, 3D]`` ``qkv_weight`` (verified bit-identical per column block
-    to three separate GEMMs on this BLAS), the additive ``mask_bias``
-    comes in precomputed (``MaskBiasCache``), and the softmax runs in
-    place on the score block.  Head splits are materialized into
-    contiguous ``[N, L, H, hd]`` scratch — the same layout the taped
-    ``reshape`` produces — because matmul bits depend on operand layout.
+    The q/k/v projections run as one stacked GEMM over the packed rows
+    against the ``[D, 3D]`` ``qkv_weight`` (verified bit-identical per
+    column block to three separate GEMMs on this BLAS).  The ``L x L``
+    block stays dense: q/k/v are scattered into contiguous
+    ``[n, L, H, hd]`` scratch — the layout the taped ``reshape``
+    produces, because matmul bits depend on operand layout — with zeros
+    on the skipped rows, whose keys the additive ``mask_bias``
+    (``MaskBiasCache``) gives exactly zero weight.  The softmax runs in
+    place on the score block, and the output projection runs over the
+    packed rows gathered back out of the mixed heads.
     """
-    n, length, dim = x.shape
+    dim = x.shape[-1]
     if dim % n_heads:
         raise ValueError(f"dim {dim} is not divisible by n_heads {n_heads}")
+    n, length = rows.n, rows.length
     head_dim = dim // n_heads
     scale = np.float32(1.0 / math.sqrt(head_dim))
 
-    qkv = arena.take(f"{name}.qkv", (n, length, 3 * dim))
+    qkv = rows.take(arena, f"{name}.qkv", 3 * dim)
     np.matmul(x, qkv_weight, out=qkv)
     qkv += qkv_bias
+    qkv = qkv.reshape(-1, 3 * dim)
 
     heads = []
     for i, part in enumerate(("q", "k", "v")):
         h = arena.take(f"{name}.{part}", (n, length, n_heads, head_dim))
-        np.copyto(h.reshape(n, length, dim), qkv[:, :, i * dim:(i + 1) * dim])
+        rows.scatter(qkv[:, i * dim:(i + 1) * dim], h.reshape(n * length, dim))
         heads.append(h.transpose(0, 2, 1, 3))  # [N, H, L, hd] view
     q, k, v = heads
 
@@ -261,36 +358,50 @@ def attention(arena: ScratchArena, name: str, x: np.ndarray,
     # Back to [N, L, D] contiguous, as the taped transpose+reshape copies.
     mixed = arena.take(f"{name}.mixed", (n, length, dim))
     np.copyto(mixed.reshape(n, length, n_heads, head_dim), mixed_h.transpose(0, 2, 1, 3))
-    return linear(arena, f"{name}.out", mixed, out_weight, out_bias)
+    packed = rows.gather(arena, f"{name}.mixed_rows", mixed)
+    return linear(arena, f"{name}.out", packed, out_weight, out_bias, rows=rows)
 
 
 def residual_relu_linear(arena: ScratchArena, name: str, x: np.ndarray,
-                         weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+                         weight: np.ndarray, bias: np.ndarray,
+                         rows: PackedRows | None = None) -> np.ndarray:
     """Fused ``x + relu(x @ W + b)`` — the ``ResidualBlock`` unit."""
-    out = linear(arena, name, x, weight, bias, relu=True)
+    out = linear(arena, name, x, weight, bias, relu=True, rows=rows)
     np.add(x, out, out=out)  # same operand order as the taped `x + relu`
     return out
 
 
 def masked_sum_pool(arena: ScratchArena, name: str, x: np.ndarray,
-                    mask: np.ndarray,
+                    rows: PackedRows,
                     out: np.ndarray | None = None) -> np.ndarray:
-    """``sum_L(x * mask[:, :, None])`` -> ``[N, D]``.  Consumes ``x``.
+    """Packed rows -> ``[n, D]`` sequence sums.  Consumes ``x``.
 
-    ``out`` lets the inference plan pool chunk results into a slice of a
-    full-batch buffer (so the batch-sensitive head GEMM can run once
-    over all rows — see the module docstring on kernel dispatch).
+    Each sample's kept rows, times their mask values, added in row
+    order: the taped ``sum_L(x * mask[:, :, None])`` without the ``±0``
+    terms of its skipped rows, which change no sum.  A sample with no
+    kept row pools to zeros.  ``out`` lets the inference plan pool chunk
+    results into a slice of a full-batch buffer (so the row-count
+    sensitive head GEMM can run once over all rows — see the module
+    docstring).
     """
-    np.multiply(x, mask[:, :, None], out=x)
+    np.multiply(x, rows.weight, out=x)
+    x = x.reshape(-1, x.shape[-1])
     if out is None:
-        out = arena.take(name, (x.shape[0], x.shape[2]))
-    np.sum(x, axis=1, out=out)
+        out = arena.take(name, (rows.n, x.shape[1]))
+    bounds = rows.bounds
+    for s in range(rows.n):
+        start, stop = bounds[s], bounds[s + 1]
+        if start == stop:
+            out[s] = _F32_ZERO
+        else:
+            np.add.reduce(x[start:stop], axis=0, out=out[s])
     return out
 
 
 __all__ = [
     "MASK_PENALTY",
     "MaskBiasCache",
+    "PackedRows",
     "ScratchArena",
     "additive_mask_bias",
     "attention",

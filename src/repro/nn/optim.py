@@ -117,7 +117,15 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam with bias correction and decoupled weight decay (AdamW-style)."""
+    """Adam with bias correction and decoupled weight decay (AdamW-style).
+
+    A step runs in place: every intermediate of the update goes through
+    ``out=`` into two scratch rows the optimizer owns, sized by the
+    largest parameter, so a step allocates no parameter-sized
+    temporaries.  The ufunc sequence is the one the expression form
+    ``m * b1 + (1 - b1) * g`` ... ``scale * m / (sqrt(v) + eps)`` runs,
+    so the bits are too.
+    """
 
     def __init__(
         self,
@@ -134,6 +142,8 @@ class Adam(Optimizer):
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = np.empty((2, max(p.data.size for p in self.params)),
+                                 dtype=np.float32)
 
     def step(self) -> None:
         self._step_count += 1
@@ -144,13 +154,24 @@ class Adam(Optimizer):
             if p.grad is None:
                 continue
             g = p.grad
+            size, shape = g.size, g.shape
+            t = self._scratch[0, :size].reshape(shape)
+            u = self._scratch[1, :size].reshape(shape)
             m *= np.float32(self.beta1)
-            m += np.float32(1.0 - self.beta1) * g
+            np.multiply(np.float32(1.0 - self.beta1), g, out=t)
+            m += t
             v *= np.float32(self.beta2)
-            v += np.float32(1.0 - self.beta2) * (g * g)
+            np.multiply(g, g, out=t)
+            np.multiply(np.float32(1.0 - self.beta2), t, out=t)
+            v += t
             if self.weight_decay:
-                p.data -= np.float32(self.lr * self.weight_decay) * p.data
-            p.data -= scale * m / (np.sqrt(v) + np.float32(self.eps))
+                np.multiply(np.float32(self.lr * self.weight_decay), p.data, out=t)
+                p.data -= t
+            np.multiply(scale, m, out=t)
+            np.sqrt(v, out=u)
+            u += np.float32(self.eps)
+            np.divide(t, u, out=t)
+            p.data -= t
 
     def _state_items(self) -> dict[str, np.ndarray]:
         items: dict[str, np.ndarray] = {}

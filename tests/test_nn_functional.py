@@ -163,40 +163,84 @@ def test_pairwise_rowmax_matches_amax(length):
     assert np.array_equal(out, np.amax(v, axis=1, keepdims=True))
 
 
-def test_attention_kernel_matches_taped_attention():
-    arena = ScratchArena()
-    att = MultiHeadSelfAttention(16, 4, rng=stream("test.nn.functional.mha"))
-    x = _x(3, 6, 16)
-    mask = (_RNG.random((3, 6)) < 0.7).astype(np.float32)
-    taped = att(Tensor(x), mask).data
-
+def _qkv_stack(att):
     dim = att.dim
     qkv_w = np.empty((dim, 3 * dim), dtype=np.float32)
     qkv_b = np.empty(3 * dim, dtype=np.float32)
     for i, proj in enumerate((att.q_proj, att.k_proj, att.v_proj)):
         qkv_w[:, i * dim:(i + 1) * dim] = proj.weight.data
         qkv_b[i * dim:(i + 1) * dim] = proj.bias.data
-    bias = F.additive_mask_bias(mask)
-    fused = F.attention(arena, "mha", x, qkv_w, qkv_b,
+    return qkv_w, qkv_b
+
+
+def test_attention_kernel_matches_taped_attention():
+    for length in (1, 2, 6):
+        _check_attention_kernel(length)
+
+
+def _check_attention_kernel(length):
+    """On every row it computes, the packed kernel equals the taped
+    layer; skipped rows are never computed."""
+    arena = ScratchArena()
+    att = MultiHeadSelfAttention(16, 4, rng=stream("test.nn.functional.mha"))
+    x = _x(5, length, 16)
+    mask = (_RNG.random((5, length)) < 0.6).astype(np.float32)
+    mask[0] = 1.0  # at least 2 kept rows, so the chunk is packed
+    mask[1] = 0.0  # a sample with no kept row
+    mask[-1, -1] = 1.0
+    taped = att(Tensor(x), mask).data
+
+    qkv_w, qkv_b = _qkv_stack(att)
+    rows = F.PackedRows(arena, "rows", mask)
+    kept = np.flatnonzero(mask.reshape(-1))
+    assert np.array_equal(rows.index, kept)
+    fused = F.attention(arena, "mha", rows.gather(arena, "x", x), qkv_w, qkv_b,
                         att.out_proj.weight.data, att.out_proj.bias.data,
-                        att.n_heads, mask_bias=bias)
-    assert np.array_equal(fused, taped)
+                        att.n_heads, rows, mask_bias=F.additive_mask_bias(mask))
+    assert fused.shape == rows.lead + (16,)
+    assert np.array_equal(fused.reshape(-1, 16), taped.reshape(-1, 16)[kept])
 
 
 def test_attention_kernel_rejects_bad_heads():
+    rows = F.PackedRows(ScratchArena(), "rows", np.ones((1, 2), dtype=np.float32))
     with pytest.raises(ValueError):
-        F.attention(ScratchArena(), "bad", _x(1, 2, 6), _x(6, 18), _x(18),
-                    _x(6, 6), _x(6), n_heads=4)
+        F.attention(ScratchArena(), "bad", _x(2, 6), _x(6, 18), _x(18),
+                    _x(6, 6), _x(6), n_heads=4, rows=rows)
 
 
 def test_masked_sum_pool_matches_taped_pool():
     arena = ScratchArena()
-    x = _x(4, 5, 8)
-    mask = (_RNG.random((4, 5)) < 0.6).astype(np.float32)
-    t = Tensor(x)
-    taped = (t * mask.reshape(4, 5, 1)).sum(axis=1).data
-    fused = F.masked_sum_pool(arena, "pool", x.copy(), mask)
-    assert np.array_equal(fused, taped)
+    for length in (1, 5):
+        x = _x(4, length, 8)
+        mask = (_RNG.random((4, length)) < 0.6).astype(np.float32)
+        mask[0] = np.float32(0.5)  # mask values scale their rows
+        mask[1] = 0.0              # no kept row: pools to zeros
+        t = Tensor(x)
+        taped = (t * mask.reshape(4, length, 1)).sum(axis=1).data
+        rows = F.PackedRows(arena, "rows", mask)
+        fused = F.masked_sum_pool(arena, "pool", rows.gather(arena, "x", x), rows)
+        assert np.array_equal(fused, taped)
+        assert not fused[1].any()
+
+
+def test_packed_rows_row_rules():
+    arena = ScratchArena()
+    # Rule 1: fewer than 2 kept rows -> the chunk keeps every row.
+    one = np.zeros((3, 4), dtype=np.float32)
+    one[1, 2] = 1.0
+    rows = F.PackedRows(arena, "rows", one)
+    assert np.array_equal(rows.index, np.arange(12))
+    assert rows.bounds == [0, 4, 8, 12] and rows.lead == (12,)
+    assert np.array_equal(rows.weight.reshape(-1), one.reshape(-1))
+    # Rule 2: at L == 1 each packed row keeps its own 1-row GEMM shape.
+    rows = F.PackedRows(arena, "rows", np.array([[1.0], [0.0], [1.0]], np.float32))
+    assert rows.lead == (2, 1) and rows.bounds == [0, 1, 1, 2]
+    # Packed scratch is sized by the capacity, whatever the kept count.
+    prefix = (np.arange(4)[None, :] < np.array([[4], [2], [0]])).astype(np.float32)
+    rows = F.PackedRows(arena, "rows", prefix)
+    assert rows.bounds == [0, 4, 6, 6]
+    buf = rows.take(arena, "buf", 5)
+    assert buf.shape == (6, 5) and buf.base.shape == (12, 5)
 
 
 # -- warm kernels allocate nothing -------------------------------------

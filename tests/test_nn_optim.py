@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,60 @@ def test_adam_weight_decay_is_decoupled():
     assert np.allclose(p.data, 10.0 * (1.0 - 0.1 * 0.5))
     with pytest.raises(ValueError):
         Adam([p], lr=-1.0)
+
+
+def _adam_expression_form(params, grads, steps, lr, betas, eps, wd):
+    """Adam written as array expressions, the form ``Adam.step`` runs
+    in place: the oracle for its bits."""
+    b1, b2 = betas
+    data = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t in range(1, steps + 1):
+        scale = np.float32(lr * math.sqrt(1.0 - b2**t) / (1.0 - b1**t))
+        for d, mi, vi, g in zip(data, m, v, grads[t - 1]):
+            mi *= np.float32(b1)
+            mi += np.float32(1.0 - b1) * g
+            vi *= np.float32(b2)
+            vi += np.float32(1.0 - b2) * (g * g)
+            if wd:
+                d -= np.float32(lr * wd) * d
+            d -= scale * mi / (np.sqrt(vi) + np.float32(eps))
+    return data
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.01])
+def test_adam_in_place_step_matches_the_expression_form(wd):
+    rng = stream(f"test.nn.optim.adam_bits.{wd}")
+    shapes = [(6, 5), (5,), (3, 7), (1,)]
+    start = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+    grads = [[rng.standard_normal(s).astype(np.float32) for s in shapes]
+             for _ in range(5)]
+    params = [Parameter(a.copy()) for a in start]
+    opt = Adam(params, lr=0.01, betas=(0.9, 0.999), eps=1e-8, weight_decay=wd)
+    for step_grads in grads:
+        for p, g in zip(params, step_grads):
+            p.grad = g
+        opt.step()
+    expected = _adam_expression_form(start, grads, 5, 0.01, (0.9, 0.999), 1e-8, wd)
+    for p, e in zip(params, expected):
+        assert np.array_equal(p.data, e)
+
+
+def test_adam_step_allocates_no_parameter_sized_temporaries():
+    params = [Parameter(np.ones((64, 64), dtype=np.float32)),
+              Parameter(np.ones(64, dtype=np.float32))]
+    opt = Adam(params, lr=0.01, weight_decay=0.01)
+    for p in params:
+        p.grad = np.full(p.data.shape, 0.5, dtype=np.float32)
+    opt.step()
+    tracemalloc.start()
+    try:
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params[0].data.nbytes // 4, peak
 
 
 def test_skipped_grad_leaves_parameter_untouched():

@@ -6,9 +6,12 @@ The ISSUE 4 acceptance properties live here:
   across random configs and batch shapes, and tensors produced under it
   refuse ``backward()`` with a clear error;
 * ``predict`` is bit-identical to the taped eval forward for every
-  config / batch shape / ``max_chunk`` (chunk rows are independent);
+  config / batch shape / ``max_chunk`` / padding mask (chunk rows are
+  independent), including the packed path's row rules: a chunk with
+  fewer than 2 kept rows runs all its rows, ``L == 1`` keeps the taped
+  1-row GEMM shape, and a sample with no kept row pools to zeros;
 * steady-state ``predict`` allocates no large buffers — every scratch
-  probe hits the arena;
+  probe hits the arena, for any mask at a warm geometry;
 * ``Module.save`` / ``Module.load`` round-trips weights bit-exactly,
   so a reloaded model predicts bit-identical scores.
 """
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.nn as nn
 from repro.core import TLPModel, TLPModelConfig
@@ -115,20 +118,90 @@ def test_no_grad_forward_bit_identical_property(cfg, n, length):
 # -- predict bit-identity ----------------------------------------------
 
 
-@settings(max_examples=25, deadline=None)
+_MASK_KINDS = ("bernoulli", "prefix", "one_row", "none")
+
+
+def _mask(kind, n, length, density, seed):
+    """A padding mask: Bernoulli rows, TLPFeaturizer's prefix layout
+    (real rows first, some samples with none), a single kept row in the
+    whole batch, or no kept row at all."""
+    rng = stream(f"test.predict.mask.{seed}")
+    if kind == "bernoulli":
+        return (rng.random((n, length)) < density).astype(np.float32)
+    if kind == "prefix":
+        kept = rng.integers(0, length + 1, size=n)
+        return (np.arange(length) < kept[:, None]).astype(np.float32)
+    mask = np.zeros((n, length), dtype=np.float32)
+    if kind == "one_row":
+        mask.reshape(-1)[rng.integers(n * length)] = 1.0
+    return mask
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     cfg=st.sampled_from(_CONFIGS),
     n=st.integers(1, 9),
     length=st.integers(1, 7),
     max_chunk=st.integers(1, 12),
+    kind=st.sampled_from(_MASK_KINDS),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
 )
-def test_predict_bit_identical_property(cfg, n, length, max_chunk):
+@example(cfg=_CONFIGS[0], n=2, length=1, max_chunk=4, kind="bernoulli",
+         density=1.0, seed=0)
+@example(cfg=_CONFIGS[0], n=3, length=4, max_chunk=2, kind="one_row",
+         density=0.0, seed=0)
+@example(cfg=_CONFIGS[1], n=6, length=5, max_chunk=4, kind="prefix",
+         density=0.0, seed=3)
+def test_predict_bit_identical_property(cfg, n, length, max_chunk, kind,
+                                        density, seed):
     model = _MODELS[cfg]
-    X, mask = _batch(cfg, n, length)
+    X, _ = _batch(cfg, n, length)
+    mask = _mask(kind, n, length, density, seed)
     taped = model(X, mask).data
     fast = model.predict(X, mask, max_chunk=max_chunk)
     assert fast.dtype == np.float32 and fast.shape == (n,)
     assert np.array_equal(fast, taped)
+
+
+# -- the packed path's row rules ---------------------------------------
+#
+# _CONFIGS[0]'s up2 (4 -> 8) is a weight shape where a 1-row GEMM (gemv)
+# and a row of a multi-row GEMM differ in the last bits on this BLAS, so
+# breaking either call-shape rule shows up as a bit difference here.
+
+
+def test_predict_chunk_with_one_kept_row_runs_all_rows():
+    cfg = _CONFIGS[0]
+    model = _MODELS[cfg]
+    X, _ = _batch(cfg, 4, 5)
+    mask = np.zeros((4, 5), dtype=np.float32)
+    mask[2, 1] = 1.0  # one kept row: a packed 1-row GEMM would be a gemv
+    assert np.array_equal(model.predict(X, mask, max_chunk=4), model(X, mask).data)
+    # Chunks of 1: every chunk but one has no kept row at all.
+    assert np.array_equal(model.predict(X, mask, max_chunk=1), model(X, mask).data)
+
+
+def test_predict_length_one_keeps_the_taped_gemv_shape():
+    cfg = _CONFIGS[0]
+    model = _MODELS[cfg]
+    X, _ = _batch(cfg, 7, 1)
+    mask = np.array([[1], [1], [0], [1], [0], [1], [1]], dtype=np.float32)
+    for max_chunk in (1, 2, 7):
+        assert np.array_equal(model.predict(X, mask, max_chunk=max_chunk),
+                              model(X, mask).data)
+
+
+def test_predict_sample_without_kept_row_pools_to_zeros():
+    cfg = _CONFIGS[2]
+    model = _MODELS[cfg]
+    X, _ = _batch(cfg, 5, 6)
+    mask = (np.arange(6) < np.array([[6], [0], [3], [0], [1]])).astype(np.float32)
+    fast = model.predict(X, mask)
+    assert np.array_equal(fast, model(X, mask).data)
+    # A zero pool scores exactly the head bias.
+    head_bias = model.head.bias.data[0]
+    assert fast[1] == head_bias and fast[3] == head_bias
 
 
 def test_predict_chunking_is_invisible():
@@ -166,6 +239,25 @@ def test_predict_steady_state_is_allocation_free():
     assert info["misses"] == 0, info
     assert info["hits"] > 0
     assert info["buffers"] > 0 and info["nbytes"] > 0
+
+
+def test_predict_scratch_is_sized_by_chunk_capacity():
+    """A warm ``predict`` at the same geometry allocates nothing for a
+    mask with another kept-row count: packed buffers are sized by the
+    chunk capacity, not keyed by the count."""
+    cfg = _CONFIGS[2]
+    model = TLPModel(cfg).eval()
+    X, _ = _batch(cfg, 24, 6)
+    model.predict(X, _mask("prefix", 24, 6, 0.0, 1), max_chunk=8)
+    nbytes = model.scratch_info()["nbytes"]
+    for kind, density in (("bernoulli", 0.2), ("bernoulli", 1.0),
+                          ("prefix", 0.0), ("one_row", 0.0), ("none", 0.0)):
+        mask = _mask(kind, 24, 6, density, 2)
+        model._arena.reset_counters()
+        fast = model.predict(X, mask, max_chunk=8)
+        info = model.scratch_info()
+        assert info["misses"] == 0 and info["nbytes"] == nbytes, (kind, info)
+        assert np.array_equal(fast, model(X, mask).data)
 
 
 def test_predict_geometry_validation():
