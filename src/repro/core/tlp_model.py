@@ -127,9 +127,9 @@ class _InferencePlan:
         a = F.attention(arena, "attn", h, self.qkv_w, self.qkv_b,
                         self.out_w, self.out_b, self.n_heads, rows, mask_bias=bias)
         np.add(h, a, out=a)  # residual join, same operand order as forward
-        h = F.layer_norm(arena, "norm", a, self.gamma, self.beta, self.eps, rows=rows)
+        h = F.layer_norm(arena, "norm", a, self.gamma, self.beta, self.eps, rows)
         for i, (w, b) in enumerate(self.res):
-            h = F.residual_relu_linear(arena, f"res{i}", h, w, b, rows=rows)
+            h = F.residual_relu_linear(arena, f"res{i}", h, w, b, rows)
         F.masked_sum_pool(arena, "pool", h, rows, out=pooled_out)
 
 
@@ -201,10 +201,10 @@ class TLPModel(Module):
         Compiles the weight snapshot once, then runs the packed kernels
         chunk by chunk (``max_chunk`` schedules at a time), each chunk
         over its kept rows only, so peak scratch memory is bounded by
-        the chunk geometry, not the batch.  The default of 128 keeps the
-        working set cache-resident — it measured fastest across chunk
-        sizes 64..1024 at batch 1024 — and results are bit-identical for
-        every ``max_chunk`` (rows are independent through each GEMM).
+        the chunk geometry, not the batch.  At batch 1,024 and hidden
+        256, chunk sizes 32..1024 measured within 20% of each other on
+        one core; results are bit-identical for every ``max_chunk``
+        (rows are independent through each GEMM).
         Scratch persists on the model between calls and is sized by the
         chunk capacity: after the first call at a given chunk geometry,
         no large buffers are allocated for any mask (dropout, if

@@ -177,7 +177,7 @@ class PackedRows:
 
     __slots__ = ("n", "length", "index", "bounds", "lead", "weight")
 
-    def __init__(self, arena: "ScratchArena", name: str, mask: np.ndarray):
+    def __init__(self, arena: ScratchArena, name: str, mask: np.ndarray):
         n, length = mask.shape
         flat = mask.reshape(n * length)
         self.n, self.length = n, length
@@ -192,13 +192,13 @@ class PackedRows:
         self.weight = self.take(arena, f"{name}.weight", 1)
         np.take(flat, self.index, out=self.weight.reshape(kept), mode="clip")
 
-    def take(self, arena: "ScratchArena", name: str, width: int) -> np.ndarray:
+    def take(self, arena: ScratchArena, name: str, width: int) -> np.ndarray:
         """Packed scratch, ``width`` columns a row: a view of the first
         ``R`` rows of a buffer sized by the chunk capacity ``n * L``."""
         buf = arena.take(name, (self.n * self.length, width))
         return buf[:self.index.shape[0]].reshape(self.lead + (width,))
 
-    def gather(self, arena: "ScratchArena", name: str, x: np.ndarray) -> np.ndarray:
+    def gather(self, arena: ScratchArena, name: str, x: np.ndarray) -> np.ndarray:
         """The kept rows of a dense ``[n, L, width]`` array, packed."""
         width = x.shape[-1]
         out = self.take(arena, name, width)
@@ -219,24 +219,20 @@ class PackedRows:
 #
 # Each kernel takes the arena plus a call-site name, reads raw weight
 # ndarrays, and returns an arena-backed result.  Row-wise kernels take
-# the chunk's ``rows`` to size their scratch by its capacity; without
-# it the input's own shape sizes it.  Inputs are never modified unless
-# the kernel documents in-place consumption.
-
-
-def _scratch(arena: ScratchArena, name: str, x: np.ndarray, width: int,
-             rows: PackedRows | None) -> np.ndarray:
-    if rows is None:
-        return arena.take(name, x.shape[:-1] + (width,))
-    return rows.take(arena, name, width)
+# the chunk's ``rows`` and size their scratch by its capacity.  Inputs
+# are never modified unless the kernel documents in-place consumption.
 
 
 def linear(arena: ScratchArena, name: str, x: np.ndarray,
            weight: np.ndarray, bias: np.ndarray | None,
            relu: bool = False, rows: PackedRows | None = None) -> np.ndarray:
     """Fused ``relu(x @ W + b)``: one GEMM into scratch, bias add and
-    ReLU in place.  Matches ``Linear`` (+ ``.relu()``) bit for bit."""
-    out = _scratch(arena, name, x, weight.shape[1], rows)
+    ReLU in place.  Matches ``Linear`` (+ ``.relu()``) bit for bit.
+    Without ``rows`` (the batch-wide score head) ``x``'s own shape sizes
+    the scratch."""
+    width = weight.shape[1]
+    out = (arena.take(name, x.shape[:-1] + (width,)) if rows is None
+           else rows.take(arena, name, width))
     np.matmul(x, weight, out=out)
     if bias is not None:
         out += bias
@@ -247,7 +243,7 @@ def linear(arena: ScratchArena, name: str, x: np.ndarray,
 
 def layer_norm(arena: ScratchArena, name: str, x: np.ndarray,
                gamma: np.ndarray, beta: np.ndarray, eps: float,
-               rows: PackedRows | None = None) -> np.ndarray:
+               rows: PackedRows) -> np.ndarray:
     """Fused LayerNorm over the last axis.  Consumes ``x`` in place
     (callers pass scratch they no longer need) and returns it.
 
@@ -257,12 +253,12 @@ def layer_norm(arena: ScratchArena, name: str, x: np.ndarray,
     but runs in three scratch buffers with every elementwise step
     in place.
     """
-    mu = _scratch(arena, f"{name}.mu", x, 1, rows)
+    mu = rows.take(arena, f"{name}.mu", 1)
     np.mean(x, axis=-1, keepdims=True, dtype=np.float32, out=mu)
     np.subtract(x, mu, out=x)  # x is now `centered`
-    sq = _scratch(arena, f"{name}.sq", x, x.shape[-1], rows)
+    sq = rows.take(arena, f"{name}.sq", x.shape[-1])
     np.multiply(x, x, out=sq)
-    var = _scratch(arena, f"{name}.var", x, 1, rows)
+    var = rows.take(arena, f"{name}.var", 1)
     np.mean(sq, axis=-1, keepdims=True, dtype=np.float32, out=var)
     var += np.float32(eps)
     np.power(var, np.float32(-0.5), out=var)  # 1 / sqrt(var + eps)
@@ -364,7 +360,7 @@ def attention(arena: ScratchArena, name: str, x: np.ndarray,
 
 def residual_relu_linear(arena: ScratchArena, name: str, x: np.ndarray,
                          weight: np.ndarray, bias: np.ndarray,
-                         rows: PackedRows | None = None) -> np.ndarray:
+                         rows: PackedRows) -> np.ndarray:
     """Fused ``x + relu(x @ W + b)`` — the ``ResidualBlock`` unit."""
     out = linear(arena, name, x, weight, bias, relu=True, rows=rows)
     np.add(x, out, out=out)  # same operand order as the taped `x + relu`

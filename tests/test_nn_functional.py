@@ -128,9 +128,11 @@ def test_layer_norm_kernel_matches_taped_layer_norm():
     layer.beta.data = _x(12)
     x = _x(3, 5, 12)
     taped = layer(Tensor(x)).data
-    fused = F.layer_norm(arena, "ln", x.copy(), layer.gamma.data,
-                         layer.beta.data, layer.eps)
-    assert np.array_equal(fused, taped)
+    mask = (_RNG.random((3, 5)) < 0.6).astype(np.float32)
+    rows = F.PackedRows(arena, "rows", mask)
+    fused = F.layer_norm(arena, "ln", rows.gather(arena, "x", x), layer.gamma.data,
+                         layer.beta.data, layer.eps, rows)
+    assert np.array_equal(fused, taped.reshape(-1, 12)[rows.index])
 
 
 def test_residual_kernel_matches_taped_residual_block():
@@ -138,9 +140,11 @@ def test_residual_kernel_matches_taped_residual_block():
     block = ResidualBlock(8, rng=stream("test.nn.functional.res"))
     x = _x(4, 3, 8)
     taped = block(Tensor(x)).data
-    fused = F.residual_relu_linear(arena, "res", x, block.fc.weight.data,
-                                   block.fc.bias.data)
-    assert np.array_equal(fused, taped)
+    mask = (_RNG.random((4, 3)) < 0.6).astype(np.float32)
+    rows = F.PackedRows(arena, "rows", mask)
+    fused = F.residual_relu_linear(arena, "res", rows.gather(arena, "x", x),
+                                   block.fc.weight.data, block.fc.bias.data, rows)
+    assert np.array_equal(fused, taped.reshape(-1, 8)[rows.index])
 
 
 @pytest.mark.parametrize("length", [1, 2, 7, 25])
