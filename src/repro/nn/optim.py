@@ -122,9 +122,9 @@ class Adam(Optimizer):
     A step runs in place: every intermediate of the update goes through
     ``out=`` into two scratch rows the optimizer owns, sized by the
     largest parameter, so a step allocates no parameter-sized
-    temporaries.  The ufunc sequence is the one the expression form
-    ``m * b1 + (1 - b1) * g`` ... ``scale * m / (sqrt(v) + eps)`` runs,
-    so the bits are too.
+    temporaries.  It runs the ufunc sequence of the expression form
+    (``m = b1 * m + (1 - b1) * g`` ... ``p -= scale * m / (sqrt(v) +
+    eps)``), so it gives the same bits.
     """
 
     def __init__(
