@@ -50,7 +50,7 @@ from repro.core.metrics import (
     top_k_scores_grouped,
 )
 from repro.core.mtl import MTLTLPModel
-from repro.core.trainer import NonFiniteTrainingError, TrainConfig, Trainer
+from repro.core.trainer import CheckpointError, NonFiniteTrainingError, TrainConfig, Trainer
 
 __all__ = [
     "KIND_INDEX",
@@ -62,6 +62,7 @@ __all__ = [
     "UNK_ID",
     "AbstractPrimitive",
     "CandidateScorer",
+    "CheckpointError",
     "MTLTLPModel",
     "NonFiniteTrainingError",
     "PostprocessConfig",

@@ -9,10 +9,19 @@ dimension-preserving residual blocks, summed over the sequence axis
 (padding zeroed so pad rows contribute nothing), and projected to one
 latency score per schedule.
 
-Two execution paths share the weights:
+Two execution paths share the weights, and both compute only the rows
+whose mask is non-zero (:class:`~repro.nn.functional.PackedRows`
+decides which):
 
 * :meth:`TLPModel.forward` — the taped autograd path used for training
-  (and as the bit-exactness oracle for the fast path).
+  (and as the bit-exactness oracle for the fast path).  The kept rows
+  are gathered once into whole ``L``-row blocks, zero-padded, so every
+  taped GEMM is the batched ``[L, K] @ [K, E]`` call the dense layout
+  makes, over ``ceil(R / L)`` blocks instead of ``N`` samples; weight
+  gradients run one GEMM per sample over its kept rows.  Both rules
+  keep the bits of the dense layout (why: :mod:`repro.nn.tensor`),
+  which ``tests/test_packed_trunk.py`` keeps as the reference, scores,
+  loss and every gradient compared byte for byte.
 * :meth:`TLPModel.predict` — the tape-free serving path: a compiled
   :class:`_InferencePlan` reads the raw weight ndarrays out of the
   module tree once per call, then drives the packed in-place kernels of
@@ -41,7 +50,7 @@ from repro.nn import functional as F
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.layers import Dropout, LayerNorm, Linear, ResidualBlock
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, as_tensor
+from repro.nn.tensor import Tensor, as_tensor, gather_rows, segment_sum
 from repro.utils.rng import stream
 
 
@@ -120,7 +129,7 @@ class _InferencePlan:
         is deliberately *not* chunked: its single-column GEMM is
         bit-sensitive to the row count, so ``predict`` runs it once over
         the whole batch at the same M as the taped forward."""
-        rows = F.PackedRows(arena, "rows", mask)
+        rows = F.PackedRows(mask)
         x = rows.gather(arena, "x", X)
         h = F.linear(arena, "up1", x, self.up1_w, self.up1_b, relu=True, rows=rows)
         h = F.linear(arena, "up2", h, self.up2_w, self.up2_b, relu=True, rows=rows)
@@ -172,23 +181,27 @@ class TLPModel(Module):
         """The taped backbone up to (and including) the sequence-sum pool.
 
         Returns the ``[N, hidden]`` pooled representation the score head
-        consumes.  Split out from :meth:`forward` so ``repro.core.mtl``
-        can hang multiple per-platform heads off one shared trunk; the
-        op sequence is exactly the old forward body, so single-head
-        scores stay bit-identical.
+        consumes; ``repro.core.mtl`` hangs multiple per-platform heads
+        off this one shared trunk.
+
+        Only the rows whose mask is non-zero are computed
+        (:class:`~repro.nn.functional.PackedRows` decides which): they are
+        gathered once into whole ``L``-row blocks, zero-padded, and every
+        row-wise layer runs over those blocks.  Only the attention's
+        ``L x L`` block is dense.  The pool adds each sample's kept
+        rows, times their mask values, in row order.
         """
         x = as_tensor(X)
         mask = self._check_geometry(x.data, mask)
-        n, length, _ = x.shape
-        h = self.up2(self.up1(x).relu()).relu()
-        h = self.norm(h + self.attention(h, mask))
+        rows = F.PackedRows(mask)
+        h = gather_rows(x, rows.index, rows.blocks)
+        h = self.up2(self.up1(h, rows).relu(), rows).relu()
+        h = self.norm(h + self.attention(h, rows))
         if self.dropout is not None:
-            h = self.dropout(h)
+            h = self.dropout(h, rows)
         for block in self.res_blocks:
-            h = block(h)
-        # Padding rows carry attention/bias residue; zero them so the
-        # sequence sum only aggregates real primitive rows.
-        return (h * mask.reshape(n, length, 1)).sum(axis=1)
+            h = block(h, rows)
+        return segment_sum(h, rows.bounds, rows.weight)
 
     def forward(self, X: np.ndarray | Tensor, mask: np.ndarray) -> Tensor:
         pooled = self.pool_features(X, mask)

@@ -13,10 +13,10 @@ and report how good the model's top-k picks are on *held-out networks*
   held-out top-1/top-5 via :mod:`repro.core.metrics` against the store's
   simhw ground-truth latencies.
 * Checkpoints are one ``.npz`` holding model + optimizer + scheduler +
-  loader stream state; because every random draw comes from named
-  ``repro.utils.rng`` streams (loader epochs from per-epoch derived
-  streams), a run resumed at any epoch boundary is *bit-identical* to
-  an uninterrupted one — pinned by test.
+  loader stream state, loaded all or nothing; because every random
+  draw comes from named ``repro.utils.rng`` streams (loader epochs from
+  per-epoch derived streams), a run resumed at any epoch boundary is
+  *bit-identical* to an uninterrupted one — pinned by test.
 * Both model variants train through the same loop: a plain
   :class:`~repro.core.tlp_model.TLPModel`, or a
   :class:`~repro.core.mtl.MTLTLPModel` whose batches mix platforms
@@ -42,6 +42,7 @@ bit-identical run digest.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,6 +64,10 @@ _EVAL_CHUNK_ROWS = 2048
 
 class NonFiniteTrainingError(FloatingPointError):
     """A training step produced a NaN or infinite loss or gradient."""
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file is not a readable ``.npz`` archive."""
 
 
 @dataclass(frozen=True)
@@ -411,28 +416,43 @@ class Trainer:
         return path
 
     def load_checkpoint(self, path: "Path | str") -> None:
-        """Restore a :meth:`save_checkpoint` snapshot into this trainer."""
-        with np.load(Path(path), allow_pickle=False) as z:
-            groups: dict[str, dict[str, np.ndarray]] = {
-                "model": {}, "optim": {}, "sched": {}, "loader": {}
-            }
-            meta = None
-            for key in z.files:
-                if key == "meta":
-                    meta = json.loads(str(z[key][()]))
-                    continue
-                prefix, _, name = key.partition("/")
-                if prefix not in groups or not name:
-                    raise KeyError(f"unrecognized checkpoint key {key!r}")
-                groups[prefix][name] = z[key]
-            if meta is None:
-                raise KeyError("checkpoint has no meta record")
-            self.model.load_state_dict(groups["model"])
-            self.optimizer.load_state_dict(groups["optim"])
-            self.scheduler.load_state_dict(groups["sched"])
-            self.loader.load_state_dict(groups["loader"])
-            self.epochs_done = int(meta["epochs_done"])
-            self.history = list(meta["history"])
+        """Restore a :meth:`save_checkpoint` snapshot into this trainer.
+
+        All or nothing: the meta record and every group (model,
+        optimizer, scheduler, loader) are validated before any is
+        assigned, so a rejected checkpoint leaves the trainer as it was.
+        A file that is not a readable ``.npz`` archive (truncated,
+        corrupted, not an archive) raises :class:`CheckpointError`
+        naming it.
+        """
+        path = Path(path)
+        try:
+            with np.load(path, allow_pickle=False) as z:
+                arrays = {key: z[key] for key in z.files}
+        except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+            raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+        groups: dict[str, dict[str, np.ndarray]] = {
+            "model": {}, "optim": {}, "sched": {}, "loader": {}
+        }
+        for key, arr in arrays.items():
+            if key == "meta":
+                continue
+            prefix, _, name = key.partition("/")
+            if prefix not in groups or not name:
+                raise KeyError(f"unrecognized checkpoint key {key!r}")
+            groups[prefix][name] = arr
+        if "meta" not in arrays:
+            raise KeyError("checkpoint has no meta record")
+        meta = json.loads(str(arrays["meta"][()]))
+        epochs_done, history = int(meta["epochs_done"]), list(meta["history"])
+        parts = ((self.model, groups["model"]), (self.optimizer, groups["optim"]),
+                 (self.scheduler, groups["sched"]), (self.loader, groups["loader"]))
+        for part, state in parts:
+            part.check_state_dict(state)
+        for part, state in parts:
+            part.load_state_dict(state)
+        self.epochs_done = epochs_done
+        self.history = history
 
 
 def _run_digest(model: "TLPModel | MTLTLPModel", history: list[dict]) -> str:
@@ -517,4 +537,4 @@ if __name__ == "__main__":
     sys.exit(main())
 
 
-__all__ = ["NonFiniteTrainingError", "TrainConfig", "Trainer"]
+__all__ = ["CheckpointError", "NonFiniteTrainingError", "TrainConfig", "Trainer"]

@@ -7,6 +7,13 @@ primitive rows, 0.0 on padding — applied additively (−1e9 on masked
 keys) before the softmax, so padded positions receive zero attention
 weight from every query.
 
+The layer runs over packed rows (:class:`~repro.nn.functional.PackedRows`,
+which holds the mask): its input and output are the
+``[ceil(R / L), L, D]`` blocks of the ``R`` kept rows.  The q/k/v and
+output projections run over those blocks; only the ``L x L`` score
+block is dense, q/k/v scattered into it with zeros on the skipped rows
+and the kept rows' mixed heads gathered back out.
+
 The mask → additive-bias conversion has one home,
 :func:`repro.nn.functional.additive_mask_bias`, and runs into the held
 buffer of a :class:`~repro.nn.functional.MaskBiasCache` owned by the
@@ -22,10 +29,10 @@ import math
 
 import numpy as np
 
-from repro.nn.functional import MASK_PENALTY, MaskBiasCache
+from repro.nn.functional import MASK_PENALTY, MaskBiasCache, PackedRows
 from repro.nn.layers import Linear
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, softmax
+from repro.nn.tensor import Tensor, gather_rows, scatter_rows, softmax
 from repro.utils.rng import stream
 
 #: Additive logit for masked keys: large enough that float32 softmax
@@ -56,21 +63,26 @@ class MultiHeadSelfAttention(Module):
         layer's held buffer (overwritten by the next call)."""
         return self._mask_cache.get(mask)
 
-    def _heads(self, x: Tensor, n: int, length: int) -> Tensor:
-        """``[N, L, D] -> [N, heads, L, head_dim]``."""
-        return x.reshape(n, length, self.n_heads, self.head_dim).transpose((0, 2, 1, 3))
+    def _heads(self, x: Tensor, rows: PackedRows) -> Tensor:
+        """Packed ``[B, L, D]`` rows -> dense ``[n, heads, L, head_dim]``,
+        zeros on the skipped rows."""
+        n, length = rows.n, rows.length
+        dense = scatter_rows(x, rows.index, (n, length))
+        return dense.reshape(n, length, self.n_heads, self.head_dim).transpose((0, 2, 1, 3))
 
-    def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        n, length, _ = x.shape
-        q = self._heads(self.q_proj(x), n, length)
-        k = self._heads(self.k_proj(x), n, length)
-        v = self._heads(self.v_proj(x), n, length)
+    def forward(self, x: Tensor, rows: PackedRows) -> Tensor:
+        """Self-attention over the packed ``[B, L, D]`` rows ``x`` of
+        ``rows``' samples; returns the packed ``[B, L, D]`` output.  The
+        mask bias gives the zero keys of skipped rows exactly zero
+        weight."""
+        n, length = rows.n, rows.length
+        q = self._heads(self.q_proj(x, rows), rows)
+        k = self._heads(self.k_proj(x, rows), rows)
+        v = self._heads(self.v_proj(x, rows), rows)
         scores = (q @ k.transpose((0, 1, 3, 2))) * np.float32(1.0 / math.sqrt(self.head_dim))
-        if mask is not None:
-            scores = scores + self.mask_bias(mask)
-        attn = softmax(scores, axis=-1)
+        attn = softmax(scores + self.mask_bias(rows.mask), axis=-1)
         mixed = (attn @ v).transpose((0, 2, 1, 3)).reshape(n, length, self.dim)
-        return self.out_proj(mixed)
+        return self.out_proj(gather_rows(mixed, rows.index, rows.blocks), rows)
 
 
 __all__ = ["MultiHeadSelfAttention"]

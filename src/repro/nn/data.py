@@ -243,11 +243,14 @@ class GroupedBatchLoader:
     def state_dict(self) -> dict[str, np.ndarray]:
         return {"epoch": np.int64(self.epoch).reshape(())}
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+    def check_state_dict(self, state: dict[str, np.ndarray]) -> None:
         epoch = int(np.asarray(state["epoch"]))
         if epoch < 0:
             raise ValueError(f"negative loader epoch {epoch}")
-        self.epoch = epoch
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        self.check_state_dict(state)
+        self.epoch = int(np.asarray(state["epoch"]))
 
 
 __all__ = ["ArraySource", "BatchLoader", "GroupedBatchLoader", "RecordSource"]

@@ -24,9 +24,9 @@ row rules keep the BLAS call shapes of the taped forward:
 
 1. A chunk with fewer than 2 kept rows runs all its rows: a 1-row GEMM
    falls to a gemv kernel with other accumulation bits.
-2. At ``L == 1`` the taped per-sample GEMMs are themselves 1-row gemv
-   calls, so packed activations keep a ``[R, 1, width]`` shape and each
-   row stays its own gemv.
+2. At ``L == 1`` the taped GEMMs (one per 1-row block) are themselves
+   1-row gemv calls, so packed activations keep a ``[R, 1, width]``
+   shape and each row stays its own gemv.
 
 A sample with no kept row pools to zeros.
 
@@ -44,11 +44,11 @@ operation sequence of its taped layer on the rows it computes — same
 ufuncs, same operand order, same memory layouts into ``np.matmul``
 (layout matters: this BLAS does not produce identical bits for
 contiguous and non-contiguous operands, so head splits are materialized
-contiguous exactly where the taped reshape does).  A GEMM over gathered
-rows reproduces the taped per-sample GEMM's rows bit for bit whenever
-it has at least 2 rows (checked on every weight shape of the repo's
-model configs), and a skipped key gets softmax weight exactly 0 on both
-paths.  The only other deviations are ``out=`` targets and
+contiguous exactly where the taped reshape does).  A forward GEMM over
+gathered rows reproduces the taped ``L``-row GEMM's rows bit for bit
+whenever it has at least 2 rows (checked on every weight shape of the
+repo's model configs), and a skipped key gets softmax weight exactly 0
+on both paths.  The only other deviations are ``out=`` targets and
 algebraically-identity rewrites verified bit-exact on float32
 (``np.maximum(x, 0)`` for ``np.where(x > 0, x, 0)``, commuted addition,
 adding a sample's kept rows without the ``±0`` of its skipped ones).
@@ -165,22 +165,28 @@ class MaskBiasCache:
 
 
 class PackedRows:
-    """The rows of one ``[n, L]`` chunk that the packed kernels compute.
+    """The rows of one ``[n, L]`` mask that the packed paths compute.
 
     ``index`` holds the flat ids (``s * L + l``) of the rows whose mask
     is non-zero, in row order; ``weight`` their mask values; sample
-    ``s`` owns ``index[bounds[s]:bounds[s + 1]]``.  Packed activations
-    are ``lead + (width,)`` arrays, ``lead`` being ``(R,)``, or
-    ``(R, 1)`` at ``L == 1`` (row rule 2 of the module docstring).  A
-    chunk with fewer than 2 kept rows keeps all its rows (row rule 1).
+    ``s`` owns packed rows ``bounds[s]:bounds[s + 1]``.  A mask with
+    fewer than 2 kept rows keeps all its rows (row rule 1 of the module
+    docstring).  The two paths lay the ``R`` packed rows out differently:
+
+    * ``predict`` as ``lead + (width,)`` arrays, ``lead`` being ``(R,)``,
+      or ``(R, 1)`` at ``L == 1`` (row rule 2);
+    * the taped path (``TLPModel.pool_features``) as ``blocks + (width,)``
+      arrays, ``blocks`` being ``(ceil(R / L), L)``: the rows zero-padded
+      to whole ``L``-row blocks, so every taped GEMM is the batched
+      ``[L, K] @ [K, E]`` call the dense layout makes.
     """
 
-    __slots__ = ("n", "length", "index", "bounds", "lead", "weight")
+    __slots__ = ("n", "length", "mask", "index", "bounds", "lead", "blocks", "weight")
 
-    def __init__(self, arena: ScratchArena, name: str, mask: np.ndarray):
+    def __init__(self, mask: np.ndarray):
         n, length = mask.shape
         flat = mask.reshape(n * length)
-        self.n, self.length = n, length
+        self.n, self.length, self.mask = n, length, mask
         self.index = np.flatnonzero(flat)
         counts = np.count_nonzero(mask, axis=1)
         if self.index.shape[0] < 2:
@@ -189,8 +195,8 @@ class PackedRows:
         self.bounds = [0, *np.cumsum(counts).tolist()]
         kept = self.index.shape[0]
         self.lead = (kept, 1) if length == 1 else (kept,)
-        self.weight = self.take(arena, f"{name}.weight", 1)
-        np.take(flat, self.index, out=self.weight.reshape(kept), mode="clip")
+        self.blocks = (-(-kept // length), length)
+        self.weight = flat[self.index]
 
     def take(self, arena: ScratchArena, name: str, width: int) -> np.ndarray:
         """Packed scratch, ``width`` columns a row: a view of the first
@@ -373,14 +379,13 @@ def masked_sum_pool(arena: ScratchArena, name: str, x: np.ndarray,
     """Packed rows -> ``[n, D]`` sequence sums.  Consumes ``x``.
 
     Each sample's kept rows, times their mask values, added in row
-    order: the taped ``sum_L(x * mask[:, :, None])`` without the ``±0``
-    terms of its skipped rows, which change no sum.  A sample with no
-    kept row pools to zeros.  ``out`` lets the inference plan pool chunk
-    results into a slice of a full-batch buffer (so the row-count
-    sensitive head GEMM can run once over all rows — see the module
-    docstring).
+    order, as the taped ``repro.nn.tensor.segment_sum`` pool does.  A
+    sample with no kept row pools to zeros.  ``out`` lets the inference
+    plan pool chunk results into a slice of a full-batch buffer (so the
+    row-count sensitive head GEMM can run once over all rows — see the
+    module docstring).
     """
-    np.multiply(x, rows.weight, out=x)
+    np.multiply(x, rows.weight.reshape(rows.lead + (1,)), out=x)
     x = x.reshape(-1, x.shape[-1])
     if out is None:
         out = arena.take(name, (rows.n, x.shape[1]))

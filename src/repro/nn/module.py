@@ -94,19 +94,25 @@ class Module:
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+    def check_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Raise unless ``state`` holds exactly this module's parameters,
+        each at its shape; assigns nothing."""
         own = dict(self.named_parameters())
         missing = sorted(own.keys() - state.keys())
         extra = sorted(state.keys() - own.keys())
         if missing or extra:
             raise ValueError(f"state dict mismatch: missing {missing}, unexpected {extra}")
         for name, p in own.items():
-            value = np.asarray(state[name], dtype=np.float32)
-            if value.shape != p.data.shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: {value.shape} vs {p.data.shape}"
-                )
-            p.data = value.copy()
+            shape = np.shape(state[name])
+            if shape != p.data.shape:
+                raise ValueError(f"shape mismatch for {name!r}: {shape} vs {p.data.shape}")
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Replace every parameter, once :meth:`check_state_dict` accepts
+        the whole of ``state``."""
+        self.check_state_dict(state)
+        for name, p in self.named_parameters():
+            p.data = np.array(state[name], dtype=np.float32)
 
     def save(self, path: str | Path) -> Path:
         """Write the state dict to ``path`` as an ``.npz`` archive.

@@ -18,6 +18,15 @@ import numpy as np
 from repro.nn.module import Parameter
 
 
+def _positive_lr(value: float) -> float:
+    # The single place the lr > 0 invariant is enforced: LR schedules
+    # assign ``optimizer.lr`` directly, so a schedule that decays to
+    # zero (silent no-op steps) fails loudly here instead.
+    if value <= 0.0:
+        raise ValueError(f"non-positive learning rate {value}")
+    return float(value)
+
+
 class Optimizer:
     def __init__(self, params: Sequence[Parameter], lr: float):
         self.params = [p for p in params]
@@ -31,12 +40,7 @@ class Optimizer:
 
     @lr.setter
     def lr(self, value: float) -> None:
-        # The single place the lr > 0 invariant is enforced: LR schedules
-        # assign ``optimizer.lr`` directly, so a schedule that decays to
-        # zero (silent no-op steps) fails loudly here instead.
-        if value <= 0.0:
-            raise ValueError(f"non-positive learning rate {value}")
-        self._lr = float(value)
+        self._lr = _positive_lr(value)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -66,13 +70,12 @@ class Optimizer:
             state[name] = np.array(buf, copy=True)
         return state
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Restore a ``state_dict`` snapshot in place.
-
-        Validates the exact key set and every buffer shape so loading a
+    def check_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Raise unless ``state`` is a snapshot this optimizer can load:
+        the exact key set, every buffer shape and a positive lr, so a
         snapshot from a differently-shaped model (or the wrong optimizer
         class) fails loudly instead of silently corrupting training.
-        """
+        Assigns nothing."""
         own = self._state_items()
         expected = {"lr"} | set(own)
         got = set(state)
@@ -83,12 +86,17 @@ class Optimizer:
                 f"optimizer state mismatch: missing {missing}, unexpected {extra}"
             )
         for name, buf in own.items():
-            src = np.asarray(state[name])
-            if src.shape != buf.shape:
-                raise ValueError(
-                    f"optimizer buffer {name!r}: shape {src.shape} != {buf.shape}"
-                )
-            np.copyto(buf, src)
+            shape = np.shape(state[name])
+            if shape != buf.shape:
+                raise ValueError(f"optimizer buffer {name!r}: shape {shape} != {buf.shape}")
+        _positive_lr(float(np.asarray(state["lr"])))
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Restore a ``state_dict`` snapshot in place, once
+        :meth:`check_state_dict` accepts the whole of it."""
+        self.check_state_dict(state)
+        for name, buf in self._state_items().items():
+            np.copyto(buf, np.asarray(state[name]))
         self.lr = float(np.asarray(state["lr"]))
 
 
@@ -187,15 +195,17 @@ class Adam(Optimizer):
         state["step_count"] = np.int64(self._step_count).reshape(())
         return state
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        state = dict(state)
+    def check_state_dict(self, state: dict[str, np.ndarray]) -> None:
         if "step_count" not in state:
             raise KeyError("optimizer state mismatch: missing ['step_count']")
-        step_count = int(np.asarray(state.pop("step_count")))
+        step_count = int(np.asarray(state["step_count"]))
         if step_count < 0:
             raise ValueError(f"negative step_count {step_count}")
+        super().check_state_dict({k: v for k, v in state.items() if k != "step_count"})
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         super().load_state_dict(state)
-        self._step_count = step_count
+        self._step_count = int(np.asarray(state["step_count"]))
 
 
 class StepLR:
@@ -265,13 +275,16 @@ class CosineLR:
     def state_dict(self) -> dict[str, np.ndarray]:
         return {"epoch": np.int64(self.epoch).reshape(())}
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+    def check_state_dict(self, state: dict[str, np.ndarray]) -> None:
         epoch = int(np.asarray(state["epoch"]))
         if not 0 <= epoch <= self.total_epochs:
             raise ValueError(
                 f"schedule epoch {epoch} outside [0, {self.total_epochs}]"
             )
-        self.epoch = epoch
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        self.check_state_dict(state)
+        self.epoch = int(np.asarray(state["epoch"]))
 
 
 __all__ = ["Adam", "CosineLR", "Optimizer", "SGD", "StepLR"]

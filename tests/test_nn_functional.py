@@ -20,7 +20,7 @@ from repro.nn import MaskBiasCache, ScratchArena
 from repro.nn import functional as F
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.layers import LayerNorm, Linear, ResidualBlock
-from repro.nn.tensor import Tensor, softmax
+from repro.nn.tensor import Tensor, gather_rows, softmax
 from repro.utils.rng import stream
 
 _RNG = stream("test.nn.functional")
@@ -129,7 +129,7 @@ def test_layer_norm_kernel_matches_taped_layer_norm():
     x = _x(3, 5, 12)
     taped = layer(Tensor(x)).data
     mask = (_RNG.random((3, 5)) < 0.6).astype(np.float32)
-    rows = F.PackedRows(arena, "rows", mask)
+    rows = F.PackedRows(mask)
     fused = F.layer_norm(arena, "ln", rows.gather(arena, "x", x), layer.gamma.data,
                          layer.beta.data, layer.eps, rows)
     assert np.array_equal(fused, taped.reshape(-1, 12)[rows.index])
@@ -141,7 +141,7 @@ def test_residual_kernel_matches_taped_residual_block():
     x = _x(4, 3, 8)
     taped = block(Tensor(x)).data
     mask = (_RNG.random((4, 3)) < 0.6).astype(np.float32)
-    rows = F.PackedRows(arena, "rows", mask)
+    rows = F.PackedRows(mask)
     fused = F.residual_relu_linear(arena, "res", rows.gather(arena, "x", x),
                                    block.fc.weight.data, block.fc.bias.data, rows)
     assert np.array_equal(fused, taped.reshape(-1, 8)[rows.index])
@@ -192,21 +192,22 @@ def _check_attention_kernel(length):
     mask[0] = 1.0  # at least 2 kept rows, so the chunk is packed
     mask[1] = 0.0  # a sample with no kept row
     mask[-1, -1] = 1.0
-    taped = att(Tensor(x), mask).data
-
-    qkv_w, qkv_b = _qkv_stack(att)
-    rows = F.PackedRows(arena, "rows", mask)
+    rows = F.PackedRows(mask)
     kept = np.flatnonzero(mask.reshape(-1))
     assert np.array_equal(rows.index, kept)
+    taped = att(gather_rows(Tensor(x), rows.index, rows.blocks), rows).data
+    assert taped.shape == rows.blocks + (16,)
+
+    qkv_w, qkv_b = _qkv_stack(att)
     fused = F.attention(arena, "mha", rows.gather(arena, "x", x), qkv_w, qkv_b,
                         att.out_proj.weight.data, att.out_proj.bias.data,
                         att.n_heads, rows, mask_bias=F.additive_mask_bias(mask))
     assert fused.shape == rows.lead + (16,)
-    assert np.array_equal(fused.reshape(-1, 16), taped.reshape(-1, 16)[kept])
+    assert np.array_equal(fused.reshape(-1, 16), taped.reshape(-1, 16)[:kept.shape[0]])
 
 
 def test_attention_kernel_rejects_bad_heads():
-    rows = F.PackedRows(ScratchArena(), "rows", np.ones((1, 2), dtype=np.float32))
+    rows = F.PackedRows(np.ones((1, 2), dtype=np.float32))
     with pytest.raises(ValueError):
         F.attention(ScratchArena(), "bad", _x(2, 6), _x(6, 18), _x(18),
                     _x(6, 6), _x(6), n_heads=4, rows=rows)
@@ -221,7 +222,7 @@ def test_masked_sum_pool_matches_taped_pool():
         mask[1] = 0.0              # no kept row: pools to zeros
         t = Tensor(x)
         taped = (t * mask.reshape(4, length, 1)).sum(axis=1).data
-        rows = F.PackedRows(arena, "rows", mask)
+        rows = F.PackedRows(mask)
         fused = F.masked_sum_pool(arena, "pool", rows.gather(arena, "x", x), rows)
         assert np.array_equal(fused, taped)
         assert not fused[1].any()
@@ -232,17 +233,19 @@ def test_packed_rows_row_rules():
     # Rule 1: fewer than 2 kept rows -> the chunk keeps every row.
     one = np.zeros((3, 4), dtype=np.float32)
     one[1, 2] = 1.0
-    rows = F.PackedRows(arena, "rows", one)
+    rows = F.PackedRows(one)
     assert np.array_equal(rows.index, np.arange(12))
     assert rows.bounds == [0, 4, 8, 12] and rows.lead == (12,)
-    assert np.array_equal(rows.weight.reshape(-1), one.reshape(-1))
+    assert rows.blocks == (3, 4)
+    assert np.array_equal(rows.weight, one.reshape(-1))
     # Rule 2: at L == 1 each packed row keeps its own 1-row GEMM shape.
-    rows = F.PackedRows(arena, "rows", np.array([[1.0], [0.0], [1.0]], np.float32))
-    assert rows.lead == (2, 1) and rows.bounds == [0, 1, 1, 2]
-    # Packed scratch is sized by the capacity, whatever the kept count.
+    rows = F.PackedRows(np.array([[1.0], [0.0], [1.0]], np.float32))
+    assert rows.lead == rows.blocks == (2, 1) and rows.bounds == [0, 1, 1, 2]
+    # Packed scratch is sized by the capacity, whatever the kept count;
+    # the taped path pads the kept rows to whole L-row blocks.
     prefix = (np.arange(4)[None, :] < np.array([[4], [2], [0]])).astype(np.float32)
-    rows = F.PackedRows(arena, "rows", prefix)
-    assert rows.bounds == [0, 4, 6, 6]
+    rows = F.PackedRows(prefix)
+    assert rows.bounds == [0, 4, 6, 6] and rows.blocks == (2, 4)
     buf = rows.take(arena, "buf", 5)
     assert buf.shape == (6, 5) and buf.base.shape == (12, 5)
 

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.tlp_model import TLPModel, TLPModelConfig
 from repro.nn import Tensor, as_tensor, assert_gradients_match, lambda_rank_loss, softmax
-from repro.nn.tensor import _unbroadcast
+from repro.nn.functional import PackedRows
+from repro.nn.tensor import _unbroadcast, gather_rows, scatter_rows, segment_sum
 from repro.utils.rng import stream
 
 _RNG = stream("test.nn.tensor")
@@ -168,6 +169,41 @@ def test_gradcheck_elementwise(name, fn, offset):
 def test_gradcheck_softmax():
     x = _t((2, 4), scale=0.7)
     assert_gradients_match(lambda: (softmax(x, axis=-1) ** 2).sum(), [x])
+
+
+# The packed rows of a [3, 4] mask: 5 kept rows (one at weight 0.5) in
+# two zero-padded 4-row blocks, sample 1 without a kept row.
+_ROWS = PackedRows(np.array([[1, 1, 0, 1], [0, 0, 0, 0], [1, 0.5, 0, 0]],
+                            dtype=np.float32))
+
+
+def _pool(x: Tensor) -> Tensor:
+    return segment_sum(x, _ROWS.bounds, _ROWS.weight)
+
+
+@pytest.mark.gradcheck
+@pytest.mark.parametrize(
+    "name, shape, fn",
+    [
+        ("gather_rows", (3, 4, 5),
+         lambda x: (gather_rows(x, _ROWS.index, _ROWS.blocks) ** 2).sum()),
+        ("scatter_rows", _ROWS.blocks + (5,),
+         lambda x: (scatter_rows(x, _ROWS.index, (3, 4)) ** 2).sum()),
+        ("segment_sum", _ROWS.blocks + (5,), lambda x: (_pool(x) ** 2).sum()),
+    ],
+)
+def test_gradcheck_packed_row_ops(name, shape, fn):
+    x = _t(shape)
+    assert_gradients_match(lambda: fn(x), [x])
+
+
+@pytest.mark.gradcheck
+def test_gradcheck_weight_grad_over_packed_rows():
+    """Per-sample weight GEMMs over the packed rows, samples added in
+    order and the empty one skipped; only kept rows reach the loss, as
+    in the model's pool."""
+    x, w = _t(_ROWS.blocks + (5,), scale=0.5), _t((5, 3), scale=0.5)
+    assert_gradients_match(lambda: (_pool(x.matmul(w, _ROWS.bounds)) ** 2).sum(), [x, w])
 
 
 # -- backward contract -------------------------------------------------

@@ -1,0 +1,170 @@
+"""The packed taped trunk against the dense trunk it replaced.
+
+``TLPModel.pool_features`` computes only the rows whose mask is
+non-zero, packed into whole ``L``-row blocks.  :func:`dense_pool_features`
+is the dense body it replaced: every row of every sequence through every
+layer, padding zeroed at the pool.  A training step's scores, its
+lambda-rank loss and every parameter gradient must agree byte for byte,
+for the prefix masks the featurizer emits and for the edge cases it
+never emits.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import functools
+import math
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from repro.core import MTLTLPModel, TLPModel, TLPModelConfig
+from repro.nn import Adam, Tensor, lambda_rank_loss_grouped, softmax
+from repro.utils.rng import stream
+
+
+def dense_pool_features(model: TLPModel, X: np.ndarray, mask: np.ndarray) -> Tensor:
+    """The dense taped trunk: every row of every sequence, all layers."""
+    x = Tensor(X)
+    n, length, _ = X.shape
+    att = model.attention
+    h = model.up2(model.up1(x).relu()).relu()
+    q, k, v = (proj(h).reshape(n, length, att.n_heads, att.head_dim).transpose((0, 2, 1, 3))
+               for proj in (att.q_proj, att.k_proj, att.v_proj))
+    scores = (q @ k.transpose((0, 1, 3, 2))) * np.float32(1.0 / math.sqrt(att.head_dim))
+    attn = softmax(scores + att.mask_bias(mask), axis=-1)
+    mixed = (attn @ v).transpose((0, 2, 1, 3)).reshape(n, length, att.dim)
+    h = model.norm(h + att.out_proj(mixed))
+    if model.dropout is not None:
+        h = model.dropout(h)
+    for block in model.res_blocks:
+        h = block(h)
+    return (h * mask.reshape(n, length, 1)).sum(axis=1)
+
+
+@contextlib.contextmanager
+def _dense(model):
+    """Run ``model``'s forward over the dense reference trunk."""
+    trunk = model.trunk if isinstance(model, MTLTLPModel) else model
+    trunk.pool_features = functools.partial(dense_pool_features, trunk)
+    try:
+        yield
+    finally:
+        del trunk.pool_features
+
+
+# The model geometries the repo trains and serves: unit tests (hidden 8),
+# the perfbench tests (16), smoke-train and BENCH_training (48), the nn
+# benchmarks (64) and the default Fig. 7 config perfbench runs (256).
+_CONFIGS = (
+    TLPModelConfig(emb=6, hidden=8, n_heads=2, n_res_blocks=1),
+    TLPModelConfig(emb=22, hidden=16, n_heads=2, n_res_blocks=1),
+    TLPModelConfig(emb=22, hidden=48, n_heads=4, n_res_blocks=2),
+    TLPModelConfig(emb=22, hidden=64, n_heads=4, n_res_blocks=2),
+    TLPModelConfig(emb=22),
+)
+_MODELS = [TLPModel(cfg) for cfg in _CONFIGS] + [
+    MTLTLPModel(("a", "b", "c"), TLPModelConfig(emb=22, hidden=16, n_heads=2,
+                                                n_res_blocks=1)),
+]
+
+_MASK_KINDS = ("bernoulli", "prefix", "one_row", "empty_sample", "none")
+
+
+def _mask(kind, n, length, density, rng):
+    """Bernoulli rows, the featurizer's prefix layout, a single kept row
+    in the whole batch, Bernoulli rows with sample 0 empty, or no kept
+    row at all."""
+    if kind in ("bernoulli", "empty_sample"):
+        mask = (rng.random((n, length)) < density).astype(np.float32)
+        if kind == "empty_sample":
+            mask[0] = 0.0
+        return mask
+    if kind == "prefix":
+        kept = rng.integers(0, length + 1, size=n)
+        return (np.arange(length) < kept[:, None]).astype(np.float32)
+    mask = np.zeros((n, length), dtype=np.float32)
+    if kind == "one_row":
+        mask.reshape(-1)[rng.integers(n * length)] = 1.0
+    return mask
+
+
+def _batch(model, n, length, kind, density, seed):
+    rng = stream(f"test.packed_trunk.batch.{seed}")
+    emb = model.config.emb
+    X = rng.standard_normal((n, length, emb)).astype(np.float32)
+    mask = _mask(kind, n, length, density, rng)
+    labels = rng.uniform(0.1, 1.0, size=n).astype(np.float32)
+    gids = np.sort(rng.integers(0, 3, size=n))
+    pids = rng.integers(0, 3, size=n)
+    return X, mask, labels, gids, pids
+
+
+def _step(model, X, mask, labels, gids, pids, optimizer=None):
+    """Scores, loss and every parameter gradient of one training step."""
+    model.zero_grad()
+    if isinstance(model, MTLTLPModel):
+        scores = model(X, mask, pids)
+    else:
+        scores = model(X, mask)
+    loss = lambda_rank_loss_grouped(scores, labels, gids)
+    loss.backward()
+    out = [scores.data.copy(), loss.data.copy()]
+    out += [None if p.grad is None else p.grad.copy() for p in model.parameters()]
+    if optimizer is not None:
+        optimizer.step()
+    return out
+
+
+def _assert_same_bytes(packed, dense):
+    assert len(packed) == len(dense)
+    for i, (a, b) in enumerate(zip(packed, dense)):
+        if a is None or b is None:
+            assert a is None and b is None, i
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape, i
+        assert a.tobytes() == b.tobytes(), i
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model_i=st.integers(0, len(_MODELS) - 1),
+    n=st.integers(1, 6),
+    length=st.sampled_from((1, 2, 3, 7, 25)),
+    kind=st.sampled_from(_MASK_KINDS),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+@example(model_i=4, n=4, length=25, kind="prefix", density=0.0, seed=0)
+@example(model_i=2, n=3, length=7, kind="one_row", density=0.0, seed=1)
+@example(model_i=0, n=4, length=3, kind="empty_sample", density=0.6, seed=2)
+@example(model_i=5, n=5, length=2, kind="none", density=0.0, seed=3)
+@example(model_i=1, n=6, length=1, kind="bernoulli", density=0.5, seed=4)
+def test_packed_trunk_bit_identical_to_dense_property(model_i, n, length, kind,
+                                                      density, seed):
+    model = _MODELS[model_i]
+    batch = _batch(model, n, length, kind, density, seed)
+    packed = _step(model, *batch)
+    with _dense(model):
+        dense = _step(model, *batch)
+    _assert_same_bytes(packed, dense)
+
+
+def test_dropout_step_bit_identical_to_dense():
+    """Dropout draws its keep-mask at the dense shape and gathers the
+    kept rows, so packed and dense training give the same bits, step
+    after step, and leave the generator in the same state."""
+    cfg = TLPModelConfig(emb=22, hidden=16, n_heads=2, n_res_blocks=1, dropout=0.1)
+    packed_model, dense_model = TLPModel(cfg), TLPModel(cfg)
+    packed_opt = Adam(packed_model.parameters())
+    dense_opt = Adam(dense_model.parameters())
+    for seed in range(3):
+        batch = _batch(packed_model, 6, 7, "prefix", 0.0, seed)
+        packed = _step(packed_model, *batch, optimizer=packed_opt)
+        with _dense(dense_model):
+            dense = _step(dense_model, *batch, optimizer=dense_opt)
+        _assert_same_bytes(packed, dense)
+    for (_, a), (_, b) in zip(packed_model.named_parameters(),
+                              dense_model.named_parameters()):
+        assert a.data.tobytes() == b.data.tobytes()
+    assert packed_model.dropout._rng.random() == dense_model.dropout._rng.random()

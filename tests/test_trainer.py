@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.tlp_model import TLPModel, TLPModelConfig
-from repro.core import NonFiniteTrainingError
+from repro.core import CheckpointError, NonFiniteTrainingError
 from repro.core.trainer import TrainConfig, Trainer, _run_digest
 from repro.dataset.pipeline import build_dataset
 from repro.dataset.reader import ShardReader
@@ -110,14 +110,37 @@ def test_fit_with_eval_every_records_top_k(store):
 
 def test_checkpoint_rejects_foreign_or_truncated_files(store, tmp_path):
     _, trainer = _make_trainer(store)
-    good = np.load(trainer.save_checkpoint(tmp_path / "ok.npz"))
-    state = {k: good[k] for k in good.files}
+    ok = trainer.save_checkpoint(tmp_path / "ok.npz")
+    with np.load(ok) as good:
+        state = {k: good[k] for k in good.files}
 
     bad = dict(state)
     bad["rogue/key"] = np.zeros(1)
     np.savez(tmp_path / "rogue.npz", **bad)
     with pytest.raises(KeyError, match="unrecognized"):
         trainer.load_checkpoint(tmp_path / "rogue.npz")
+
+    blob = ok.read_bytes()
+    for cut in (len(blob) // 2, 10, 0):
+        truncated = tmp_path / f"truncated-{cut}.npz"
+        truncated.write_bytes(blob[:cut])
+        with pytest.raises(CheckpointError, match=f"truncated-{cut}.npz"):
+            trainer.load_checkpoint(truncated)
+
+    # One group failing validation applies nothing, not even the groups
+    # validated before it: new weights, then a bad optimizer buffer.
+    weights = trainer.model.state_dict()
+    optim = trainer.optimizer.state_dict()
+    half = {k: v + np.float32(1.0) if k.startswith("model/") else v
+            for k, v in state.items()}
+    half["optim/v.0"] = np.zeros(3, dtype=np.float32)
+    np.savez(tmp_path / "half.npz", **half)
+    with pytest.raises(ValueError, match="v.0"):
+        trainer.load_checkpoint(tmp_path / "half.npz")
+    for saved, now in ((weights, trainer.model.state_dict()),
+                       (optim, trainer.optimizer.state_dict())):
+        assert saved.keys() == now.keys()
+        assert all(np.array_equal(saved[k], now[k]) for k in saved)
 
     state.pop("meta")
     np.savez(tmp_path / "nometa.npz", **state)
