@@ -146,8 +146,10 @@ def test_draft_then_verify_speedup_floor(benchmark, subgraph, scorer):
 
     t_full, t_draft = benchmark.pedantic(measure, rounds=1, iterations=1)
     speedup = t_full / t_draft
-    # Recorded ~1.2x at hidden=256 (draft overhead ~0.25 s vs the ~0.35 s
-    # of predict it saves); the floor is wide to stay robust to load.
+    # At hidden=256 on a shared 2-vCPU x86 host, three best-of-3 runs
+    # read 300-321 ms full and 255-274 ms drafted, 1.10-1.26x (the drafted
+    # round interprets each candidate once: the draft is its gate); the
+    # floor is wide to stay robust to load.
     assert speedup > 1.05, (
         f"draft-then-verify no faster than full predict: "
         f"{t_full * 1e3:.0f} ms vs {t_draft * 1e3:.0f} ms ({speedup:.2f}x)")

@@ -153,7 +153,9 @@ def test_perf_floors(benchmark, model, batch):
 
 def scenario() -> dict:
     """The ``nn_inference`` scenario: the paths above, best of 5, checked
-    bit-identical and allocation-free before anything is recorded."""
+    bit-identical and allocation-free before anything is recorded;
+    ``predict_cold`` is the median of 5 calls, each on an emptied
+    arena."""
     corpus, featurizer, (X, mask), model = build_inputs()
     taped = model(X, mask).data
     t_taped = best_of(lambda: model(X, mask), REPEATS)
@@ -164,10 +166,15 @@ def scenario() -> dict:
 
     forward_no_grad()
     t_no_grad = best_of(forward_no_grad, REPEATS)
-    model._arena.clear()  # cold: the first call builds every scratch buffer
-    with Timer() as t_cold:
-        scores = model.predict(X, mask)
-    assert np.array_equal(scores, taped), "predict() diverged from the taped forward"
+
+    def predict_cold():
+        model._arena.clear()  # cold: the call builds every scratch buffer
+        with Timer() as t:
+            scores = model.predict(X, mask)
+        assert np.array_equal(scores, taped), "predict() diverged from the taped forward"
+        return t.elapsed
+
+    t_cold = float(np.median([predict_cold() for _ in range(REPEATS)]))
     model._arena.reset_counters()  # steady: arena warm, the serving regime
     t_predict = best_of(lambda: model.predict(X, mask), REPEATS)
     assert model._arena.misses == 0, model.scratch_info()
@@ -181,7 +188,7 @@ def scenario() -> dict:
         "throughput": {"predict_candidates_per_sec": BATCH / t_predict,
                        "scorer_candidates_per_sec": BATCH / t_scorer},
         "stages": {"forward_taped": t_taped, "forward_no_grad": t_no_grad,
-                   "predict_cold": t_cold.elapsed, "predict_steady": t_predict,
+                   "predict_cold": t_cold, "predict_steady": t_predict,
                    "scorer_end_to_end": t_scorer},
         "counters": model.scratch_info(),
         "digest": None,

@@ -11,8 +11,9 @@ are built in one place.  It returns every field of the one schema but
 
 * ``config`` — the inputs: sizes, streams, model and train configs;
 * ``stages`` — wall seconds per timed path: the best of the scenario's
-  repeats, or one run for a path that only runs once (a cold start, a
-  build, a training run);
+  repeats, the median for a cold start (``nn_inference``'s
+  ``predict_cold``, each repeat on an emptied arena), or one run for a
+  path that only runs once (a build, a training run);
 * ``throughput`` — named rates;
 * ``counters`` — every other measured value (arena hits, records, peak
   RSS, final loss, top-k, ...);

@@ -50,7 +50,8 @@ from repro.core.metrics import (
     top_k_scores_grouped,
 )
 from repro.core.mtl import MTLTLPModel
-from repro.core.trainer import CheckpointError, NonFiniteTrainingError, TrainConfig, Trainer
+from repro.core.trainer import NonFiniteTrainingError, TrainConfig, Trainer
+from repro.nn.module import CheckpointError
 
 __all__ = [
     "KIND_INDEX",

@@ -10,7 +10,9 @@ will drive, in the exact order a tuning round needs them:
     → top-k indices (highest predicted ``min_latency / latency`` first)
 
 Only *verified* candidates are ever scored: proposals from the sampler
-are verified by construction, and externally supplied candidates (e.g.
+are verified fail-closed (by the draft's abstract interpretation, the
+verifier's interpreter in raise mode, when ``propose_topk`` drafts),
+and externally supplied candidates (e.g.
 mutation output) are screened with ``verify_many`` — invalid sequences
 are excluded from scoring and reported, never silently ranked.
 
@@ -137,8 +139,8 @@ class CandidateScorer:
         """Sample ``n`` fresh candidates and return them with their top-k.
 
         Proposals come from ``SketchGenerator.generate_many`` and are
-        therefore verified fail-closed before scoring; the returned
-        ``ScoredTopK`` consequently has ``n_invalid == 0``.
+        verified fail-closed before scoring; the returned ``ScoredTopK``
+        consequently has ``n_invalid == 0``.
 
         ``draft_keep`` enables the Pruner-style draft-then-verify path:
         every candidate gets a cheap static draft score from the abstract
@@ -150,6 +152,10 @@ class CandidateScorer:
         stable tie-breaks) is exactly what the full path would produce;
         ``draft_keep=1.0`` is bit-identical to the default path.
         ``n_predicted`` records how many candidates the model actually saw.
+        The draft interprets every candidate in raise mode, so on this path
+        it is the fail-closed gate: the generator skips its verifier pass
+        (``generate_many(..., verify=False)``), and an invalid candidate
+        raises ``AbsIntError`` before anything is scored.
         """
         if self.generator is None:
             raise ValueError("propose_topk needs a SketchGenerator at construction")
@@ -157,10 +163,11 @@ class CandidateScorer:
         k = _require_positive("k", k)
         if draft_keep is not None and not 0.0 < draft_keep <= 1.0:
             raise ValueError(f"draft_keep must be in (0, 1], got {draft_keep}")
-        schedules = self.generator.generate_many(subgraph, n, rng)
         if draft_keep is None:
+            schedules = self.generator.generate_many(subgraph, n, rng)
             kept = np.arange(len(schedules), dtype=np.int64)
         else:
+            schedules = self.generator.generate_many(subgraph, n, rng, verify=False)
             draft = absint.draft_scores(
                 subgraph, [_primitives_of(s) for s in schedules],
                 self.generator.config.target)

@@ -21,7 +21,10 @@ decides which):
   gradients run one GEMM per sample over its kept rows.  Both rules
   keep the bits of the dense layout (why: :mod:`repro.nn.tensor`),
   which ``tests/test_packed_trunk.py`` keeps as the reference, scores,
-  loss and every gradient compared byte for byte.
+  loss and every gradient compared byte for byte.  The attention block
+  scores only the batch's kept-row span, ``span`` queries by ``width``
+  keys (the rule, and why it keeps every bit:
+  :class:`~repro.nn.functional.PackedRows`).
 * :meth:`TLPModel.predict` — the tape-free serving path: a compiled
   :class:`_InferencePlan` reads the raw weight ndarrays out of the
   module tree once per call, then drives the packed in-place kernels of
@@ -30,8 +33,10 @@ decides which):
   chunk computes only its rows whose mask is non-zero, bar two row
   rules that keep the taped forward's BLAS call shapes (a chunk with
   fewer than 2 kept rows runs all its rows; at ``L == 1`` every row
-  stays its own gemv), and its buffers are sized by the chunk capacity
-  ``n * L``, not by the kept-row count.  ``predict`` is property-pinned
+  stays its own gemv); its attention block is trimmed to the chunk's
+  span and key width by the same rule as ``forward``'s, and its
+  buffers are sized by the chunk capacity ``n * L``, not by the
+  kept-row count or the span.  ``predict`` is property-pinned
   bit-identical to eval-mode ``forward`` and performs zero large
   allocations in steady state, whatever the masks.
 
@@ -124,8 +129,8 @@ class _InferencePlan:
         full-batch pooled buffer) using only arena scratch.
 
         The chunk's kept rows are gathered once and every row-wise layer
-        runs over them alone; only the attention's ``L x L`` block sees
-        the dense chunk (see :mod:`repro.nn.functional`).  The head layer
+        runs over them alone; the attention block covers the chunk's
+        kept-row span (see :mod:`repro.nn.functional`).  The head layer
         is deliberately *not* chunked: its single-column GEMM is
         bit-sensitive to the row count, so ``predict`` runs it once over
         the whole batch at the same M as the taped forward."""
@@ -187,9 +192,10 @@ class TLPModel(Module):
         Only the rows whose mask is non-zero are computed
         (:class:`~repro.nn.functional.PackedRows` decides which): they are
         gathered once into whole ``L``-row blocks, zero-padded, and every
-        row-wise layer runs over those blocks.  Only the attention's
-        ``L x L`` block is dense.  The pool adds each sample's kept
-        rows, times their mask values, in row order.
+        row-wise layer runs over those blocks.  The attention block
+        scores ``rows.span`` queries by ``rows.key_width`` keys.  The pool
+        adds each sample's kept rows, times their mask values, in row
+        order.
         """
         x = as_tensor(X)
         mask = self._check_geometry(x.data, mask)
@@ -215,10 +221,13 @@ class TLPModel(Module):
         chunk by chunk (``max_chunk`` schedules at a time), each chunk
         over its kept rows only, so peak scratch memory is bounded by
         the chunk geometry, not the batch.  The chunk size changes
-        speed, not results: at batch 1,024 and hidden 256 on one core,
-        sizes 32..1024 read 0.16-0.25 s a call, 64 about 10% ahead of
-        the default 128, and scores are bit-identical for every
-        ``max_chunk`` (rows are independent through each GEMM).
+        speed, not results: at batch 1,024 (matmul candidates, 7.4 kept
+        rows a sample) and hidden 256 on one BLAS thread, sizes
+        32..1024 read 0.12-0.17 s a call over two runs, 32 and 64 up to
+        ~10% ahead of the default 128 and 512 and 1,024 up to ~20%
+        behind (a smaller chunk has a shorter attention span), and
+        scores are bit-identical for every ``max_chunk`` (rows are
+        independent through each GEMM).
         Scratch persists on the model between calls and is sized by the
         chunk capacity: after the first call at a given chunk geometry,
         no large buffers are allocated for any mask (dropout, if

@@ -42,7 +42,6 @@ bit-identical run digest.
 from __future__ import annotations
 
 import json
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,6 +54,7 @@ from repro.dataset.reader import ShardReader
 from repro.nn import functional as F
 from repro.nn.data import GroupedBatchLoader
 from repro.nn.losses import lambda_rank_loss_grouped
+from repro.nn.module import read_archive
 from repro.nn.optim import Adam, CosineLR
 from repro.utils.rng import stream
 
@@ -64,10 +64,6 @@ _EVAL_CHUNK_ROWS = 2048
 
 class NonFiniteTrainingError(FloatingPointError):
     """A training step produced a NaN or infinite loss or gradient."""
-
-
-class CheckpointError(ValueError):
-    """A checkpoint file is not a readable ``.npz`` archive."""
 
 
 @dataclass(frozen=True)
@@ -422,15 +418,10 @@ class Trainer:
         optimizer, scheduler, loader) are validated before any is
         assigned, so a rejected checkpoint leaves the trainer as it was.
         A file that is not a readable ``.npz`` archive (truncated,
-        corrupted, not an archive) raises :class:`CheckpointError`
-        naming it.
+        corrupted, not an archive) raises
+        :class:`~repro.nn.module.CheckpointError` naming it.
         """
-        path = Path(path)
-        try:
-            with np.load(path, allow_pickle=False) as z:
-                arrays = {key: z[key] for key in z.files}
-        except (zipfile.BadZipFile, EOFError, ValueError) as exc:
-            raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+        arrays = read_archive(Path(path))
         groups: dict[str, dict[str, np.ndarray]] = {
             "model": {}, "optim": {}, "sched": {}, "loader": {}
         }
@@ -537,4 +528,4 @@ if __name__ == "__main__":
     sys.exit(main())
 
 
-__all__ = ["CheckpointError", "NonFiniteTrainingError", "TrainConfig", "Trainer"]
+__all__ = ["NonFiniteTrainingError", "TrainConfig", "Trainer"]

@@ -21,7 +21,7 @@ from repro.nn.losses import (
     lambda_rank_loss_grouped,
     mse_loss,
 )
-from repro.nn.module import Module, Parameter, Sequential
+from repro.nn.module import CheckpointError, Module, Parameter, Sequential
 from repro.nn.optim import SGD, Adam, CosineLR, Optimizer, StepLR
 from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled, no_grad, softmax
 
@@ -29,6 +29,7 @@ __all__ = [
     "Adam",
     "ArraySource",
     "BatchLoader",
+    "CheckpointError",
     "CosineLR",
     "Dropout",
     "GroupedBatchLoader",

@@ -10,9 +10,12 @@ weight from every query.
 The layer runs over packed rows (:class:`~repro.nn.functional.PackedRows`,
 which holds the mask): its input and output are the
 ``[ceil(R / L), L, D]`` blocks of the ``R`` kept rows.  The q/k/v and
-output projections run over those blocks; only the ``L x L`` score
-block is dense, q/k/v scattered into it with zeros on the skipped rows
-and the kept rows' mixed heads gathered back out.
+output projections run over those blocks.  The score block covers only
+the kept-row span, ``[n, heads, span, key_width]``: q is scattered
+into ``[n, span, D]`` and k/v into ``[n, key_width, D]``, zeros on the
+skipped rows, and the kept rows' mixed heads are gathered back out
+(``PackedRows`` says why the span and key width keep every bit of the
+full ``L x L`` block, forward and backward).
 
 The mask → additive-bias conversion has one home,
 :func:`repro.nn.functional.additive_mask_bias`, and runs into the held
@@ -63,26 +66,26 @@ class MultiHeadSelfAttention(Module):
         layer's held buffer (overwritten by the next call)."""
         return self._mask_cache.get(mask)
 
-    def _heads(self, x: Tensor, rows: PackedRows) -> Tensor:
-        """Packed ``[B, L, D]`` rows -> dense ``[n, heads, L, head_dim]``,
-        zeros on the skipped rows."""
-        n, length = rows.n, rows.length
-        dense = scatter_rows(x, rows.index, (n, length))
-        return dense.reshape(n, length, self.n_heads, self.head_dim).transpose((0, 2, 1, 3))
+    def _heads(self, x: Tensor, index: np.ndarray, n: int, size: int) -> Tensor:
+        """Packed ``[B, L, D]`` rows -> ``[n, heads, size, head_dim]``,
+        packed row ``i`` at row ``index[i]`` of ``[n * size]``, zeros on
+        the rest."""
+        dense = scatter_rows(x, index, (n, size))
+        return dense.reshape(n, size, self.n_heads, self.head_dim).transpose((0, 2, 1, 3))
 
     def forward(self, x: Tensor, rows: PackedRows) -> Tensor:
         """Self-attention over the packed ``[B, L, D]`` rows ``x`` of
-        ``rows``' samples; returns the packed ``[B, L, D]`` output.  The
-        mask bias gives the zero keys of skipped rows exactly zero
-        weight."""
-        n, length = rows.n, rows.length
-        q = self._heads(self.q_proj(x, rows), rows)
-        k = self._heads(self.k_proj(x, rows), rows)
-        v = self._heads(self.v_proj(x, rows), rows)
+        ``rows``' samples; returns the packed ``[B, L, D]`` output.
+        ``rows.span`` queries score ``rows.key_width`` keys, and the mask
+        bias gives the zero keys of skipped rows exactly zero weight."""
+        n, span, key_width = rows.n, rows.span, rows.key_width
+        q = self._heads(self.q_proj(x, rows), rows.query_index, n, span)
+        k = self._heads(self.k_proj(x, rows), rows.key_index, n, key_width)
+        v = self._heads(self.v_proj(x, rows), rows.key_index, n, key_width)
         scores = (q @ k.transpose((0, 1, 3, 2))) * np.float32(1.0 / math.sqrt(self.head_dim))
-        attn = softmax(scores + self.mask_bias(rows.mask), axis=-1)
-        mixed = (attn @ v).transpose((0, 2, 1, 3)).reshape(n, length, self.dim)
-        return self.out_proj(gather_rows(mixed, rows.index, rows.blocks), rows)
+        attn = softmax(scores + self.mask_bias(rows.mask)[..., :key_width], axis=-1)
+        mixed = (attn @ v).transpose((0, 2, 1, 3)).reshape(n, span, self.dim)
+        return self.out_proj(gather_rows(mixed, rows.query_index, rows.blocks), rows)
 
 
 __all__ = ["MultiHeadSelfAttention"]

@@ -15,12 +15,14 @@ gathers the rows
 of a ``[n, L]`` chunk whose mask is non-zero once, and every row-wise
 layer (linear, the stacked q/k/v projection, the output projection,
 the residual join, LayerNorm, the residual blocks) runs as one GEMM or
-ufunc pass over those rows only.  The ``L x L`` block (``q @ kᵀ``,
-softmax, ``attn @ v``) stays dense: q/k/v are scattered into the usual
-``[n, L, heads, head_dim]`` layout with zeros on the skipped rows, and
-the packed rows are gathered back out of its result.  The pool adds
-each sample's kept rows, times their mask values, in row order.  Two
-row rules keep the BLAS call shapes of the taped forward:
+ufunc pass over those rows only.  The attention block (``q @ kᵀ``,
+softmax, ``attn @ v``) scores only the chunk's kept-row span
+(:class:`PackedRows`' ``span`` queries by ``key_width`` keys): q is
+scattered into ``[n, span, heads, head_dim]`` and k/v into
+``[n, key_width, heads, head_dim]``, zeros on the skipped rows, and the
+packed rows are gathered back out of its result.  The pool adds each
+sample's kept rows, times their mask values, in row order.  Two row
+rules keep the BLAS call shapes of the taped forward:
 
 1. A chunk with fewer than 2 kept rows runs all its rows: a 1-row GEMM
    falls to a gemv kernel with other accumulation bits.
@@ -31,11 +33,14 @@ row rules keep the BLAS call shapes of the taped forward:
 A sample with no kept row pools to zeros.
 
 **Bounded scratch.**  Every packed buffer is sized by the chunk
-capacity ``n * L`` and sliced to the kept-row count ``R``, so the
+capacity ``n * L`` and sliced to the kept-row count ``R``, and every
+span-trimmed attention buffer (softmax's row statistics and folds
+included) is a view of one sized by the full ``L x L`` block, so the
 arena holds one buffer per call site and chunk geometry whatever the
-masks are; keying a buffer by ``R`` would allocate one per distinct
-count.  Only a chunk's small index arrays (the kept-row ids and
-per-sample offsets) are allocated per call.
+masks are; keying a buffer by ``R`` or the span would allocate one per
+distinct value.  Only a chunk's small index arrays (the kept-row ids,
+their places in the trimmed layouts, per-sample offsets) are allocated
+per call.
 
 **Bit-identity with the taped path** is a hard contract
 (property-tested in ``tests/test_nn_functional.py`` and
@@ -47,8 +52,9 @@ contiguous and non-contiguous operands, so head splits are materialized
 contiguous exactly where the taped reshape does).  A forward GEMM over
 gathered rows reproduces the taped ``L``-row GEMM's rows bit for bit
 whenever it has at least 2 rows (checked on every weight shape of the
-repo's model configs), and a skipped key gets softmax weight exactly 0
-on both paths.  The only other deviations are ``out=`` targets and
+repo's model configs), a skipped key gets softmax weight exactly 0
+on both paths, and both paths trim the attention block to the same
+span and width.  The only other deviations are ``out=`` targets and
 algebraically-identity rewrites verified bit-exact on float32
 (``np.maximum(x, 0)`` for ``np.where(x > 0, x, 0)``, commuted addition,
 adding a sample's kept rows without the ``±0`` of its skipped ones).
@@ -70,17 +76,26 @@ _F32_ZERO = np.float32(0.0)
 #: ``repro.nn.attention`` (single source of the serving-path constant).
 MASK_PENALTY = np.float32(1e9)
 
+#: Sequences shorter than this have their attention block trimmed to the
+#: kept-row span (:class:`PackedRows`); longer ones keep the full block,
+#: whose GEMM bits the trimmed one does not reproduce on this BLAS.
+TRIM_BELOW_LENGTH = 32
+
 
 class ScratchArena:
     """A pool of preallocated float32 buffers keyed by (name, shape).
 
     ``take(name, shape)`` returns the pooled buffer for that key,
     allocating only on first use — callers with a fixed batch geometry
-    (the compiled inference plan, whose packed buffers are sized by the
-    chunk capacity: :meth:`PackedRows.take`) hit the pool on every call
-    after the first, whatever the masks.  Keys include the call-site name so two live buffers of equal
-    shape never alias.  Contents are undefined on ``take``; every kernel
-    fully overwrites what it takes.
+    (the compiled inference plan) hit the pool on every call after the
+    first.  A call site whose shape varies from call to call passes the
+    largest shape it will ask for as ``capacity``: the buffer is pooled
+    by that, and ``take`` returns a view of its first elements (packed
+    rows, :meth:`PackedRows.take`, and the span-trimmed attention
+    block), so the pool stays warm whatever the masks.  Keys include
+    the call-site name so two live buffers of equal shape never alias.
+    Contents are undefined on ``take``; every kernel fully overwrites
+    what it takes.
 
     ``hits`` / ``misses`` count pool probes and back the no-allocation
     acceptance test: a steady-state ``predict`` call must be all hits.
@@ -91,16 +106,20 @@ class ScratchArena:
         self.hits = 0
         self.misses = 0
 
-    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        key = (name, shape)
+    def take(self, name: str, shape: tuple[int, ...],
+             capacity: tuple[int, ...] | None = None) -> np.ndarray:
+        pooled = shape if capacity is None else capacity
+        key = (name, pooled)
         buf = self._buffers.get(key)
         if buf is None:
             self.misses += 1
-            buf = np.empty(shape, dtype=np.float32)
+            buf = np.empty(pooled, dtype=np.float32)
             self._buffers[key] = buf
         else:
             self.hits += 1
-        return buf
+        if capacity is None:
+            return buf
+        return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
 
     def reset_counters(self) -> None:
         self.hits = 0
@@ -129,8 +148,9 @@ def additive_mask_bias(mask: np.ndarray, out: np.ndarray | None = None) -> np.nd
 
     The one home of the mask -> float conversion shared by the taped
     attention forward and the tape-free ``predict`` plan: 0.0 on real
-    rows, ``-MASK_PENALTY`` on padding, broadcastable over the
-    ``[N, heads, L, L]`` score block.
+    rows, ``-MASK_PENALTY`` on padding; cut to a key width
+    (``bias[..., :key_width]``) it broadcasts over the span-trimmed
+    ``[N, heads, span, key_width]`` score block.
     """
     mask = np.asarray(mask, dtype=np.float32)
     n, length = mask.shape
@@ -179,9 +199,30 @@ class PackedRows:
       arrays, ``blocks`` being ``(ceil(R / L), L)``: the rows zero-padded
       to whole ``L``-row blocks, so every taped GEMM is the batched
       ``[L, K] @ [K, E]`` call the dense layout makes.
+
+    Both paths' attention scores only the kept-row span.  ``span`` is 1 +
+    the last position of a packed row over all samples: every query past
+    it is a skipped row, whose output nobody reads.  ``key_width``, the
+    key count, is the smallest multiple of 8 that is >= ``span`` and
+    <= ``L - L % 8``, or ``L`` if there is none: the keys in
+    ``span..key_width`` are skipped rows, zeros given exactly zero softmax
+    weight, and numpy's float32 last-axis sum adds a row in 8 pairwise
+    accumulators and then its remainder in order, so a row whose columns
+    past ``span`` are zero sums to the same bits at such a width as at
+    ``L`` (other widths do not: at ``L == 25`` widths 9-15 and 17-23
+    change bits).  The GEMMs either side gain or lose only zero terms
+    and rows, which keeps their bits below :data:`TRIM_BELOW_LENGTH`
+    positions only: from ``L == 32`` this BLAS rounds some of the
+    block's GEMMs differently at the full depth than at the trimmed one
+    (measured against the full block: head_dim 4 and 8 from ``L == 32``,
+    head_dim 32 from ``L == 40``), so a longer sequence is not trimmed
+    (``span == key_width == L``).  ``query_index`` and ``key_index``
+    place the packed rows in the ``[n, span]`` query and
+    ``[n, key_width]`` key/value layouts.
     """
 
-    __slots__ = ("n", "length", "mask", "index", "bounds", "lead", "blocks", "weight")
+    __slots__ = ("n", "length", "mask", "index", "bounds", "lead", "blocks", "weight",
+                 "span", "key_width", "query_index", "key_index")
 
     def __init__(self, mask: np.ndarray):
         n, length = mask.shape
@@ -197,28 +238,32 @@ class PackedRows:
         self.lead = (kept, 1) if length == 1 else (kept,)
         self.blocks = (-(-kept // length), length)
         self.weight = flat[self.index]
+        sample, position = np.divmod(self.index, length)
+        self.span = self.key_width = length
+        if kept and length < TRIM_BELOW_LENGTH:
+            self.span = int(position.max()) + 1
+            width = -(-self.span // 8) * 8
+            self.key_width = width if width <= length - length % 8 else length
+        self.query_index = sample * self.span + position
+        self.key_index = sample * self.key_width + position
 
     def take(self, arena: ScratchArena, name: str, width: int) -> np.ndarray:
         """Packed scratch, ``width`` columns a row: a view of the first
         ``R`` rows of a buffer sized by the chunk capacity ``n * L``."""
-        buf = arena.take(name, (self.n * self.length, width))
-        return buf[:self.index.shape[0]].reshape(self.lead + (width,))
+        return arena.take(name, self.lead + (width,),
+                          capacity=(self.n * self.length, width))
 
-    def gather(self, arena: ScratchArena, name: str, x: np.ndarray) -> np.ndarray:
-        """The kept rows of a dense ``[n, L, width]`` array, packed."""
+    def gather(self, arena: ScratchArena, name: str, x: np.ndarray,
+               index: np.ndarray | None = None) -> np.ndarray:
+        """Rows ``index`` (default: the kept rows) of a dense
+        ``[..., width]`` array, packed."""
         width = x.shape[-1]
         out = self.take(arena, name, width)
         # mode="clip" writes straight into ``out`` (the default "raise"
         # buffers); the index never leaves the array.
-        np.take(x.reshape(-1, width), self.index, axis=0,
+        np.take(x.reshape(-1, width), self.index if index is None else index, axis=0,
                 out=out.reshape(-1, width), mode="clip")
         return out
-
-    def scatter(self, packed: np.ndarray, dense: np.ndarray) -> None:
-        """Packed ``[R, width]`` rows into a dense ``[n * L, width]``
-        array, zeros on the skipped rows."""
-        dense.fill(_F32_ZERO)
-        dense[self.index] = packed
 
 
 # -- fused layer kernels -------------------------------------------------
@@ -275,34 +320,50 @@ def layer_norm(arena: ScratchArena, name: str, x: np.ndarray,
 
 
 def _pairwise_rowmax(v: np.ndarray, arena: ScratchArena, name: str,
-                     out: np.ndarray) -> None:
-    """Row max of ``v [M, L]`` into ``out [M, 1]`` by pairwise halving.
+                     out: np.ndarray, capacity: tuple[int, int] | None = None) -> None:
+    """Row max of ``v [M, W]`` into ``out [M, 1]`` by pairwise halving.
 
     ``np.amax`` over a short last axis runs a scalar inner loop; folding
     column halves with ``np.maximum`` keeps the work in wide SIMD ops
     (~1.6x faster at L=25).  Max is associative and commutative with no
     rounding, so any combination tree is bit-identical to the sequential
     scan — and a ±0.0 sign disagreement cannot survive the subsequent
-    ``exp`` (both shifts produce exactly 1.0).
+    ``exp`` (both shifts produce exactly 1.0).  The halves fold through
+    two scratch buffers in turn, sized by ``capacity`` (the largest
+    ``[M, W]`` the call site sees; default ``v``'s shape).
     """
-    m = v
+    rows, _ = v.shape
+    cap_rows, cap_width = v.shape if capacity is None else capacity
+    folds = ((f"{name}.fold_a", (cap_rows, cap_width // 2)),
+             (f"{name}.fold_b", (cap_rows, cap_width // 4)))
+    m, level = v, 0
     while m.shape[1] > 1:
         half = m.shape[1] // 2
-        nm = out if half == 1 else arena.take(f"{name}.fold{half}", (v.shape[0], half))
+        if half == 1:
+            nm = out
+        else:
+            fold, cap = folds[level % 2]
+            nm = arena.take(fold, (rows, half), capacity=cap)
         np.maximum(m[:, :half], m[:, half:2 * half], out=nm)
         if m.shape[1] % 2:
             np.maximum(nm[:, 0], m[:, -1], out=nm[:, 0])
-        m = nm
-    if m is v:  # L == 1
+        m, level = nm, level + 1
+    if m is v:  # W == 1
         np.copyto(out, v)
 
 
-def softmax_(x: np.ndarray, arena: ScratchArena, name: str) -> np.ndarray:
+def softmax_(x: np.ndarray, arena: ScratchArena, name: str,
+             capacity: tuple[int, int] | None = None) -> np.ndarray:
     """In-place last-axis max-shifted softmax; matches ``tensor.softmax``
-    bit for bit (the shift is the same detached constant)."""
-    length = x.shape[-1]
-    stat = arena.take(f"{name}.stat", x.shape[:-1] + (1,))
-    _pairwise_rowmax(x.reshape(-1, length), arena, name, stat.reshape(-1, 1))
+    bit for bit (the shift is the same detached constant).  ``capacity``
+    is the largest ``[rows, width]`` the call site sees (default ``x``'s
+    own), which sizes the row statistics and folds."""
+    width = x.shape[-1]
+    rows = x.size // width
+    cap_rows, cap_width = (rows, width) if capacity is None else capacity
+    stat = arena.take(f"{name}.stat", (rows, 1), capacity=(cap_rows, 1))
+    _pairwise_rowmax(x.reshape(rows, width), arena, name, stat, (cap_rows, cap_width))
+    stat = stat.reshape(x.shape[:-1] + (1,))
     np.subtract(x, stat, out=x)
     np.exp(x, out=x)
     np.sum(x, axis=-1, keepdims=True, out=stat)
@@ -313,26 +374,27 @@ def softmax_(x: np.ndarray, arena: ScratchArena, name: str) -> np.ndarray:
 def attention(arena: ScratchArena, name: str, x: np.ndarray,
               qkv_weight: np.ndarray, qkv_bias: np.ndarray,
               out_weight: np.ndarray, out_bias: np.ndarray,
-              n_heads: int, rows: PackedRows,
-              mask_bias: np.ndarray | None = None) -> np.ndarray:
+              n_heads: int, rows: PackedRows, mask_bias: np.ndarray) -> np.ndarray:
     """Fused multi-head self-attention over packed rows, bit-identical
     on them to ``MultiHeadSelfAttention.forward``.
 
     The q/k/v projections run as one stacked GEMM over the packed rows
     against the ``[D, 3D]`` ``qkv_weight`` (verified bit-identical per
-    column block to three separate GEMMs on this BLAS).  The ``L x L``
-    block stays dense: q/k/v are scattered into contiguous
-    ``[n, L, H, hd]`` scratch — the layout the taped ``reshape``
-    produces, because matmul bits depend on operand layout — with zeros
-    on the skipped rows, whose keys the additive ``mask_bias``
-    (``MaskBiasCache``) gives exactly zero weight.  The softmax runs in
-    place on the score block, and the output projection runs over the
-    packed rows gathered back out of the mixed heads.
+    column block to three separate GEMMs on this BLAS).  The score block
+    covers only the kept-row span (:class:`PackedRows`): q is scattered
+    into ``[n, span, H, hd]`` and k/v into ``[n, key_width, H, hd]`` scratch
+    — the contiguous layout the taped ``reshape`` produces, because
+    matmul bits depend on operand layout — with zeros on the skipped
+    rows, whose keys the ``[n, 1, 1, L]`` additive ``mask_bias``
+    (``MaskBiasCache``), cut to ``key_width`` columns, gives exactly zero
+    weight.  The softmax runs in place on the ``[n, H, span, key_width]``
+    scores, and the output projection runs over the packed rows gathered
+    back out of the mixed heads.
     """
     dim = x.shape[-1]
     if dim % n_heads:
         raise ValueError(f"dim {dim} is not divisible by n_heads {n_heads}")
-    n, length = rows.n, rows.length
+    n, length, span, key_width = rows.n, rows.length, rows.span, rows.key_width
     head_dim = dim // n_heads
     scale = np.float32(1.0 / math.sqrt(head_dim))
 
@@ -342,25 +404,29 @@ def attention(arena: ScratchArena, name: str, x: np.ndarray,
     qkv = qkv.reshape(-1, 3 * dim)
 
     heads = []
-    for i, part in enumerate(("q", "k", "v")):
-        h = arena.take(f"{name}.{part}", (n, length, n_heads, head_dim))
-        rows.scatter(qkv[:, i * dim:(i + 1) * dim], h.reshape(n * length, dim))
-        heads.append(h.transpose(0, 2, 1, 3))  # [N, H, L, hd] view
-    q, k, v = heads
+    for i, (part, size, index) in enumerate((("q", span, rows.query_index),
+                                             ("k", key_width, rows.key_index),
+                                             ("v", key_width, rows.key_index))):
+        h = arena.take(f"{name}.{part}", (n * size, dim), capacity=(n * length, dim))
+        h.fill(_F32_ZERO)
+        h[index] = qkv[:, i * dim:(i + 1) * dim]
+        heads.append(h.reshape(n, size, n_heads, head_dim).transpose(0, 2, 1, 3))
+    q, k, v = heads  # [n, H, size, hd] views
 
-    scores = arena.take(f"{name}.scores", (n, n_heads, length, length))
+    scores = arena.take(f"{name}.scores", (n, n_heads, span, key_width),
+                        capacity=(n, n_heads, length, length))
     np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
     scores *= scale
-    if mask_bias is not None:
-        scores += mask_bias
-    softmax_(scores, arena, f"{name}.softmax")
+    scores += mask_bias[..., :key_width]
+    softmax_(scores, arena, f"{name}.softmax", capacity=(n * n_heads * length, length))
 
-    mixed_h = arena.take(f"{name}.mixed_h", (n, n_heads, length, head_dim))
+    mixed_h = arena.take(f"{name}.mixed_h", (n, n_heads, span, head_dim),
+                         capacity=(n, n_heads, length, head_dim))
     np.matmul(scores, v, out=mixed_h)
-    # Back to [N, L, D] contiguous, as the taped transpose+reshape copies.
-    mixed = arena.take(f"{name}.mixed", (n, length, dim))
-    np.copyto(mixed.reshape(n, length, n_heads, head_dim), mixed_h.transpose(0, 2, 1, 3))
-    packed = rows.gather(arena, f"{name}.mixed_rows", mixed)
+    # Back to [n, span, D] contiguous, as the taped transpose+reshape copies.
+    mixed = arena.take(f"{name}.mixed", (n, span, dim), capacity=(n, length, dim))
+    np.copyto(mixed.reshape(n, span, n_heads, head_dim), mixed_h.transpose(0, 2, 1, 3))
+    packed = rows.gather(arena, f"{name}.mixed_rows", mixed, rows.query_index)
     return linear(arena, f"{name}.out", packed, out_weight, out_bias, rows=rows)
 
 

@@ -9,12 +9,31 @@ layers register state just by assigning ``self.weight = Parameter(...)``
 
 from __future__ import annotations
 
+import zipfile
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from repro.nn.tensor import Tensor, TensorLike
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file is not a readable ``.npz`` archive."""
+
+
+def read_archive(path: Path) -> dict[str, np.ndarray]:
+    """Every array of the ``.npz`` archive at ``path``, read in full.
+
+    A file that is not a readable archive (truncated, corrupted, not an
+    archive) raises :class:`CheckpointError` naming it, so a bad file
+    fails before anything validates or assigns its contents.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            return {key: archive[key] for key in archive.files}
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
 
 
 class Parameter(Tensor):
@@ -131,10 +150,11 @@ class Module:
         """Restore a state dict written by :meth:`save`; returns ``self``.
 
         Validates names and shapes through ``load_state_dict``, so an
-        architecture mismatch fails loudly instead of mis-assigning.
+        architecture mismatch fails loudly instead of mis-assigning; a
+        file that is not a readable archive raises
+        :class:`CheckpointError` naming it.
         """
-        with np.load(Path(path)) as archive:
-            self.load_state_dict({name: archive[name] for name in archive.files})
+        self.load_state_dict(read_archive(Path(path)))
         return self
 
 
@@ -150,4 +170,4 @@ class Sequential(Module):
         return x
 
 
-__all__ = ["Module", "Parameter", "Sequential"]
+__all__ = ["CheckpointError", "Module", "Parameter", "Sequential", "read_archive"]

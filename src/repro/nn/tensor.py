@@ -32,9 +32,10 @@ The backward pass does only the work somebody reads:
 **Packed rows.**  The TLP trunk (``TLPModel.pool_features``) computes
 only the rows whose mask is non-zero.  :func:`gather_rows` packs them,
 in row order, into whole ``L``-row blocks, ``[ceil(R / L), L, width]``
-zero-padded; :func:`scatter_rows` puts packed rows back into the dense
-``[n, L, width]`` layout for attention's ``L x L`` block; and
-:func:`segment_sum` pools each sample's rows.  Two rules keep every bit
+zero-padded; :func:`scatter_rows` puts packed rows into attention's
+span-trimmed ``[n, span, width]`` and ``[n, key width, width]`` layouts
+(:class:`repro.nn.functional.PackedRows`); and :func:`segment_sum`
+pools each sample's rows.  Two rules keep every bit
 of the dense trunk, measured with this BLAS (scipy-openblas, one
 thread):
 
@@ -564,7 +565,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def gather_rows(x: Tensor, index: np.ndarray, lead: tuple[int, ...]) -> Tensor:
     """Rows ``index`` of ``x`` (read as ``[-1, width]``), in order, into
     the first rows of a zero ``lead + (width,)`` tensor — packing a
-    dense ``[n, L, width]`` block into packed rows.  The backward scatters
+    ``[n, size, width]`` block into packed rows.  The backward scatters
     the gradient of those rows back to their places; the rest get 0."""
 
     def backward(g: np.ndarray) -> None:
@@ -576,7 +577,7 @@ def gather_rows(x: Tensor, index: np.ndarray, lead: tuple[int, ...]) -> Tensor:
 def scatter_rows(x: Tensor, index: np.ndarray, lead: tuple[int, ...]) -> Tensor:
     """The first ``len(index)`` rows of ``x`` (read as ``[-1, width]``)
     into rows ``index`` of a zero ``lead + (width,)`` tensor — unpacking
-    packed rows into a dense ``[n, L, width]`` block; the inverse of
+    packed rows into an ``[n, size, width]`` block; the inverse of
     :func:`gather_rows`, which is also its backward."""
 
     def backward(g: np.ndarray) -> None:

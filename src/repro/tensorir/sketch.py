@@ -86,8 +86,9 @@ class SketchGenerator:
         and it must then run ``repro.analysis.absint.profile`` on each one
         and treat an ``AbsIntError`` as fatal: the verifier is the same
         interpreter in collect mode, so that pass is the same gate.
-        The dataset build (``repro.dataset.pipeline``) is that caller;
-        everything else keeps the default.
+        The dataset build (``repro.dataset.pipeline``) and the drafted
+        ``CandidateScorer.propose_topk`` (``absint.draft_scores``) are
+        those callers; everything else keeps the default.
         """
         # Imported lazily: repro.analysis imports repro.tensorir submodules,
         # so a module-level import here would be circular during package init.

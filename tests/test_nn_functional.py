@@ -210,7 +210,8 @@ def test_attention_kernel_rejects_bad_heads():
     rows = F.PackedRows(np.ones((1, 2), dtype=np.float32))
     with pytest.raises(ValueError):
         F.attention(ScratchArena(), "bad", _x(2, 6), _x(6, 18), _x(18),
-                    _x(6, 6), _x(6), n_heads=4, rows=rows)
+                    _x(6, 6), _x(6), n_heads=4, rows=rows,
+                    mask_bias=F.additive_mask_bias(rows.mask))
 
 
 def test_masked_sum_pool_matches_taped_pool():
@@ -248,6 +249,48 @@ def test_packed_rows_row_rules():
     assert rows.bounds == [0, 4, 6, 6] and rows.blocks == (2, 4)
     buf = rows.take(arena, "buf", 5)
     assert buf.shape == (6, 5) and buf.base.shape == (12, 5)
+
+
+def test_packed_rows_span_and_key_width():
+    """The attention block's span and key width, and the packed rows'
+    places in the trimmed query and key layouts."""
+    mask = np.zeros((3, 25), dtype=np.float32)
+    mask[0, :4] = mask[1, [0, 2, 10]] = mask[2, :2] = 1.0
+    rows = F.PackedRows(mask)
+    assert (rows.span, rows.key_width) == (11, 16)
+    sample, position = np.divmod(rows.index, 25)
+    assert np.array_equal(rows.query_index, sample * 11 + position)
+    assert np.array_equal(rows.key_index, sample * 16 + position)
+    # Row rule 1 keeps every row, so nothing is trimmed; nor is a
+    # sequence of TRIM_BELOW_LENGTH positions or more.
+    one = np.zeros((3, 25), dtype=np.float32)
+    one[1, 2] = 1.0
+    assert (F.PackedRows(one).span, F.PackedRows(one).key_width) == (25, 25)
+    long = np.zeros((2, F.TRIM_BELOW_LENGTH), dtype=np.float32)
+    long[:, :3] = 1.0
+    rows = F.PackedRows(long)
+    assert rows.span == rows.key_width == F.TRIM_BELOW_LENGTH
+    assert np.array_equal(rows.query_index, rows.index)
+
+
+def test_key_width_keeps_the_last_axis_sum_bits():
+    """For every L <= 40 and span <= L, the float32 last-axis sum of a
+    row whose columns past the span are zero has the same bytes at the
+    chosen key width as at L — the reduction the softmax (and its
+    backward) runs over the trimmed block.  A numpy that changes its
+    reduction order fails here rather than as a digest drift."""
+    rng = stream("test.nn.functional.width")
+    for length in range(1, 41):
+        for span in range(1, length + 1):
+            mask = (np.arange(length) < np.array([[span], [1]])).astype(np.float32)
+            width = F.PackedRows(mask).key_width
+            assert span <= width <= length
+            full = np.zeros((256, length), dtype=np.float32)
+            full[:, :span] = rng.random((256, span), dtype=np.float32)
+            full[:, :span] *= np.float32(10.0) ** rng.integers(-4, 5, (256, span))
+            trimmed = np.ascontiguousarray(full[:, :width])
+            assert (np.sum(trimmed, axis=-1, keepdims=True).tobytes()
+                    == np.sum(full, axis=-1, keepdims=True).tobytes()), (length, span, width)
 
 
 # -- warm kernels allocate nothing -------------------------------------

@@ -1,9 +1,10 @@
 """The packed taped trunk against the dense trunk it replaced.
 
 ``TLPModel.pool_features`` computes only the rows whose mask is
-non-zero, packed into whole ``L``-row blocks.  :func:`dense_pool_features`
-is the dense body it replaced: every row of every sequence through every
-layer, padding zeroed at the pool.  A training step's scores, its
+non-zero, packed into whole ``L``-row blocks, and scores attention over
+the kept-row span only.  :func:`dense_pool_features` is the dense body
+it replaced: every row of every sequence through every layer, the whole
+``L x L`` attention block, padding zeroed at the pool.  A training step's scores, its
 lambda-rank loss and every parameter gradient must agree byte for byte,
 for the prefix masks the featurizer emits and for the edge cases it
 never emits.
@@ -71,17 +72,21 @@ _MODELS = [TLPModel(cfg) for cfg in _CONFIGS] + [
 _MASK_KINDS = ("bernoulli", "prefix", "one_row", "empty_sample", "none")
 
 
-def _mask(kind, n, length, density, rng):
+def _mask(kind, n, length, density, rng, span=None):
     """Bernoulli rows, the featurizer's prefix layout, a single kept row
     in the whole batch, Bernoulli rows with sample 0 empty, or no kept
-    row at all."""
+    row at all.  ``span`` makes the longest prefix sample (the first)
+    span exactly ``min(span, length)`` rows."""
     if kind in ("bernoulli", "empty_sample"):
         mask = (rng.random((n, length)) < density).astype(np.float32)
         if kind == "empty_sample":
             mask[0] = 0.0
         return mask
     if kind == "prefix":
-        kept = rng.integers(0, length + 1, size=n)
+        top = length if span is None else min(span, length)
+        kept = rng.integers(0, top + 1, size=n)
+        if span is not None:
+            kept[0] = top
         return (np.arange(length) < kept[:, None]).astype(np.float32)
     mask = np.zeros((n, length), dtype=np.float32)
     if kind == "one_row":
@@ -89,11 +94,11 @@ def _mask(kind, n, length, density, rng):
     return mask
 
 
-def _batch(model, n, length, kind, density, seed):
+def _batch(model, n, length, kind, density, seed, span=None):
     rng = stream(f"test.packed_trunk.batch.{seed}")
     emb = model.config.emb
     X = rng.standard_normal((n, length, emb)).astype(np.float32)
-    mask = _mask(kind, n, length, density, rng)
+    mask = _mask(kind, n, length, density, rng, span)
     labels = rng.uniform(0.1, 1.0, size=n).astype(np.float32)
     gids = np.sort(rng.integers(0, 3, size=n))
     pids = rng.integers(0, 3, size=n)
@@ -130,20 +135,42 @@ def _assert_same_bytes(packed, dense):
 @given(
     model_i=st.integers(0, len(_MODELS) - 1),
     n=st.integers(1, 6),
-    length=st.sampled_from((1, 2, 3, 7, 25)),
+    length=st.sampled_from((1, 2, 3, 7, 25, 33)),
     kind=st.sampled_from(_MASK_KINDS),
     density=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**16),
+    span=st.none() | st.integers(1, 25),
 )
-@example(model_i=4, n=4, length=25, kind="prefix", density=0.0, seed=0)
-@example(model_i=2, n=3, length=7, kind="one_row", density=0.0, seed=1)
-@example(model_i=0, n=4, length=3, kind="empty_sample", density=0.6, seed=2)
-@example(model_i=5, n=5, length=2, kind="none", density=0.0, seed=3)
-@example(model_i=1, n=6, length=1, kind="bernoulli", density=0.5, seed=4)
+@example(model_i=4, n=4, length=25, kind="prefix", density=0.0, seed=0, span=None)
+@example(model_i=2, n=3, length=7, kind="one_row", density=0.0, seed=1, span=None)
+@example(model_i=0, n=4, length=3, kind="empty_sample", density=0.6, seed=2, span=None)
+@example(model_i=5, n=5, length=2, kind="none", density=0.0, seed=3, span=None)
+@example(model_i=1, n=6, length=1, kind="bernoulli", density=0.5, seed=4, span=None)
+# The featurizer's L = 25 (Table 4) at spans on either side of each key
+# width of the trimmed attention block (PackedRows: 8, 16, 24, 25), at
+# smoke-train's hidden 48 and the default hidden 256.
+@example(model_i=2, n=4, length=25, kind="prefix", density=0.0, seed=7, span=7)
+@example(model_i=2, n=4, length=25, kind="prefix", density=0.0, seed=8, span=8)
+@example(model_i=2, n=4, length=25, kind="prefix", density=0.0, seed=9, span=9)
+@example(model_i=2, n=4, length=25, kind="prefix", density=0.0, seed=16, span=16)
+@example(model_i=2, n=4, length=25, kind="prefix", density=0.0, seed=17, span=17)
+@example(model_i=2, n=4, length=25, kind="prefix", density=0.0, seed=24, span=24)
+@example(model_i=2, n=4, length=25, kind="prefix", density=0.0, seed=25, span=25)
+@example(model_i=4, n=4, length=25, kind="prefix", density=0.0, seed=7, span=7)
+@example(model_i=4, n=4, length=25, kind="prefix", density=0.0, seed=8, span=8)
+@example(model_i=4, n=4, length=25, kind="prefix", density=0.0, seed=9, span=9)
+@example(model_i=4, n=4, length=25, kind="prefix", density=0.0, seed=16, span=16)
+@example(model_i=4, n=4, length=25, kind="prefix", density=0.0, seed=17, span=17)
+@example(model_i=4, n=4, length=25, kind="prefix", density=0.0, seed=24, span=24)
+@example(model_i=4, n=4, length=25, kind="prefix", density=0.0, seed=25, span=25)
+# From L = 32 the block keeps its full width (PackedRows); trimmed to the
+# span, these two batches round differently from the full block.
+@example(model_i=1, n=4, length=32, kind="prefix", density=0.0, seed=0, span=20)
+@example(model_i=4, n=4, length=48, kind="prefix", density=0.0, seed=0, span=20)
 def test_packed_trunk_bit_identical_to_dense_property(model_i, n, length, kind,
-                                                      density, seed):
+                                                      density, seed, span):
     model = _MODELS[model_i]
-    batch = _batch(model, n, length, kind, density, seed)
+    batch = _batch(model, n, length, kind, density, seed, span)
     packed = _step(model, *batch)
     with _dense(model):
         dense = _step(model, *batch)

@@ -9,11 +9,14 @@ The ISSUE 4 acceptance properties live here:
   config / batch shape / ``max_chunk`` / padding mask (chunk rows are
   independent), including the packed path's row rules: a chunk with
   fewer than 2 kept rows runs all its rows, ``L == 1`` keeps the taped
-  1-row GEMM shape, and a sample with no kept row pools to zeros;
+  1-row GEMM shape, and a sample with no kept row pools to zeros; and
+  the attention block trimmed to each chunk's kept-row span (L = 25
+  examples on either side of every key width);
 * steady-state ``predict`` allocates no large buffers — every scratch
-  probe hits the arena, for any mask at a warm geometry;
+  probe hits the arena, for any mask or span at a warm geometry;
 * ``Module.save`` / ``Module.load`` round-trips weights bit-exactly,
-  so a reloaded model predicts bit-identical scores.
+  so a reloaded model predicts bit-identical scores, and an unreadable
+  file raises ``CheckpointError`` naming it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro.nn as nn
-from repro.core import TLPModel, TLPModelConfig
+from repro.core import CheckpointError, TLPModel, TLPModelConfig
 from repro.nn import is_grad_enabled, no_grad
 from repro.utils.rng import stream
 
@@ -36,6 +39,10 @@ _CONFIGS = (
                    stream_name="test.predict.m1"),
     TLPModelConfig(emb=22, hidden=32, n_heads=2, n_res_blocks=2,
                    stream_name="test.predict.m2"),
+    # smoke-train's geometry and the default Fig. 7 one perfbench serves.
+    TLPModelConfig(emb=22, hidden=48, n_heads=4, n_res_blocks=2,
+                   stream_name="test.predict.m3"),
+    TLPModelConfig(emb=22, stream_name="test.predict.m4"),
 )
 _MODELS = {cfg: TLPModel(cfg).eval() for cfg in _CONFIGS}
 
@@ -121,15 +128,19 @@ def test_no_grad_forward_bit_identical_property(cfg, n, length):
 _MASK_KINDS = ("bernoulli", "prefix", "one_row", "none")
 
 
-def _mask(kind, n, length, density, seed):
+def _mask(kind, n, length, density, seed, span=None):
     """A padding mask: Bernoulli rows, TLPFeaturizer's prefix layout
     (real rows first, some samples with none), a single kept row in the
-    whole batch, or no kept row at all."""
+    whole batch, or no kept row at all.  ``span`` makes the longest
+    prefix sample (the first) span exactly ``min(span, length)`` rows."""
     rng = stream(f"test.predict.mask.{seed}")
     if kind == "bernoulli":
         return (rng.random((n, length)) < density).astype(np.float32)
     if kind == "prefix":
-        kept = rng.integers(0, length + 1, size=n)
+        top = length if span is None else min(span, length)
+        kept = rng.integers(0, top + 1, size=n)
+        if span is not None:
+            kept[0] = top
         return (np.arange(length) < kept[:, None]).astype(np.float32)
     mask = np.zeros((n, length), dtype=np.float32)
     if kind == "one_row":
@@ -146,18 +157,49 @@ def _mask(kind, n, length, density, seed):
     kind=st.sampled_from(_MASK_KINDS),
     density=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**16),
+    span=st.none() | st.integers(1, 7),
 )
 @example(cfg=_CONFIGS[0], n=2, length=1, max_chunk=4, kind="bernoulli",
-         density=1.0, seed=0)
+         density=1.0, seed=0, span=None)
 @example(cfg=_CONFIGS[0], n=3, length=4, max_chunk=2, kind="one_row",
-         density=0.0, seed=0)
+         density=0.0, seed=0, span=None)
 @example(cfg=_CONFIGS[1], n=6, length=5, max_chunk=4, kind="prefix",
-         density=0.0, seed=3)
+         density=0.0, seed=3, span=None)
+# The featurizer's L = 25 (Table 4) at spans on either side of each key
+# width (PackedRows: 8, 16, 24, 25), the second chunk spanning less.
+@example(cfg=_CONFIGS[3], n=6, length=25, max_chunk=4, kind="prefix",
+         density=0.0, seed=7, span=7)
+@example(cfg=_CONFIGS[3], n=6, length=25, max_chunk=4, kind="prefix",
+         density=0.0, seed=8, span=8)
+@example(cfg=_CONFIGS[3], n=6, length=25, max_chunk=4, kind="prefix",
+         density=0.0, seed=9, span=9)
+@example(cfg=_CONFIGS[3], n=6, length=25, max_chunk=4, kind="prefix",
+         density=0.0, seed=16, span=16)
+@example(cfg=_CONFIGS[3], n=6, length=25, max_chunk=4, kind="prefix",
+         density=0.0, seed=17, span=17)
+@example(cfg=_CONFIGS[3], n=6, length=25, max_chunk=4, kind="prefix",
+         density=0.0, seed=24, span=24)
+@example(cfg=_CONFIGS[3], n=6, length=25, max_chunk=4, kind="prefix",
+         density=0.0, seed=25, span=25)
+@example(cfg=_CONFIGS[4], n=6, length=25, max_chunk=4, kind="prefix",
+         density=0.0, seed=7, span=7)
+@example(cfg=_CONFIGS[4], n=6, length=25, max_chunk=4, kind="prefix",
+         density=0.0, seed=8, span=8)
+@example(cfg=_CONFIGS[4], n=6, length=25, max_chunk=4, kind="prefix",
+         density=0.0, seed=9, span=9)
+@example(cfg=_CONFIGS[4], n=6, length=25, max_chunk=4, kind="prefix",
+         density=0.0, seed=16, span=16)
+@example(cfg=_CONFIGS[4], n=6, length=25, max_chunk=4, kind="prefix",
+         density=0.0, seed=17, span=17)
+@example(cfg=_CONFIGS[4], n=6, length=25, max_chunk=4, kind="prefix",
+         density=0.0, seed=24, span=24)
+@example(cfg=_CONFIGS[4], n=6, length=25, max_chunk=4, kind="prefix",
+         density=0.0, seed=25, span=25)
 def test_predict_bit_identical_property(cfg, n, length, max_chunk, kind,
-                                        density, seed):
+                                        density, seed, span):
     model = _MODELS[cfg]
     X, _ = _batch(cfg, n, length)
-    mask = _mask(kind, n, length, density, seed)
+    mask = _mask(kind, n, length, density, seed, span)
     taped = model(X, mask).data
     fast = model.predict(X, mask, max_chunk=max_chunk)
     assert fast.dtype == np.float32 and fast.shape == (n,)
@@ -258,6 +300,19 @@ def test_predict_scratch_is_sized_by_chunk_capacity():
         info = model.scratch_info()
         assert info["misses"] == 0 and info["nbytes"] == nbytes, (kind, info)
         assert np.array_equal(fast, model(X, mask).data)
+    # At L = 25 the attention block is trimmed to each chunk's span and
+    # key width; its buffers are views of ones sized by the full block.
+    X, _ = _batch(cfg, 24, 25)
+    model.predict(X, _mask("prefix", 24, 25, 0.0, 1, span=3), max_chunk=8)
+    nbytes = model.scratch_info()["nbytes"]
+    for kind, span in (("prefix", 8), ("prefix", 9), ("prefix", 17), ("prefix", 25),
+                       ("prefix", 12), ("bernoulli", None), ("one_row", None)):
+        mask = _mask(kind, 24, 25, 0.3, span or 3, span)
+        model._arena.reset_counters()
+        fast = model.predict(X, mask, max_chunk=8)
+        info = model.scratch_info()
+        assert info["misses"] == 0 and info["nbytes"] == nbytes, (kind, span, info)
+        assert np.array_equal(fast, model(X, mask).data)
 
 
 def test_predict_geometry_validation():
@@ -303,3 +358,20 @@ def test_load_rejects_architecture_mismatch(tmp_path):
     path = TLPModel(_CONFIGS[0]).save(tmp_path / "small.npz")
     with pytest.raises(ValueError):
         TLPModel(_CONFIGS[1]).load(path)
+
+
+def test_load_names_an_unreadable_file(tmp_path):
+    """A truncated archive raises the CheckpointError that
+    ``Trainer.load_checkpoint`` raises, naming the file, and leaves the
+    weights as they were."""
+    assert nn.CheckpointError is CheckpointError
+    model = TLPModel(_CONFIGS[0])
+    before = model.state_dict()
+    blob = model.save(tmp_path / "ok.npz").read_bytes()
+    for cut in (len(blob) // 2, 10, 0):
+        truncated = tmp_path / f"truncated-{cut}.npz"
+        truncated.write_bytes(blob[:cut])
+        with pytest.raises(CheckpointError, match=f"truncated-{cut}.npz"):
+            model.load(truncated)
+    for name, p in model.named_parameters():
+        assert np.array_equal(p.data, before[name])

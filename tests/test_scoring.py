@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from corruptions import zero_split_factor
+from repro.analysis.absint import AbsIntError
 from repro.core import (
     CandidateScorer,
     PostprocessConfig,
@@ -24,7 +25,7 @@ from repro.core import (
     TLPModel,
     TLPModelConfig,
 )
-from repro.tensorir import SketchConfig, SketchGenerator, matmul_subgraph
+from repro.tensorir import Schedule, SketchConfig, SketchGenerator, matmul_subgraph
 from repro.utils.rng import stream
 
 _N = 24
@@ -196,6 +197,42 @@ def test_draft_keep_never_shrinks_below_k(scorer, subgraph):
                                  draft_keep=0.01)
     assert top.n_predicted == 5  # max(ceil(0.01*6), min(k, n)) = k
     assert len(top.indices) == 5
+
+
+def test_draft_path_fails_closed_on_an_invalid_candidate(scorer, subgraph):
+    """The drafted path skips the generator's verifier pass; the draft's
+    raise-mode interpretation is the gate, before anything is scored."""
+
+    class CorruptingGenerator:
+        def __init__(self, inner):
+            self.inner = inner
+            self.config = inner.config
+            self.verify_args = []
+
+        def generate_many(self, subgraph, n, rng, *, verify=True):
+            self.verify_args.append(verify)
+            schedules = self.inner.generate_many(subgraph, n, rng, verify=verify)
+            bad = zero_split_factor(schedules[1])
+            assert bad is not None
+            schedules[1] = Schedule(subgraph, bad, target=schedules[1].target)
+            return schedules
+
+    class CountingModel:
+        def __init__(self, model):
+            self.calls = 0
+            self.model = model
+
+        def predict(self, *args, **kwargs):
+            self.calls += 1
+            return self.model.predict(*args, **kwargs)
+
+    gen = CorruptingGenerator(scorer.generator)
+    model = CountingModel(scorer.model)
+    drafted = CandidateScorer(model, scorer.featurizer, gen)
+    with pytest.raises(AbsIntError):
+        drafted.propose_topk(subgraph, n=8, k=3, rng=stream("test.scoring.draft.gate"),
+                             draft_keep=0.5)
+    assert gen.verify_args == [False] and model.calls == 0
 
 
 def test_draft_keep_validation(scorer, subgraph):
