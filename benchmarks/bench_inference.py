@@ -3,8 +3,9 @@
 The claims, measured on a 1,024-schedule featurized batch of sampled
 matmul schedules (the batch geometry one evolutionary round scores):
 
-* tape-free ``TLPModel.predict`` is >= 3x faster than the taped
-  autograd ``forward`` — and bit-identical to it;
+* tape-free ``TLPModel.predict`` is faster than the taped ``forward``
+  (~2.2x with one BLAS thread: the same layer kernels, without fresh
+  arrays or the tape) — and bit-identical to it;
 * steady-state ``predict`` allocates no large buffers (every scratch
   probe hits the arena);
 * the end-to-end ``CandidateScorer`` loop (verify -> featurize ->

@@ -21,12 +21,18 @@ are built in one place.  It returns every field of the one schema but
 
 Ratios are not stored: compute them from ``stages``.  A scenario's
 checks are asserts, so a failing check writes no file.
+
+BLAS runs on one thread, as in ``perfbench/run.py``: ``main`` sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
+to 1 before the first scenario module imports numpy, so every timing is
+of one core and a cold call does not pay for starting a thread pool.
 """
 
 from __future__ import annotations
 
 import importlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -44,6 +50,7 @@ SCENARIOS = {
     "training": "bench_training",
 }
 FIELDS = ("scenario", "config", "throughput", "stages", "counters", "digest")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def bench_path(name: str) -> Path:
@@ -67,6 +74,8 @@ def run(name: str) -> dict:
 
 
 def main(names: list[str]) -> int:
+    for var in BLAS_THREAD_VARS:  # before any scenario module imports numpy
+        os.environ[var] = "1"
     unknown = [name for name in names if name not in SCENARIOS]
     if unknown:
         print(f"unknown scenario {unknown[0]!r}; the scenarios are: {', '.join(SCENARIOS)}",

@@ -94,7 +94,9 @@ class MTLTLPModel(Module):
         skipped entirely — their parameters see no forward compute and
         accumulate no grad, so the optimizer leaves them untouched.
         """
-        pooled = self.trunk.pool_features(X, mask)
+        return self._score(self.trunk.pool_features(X, mask), platform_ids)
+
+    def _score(self, pooled: Tensor, platform_ids: np.ndarray) -> Tensor:
         n = int(pooled.shape[0])
         pids = self._check_pids(platform_ids, n)
         scores: Tensor | None = None
@@ -114,14 +116,14 @@ class MTLTLPModel(Module):
         mask: np.ndarray,
         platform_ids: np.ndarray,
     ) -> np.ndarray:
-        """Tape-free masked scores (eval semantics, no autograd graph)."""
-        was_training = self.training
-        self.eval()  # dropout (if configured) must be identity here
-        try:
-            with no_grad():
-                return np.array(self.forward(X, mask, platform_ids).data, copy=True)
-        finally:
-            self.train(was_training)
+        """Tape-free masked scores, bit-identical to eval-mode
+        :meth:`forward`: the trunk's chunked no-grad pass
+        (``TLPModel.pool_chunks``), then the heads once over the whole
+        batch, in head order.  Dropout is skipped; the training flag is
+        left alone."""
+        pooled = self.trunk.pool_chunks(X, mask)
+        with no_grad():
+            return self._score(Tensor(pooled), platform_ids).data.copy()
 
 
 __all__ = ["MTLTLPModel"]

@@ -54,7 +54,7 @@ from repro.dataset.reader import ShardReader
 from repro.nn import functional as F
 from repro.nn.data import GroupedBatchLoader
 from repro.nn.losses import lambda_rank_loss_grouped
-from repro.nn.module import read_archive
+from repro.nn.module import read_archive, write_archive
 from repro.nn.optim import Adam, CosineLR
 from repro.utils.rng import stream
 
@@ -405,11 +405,7 @@ class Trainer:
             sort_keys=True,
         )
         state["meta"] = np.asarray(meta)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **state)
-        tmp.replace(path)  # atomic: a killed save never truncates the last good one
-        return path
+        return write_archive(path, state)  # atomic: never truncates the last good one
 
     def load_checkpoint(self, path: "Path | str") -> None:
         """Restore a :meth:`save_checkpoint` snapshot into this trainer.

@@ -13,7 +13,7 @@ from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.data import ArraySource, BatchLoader, GroupedBatchLoader, RecordSource
 from repro.nn.functional import MaskBiasCache, ScratchArena
 from repro.nn.gradcheck import assert_gradients_match, max_relative_error, numerical_gradient
-from repro.nn.layers import Dropout, LayerNorm, Linear, ReLU, ResidualBlock
+from repro.nn.layers import Dropout, LayerNorm, Linear, ResidualBlock
 from repro.nn.losses import (
     LambdaRankLoss,
     MSELoss,
@@ -21,9 +21,9 @@ from repro.nn.losses import (
     lambda_rank_loss_grouped,
     mse_loss,
 )
-from repro.nn.module import CheckpointError, Module, Parameter, Sequential
+from repro.nn.module import CheckpointError, Module, Parameter
 from repro.nn.optim import SGD, Adam, CosineLR, Optimizer, StepLR
-from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled, no_grad, softmax
+from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled, no_grad
 
 __all__ = [
     "Adam",
@@ -43,11 +43,9 @@ __all__ = [
     "Optimizer",
     "Parameter",
     "RecordSource",
-    "ReLU",
     "ResidualBlock",
     "SGD",
     "ScratchArena",
-    "Sequential",
     "StepLR",
     "Tensor",
     "as_tensor",
@@ -60,5 +58,4 @@ __all__ = [
     "mse_loss",
     "no_grad",
     "numerical_gradient",
-    "softmax",
 ]

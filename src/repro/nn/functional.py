@@ -1,79 +1,79 @@
-"""Tape-free packed inference kernels over raw float32 ndarrays.
+"""The layer kernels: one forward per layer, and its backward beside it.
 
-The taped ops in :mod:`repro.nn.tensor` allocate a fresh array per
-operation and keep every intermediate alive for a backward pass that
-pure scoring never runs.  The kernels here are the inference
-counterparts: each one fuses a whole layer into a handful of in-place
-ufunc calls writing into preallocated :class:`ScratchArena` buffers, so
-steady-state inference performs zero large allocations.
+Every layer of the Fig. 7 trunk — ``Linear`` (with and without ReLU),
+``LayerNorm``, ``ResidualBlock``, ``MultiHeadSelfAttention`` and the
+masked pool — has one forward, the packed kernel here, which training
+and ``TLPModel.predict`` both run.  A kernel reads raw float32 ndarrays
+and writes into what its scratch hands out: ``predict`` passes the
+model's persistent :class:`ScratchArena` (pooled buffers, inputs
+consumed in place where nobody reads them again, so a warm call
+allocates no large buffer); every other call passes a fresh
+:class:`TapeScratch`, exact-shape arrays the layer's tape node owns and
+its backward reads back by name.  With grad enabled a layer records one
+tape node (:func:`repro.nn.tensor.track_layer`) whose backward is the
+``*_backward`` kernel beside its forward.
 
 **Which rows are computed.**  A padding row (mask 0) changes no score:
-with a 0/1 padding mask (what ``TLPFeaturizer.transform`` emits) the
-masked softmax gives its key exactly zero weight next to any real key,
-and the masked pool drops its output.  :class:`PackedRows` therefore
-gathers the rows
-of a ``[n, L]`` chunk whose mask is non-zero once, and every row-wise
-layer (linear, the stacked q/k/v projection, the output projection,
-the residual join, LayerNorm, the residual blocks) runs as one GEMM or
-ufunc pass over those rows only.  The attention block (``q @ kᵀ``,
-softmax, ``attn @ v``) scores only the chunk's kept-row span
-(:class:`PackedRows`' ``span`` queries by ``key_width`` keys): q is
-scattered into ``[n, span, heads, head_dim]`` and k/v into
-``[n, key_width, heads, head_dim]``, zeros on the skipped rows, and the
-packed rows are gathered back out of its result.  The pool adds each
-sample's kept rows, times their mask values, in row order.  Two row
-rules keep the BLAS call shapes of the taped forward:
+the masked softmax gives its key exactly zero weight next to any real
+key, and the masked pool drops its output.  :class:`PackedRows` gathers
+the rows of a ``[n, L]`` mask whose value is non-zero once, and every
+row-wise layer runs as one GEMM or ufunc pass over those ``R`` rows.
+The attention block (``q @ kᵀ``, softmax, ``attn @ v``) scores only the
+kept-row span, ``span`` queries by ``key_width`` keys, zeros on the
+skipped rows.  The pool adds each sample's kept rows, times their mask
+values, in row order; a sample with no kept row pools to zeros.  Two
+row rules keep the dense layout's BLAS call shapes: a mask with fewer
+than 2 kept rows runs all its rows (a 1-row GEMM falls to a gemv kernel
+with other accumulation bits), and at ``L == 1`` packed activations
+keep a ``[R, 1, width]`` shape, each row its own gemv.
 
-1. A chunk with fewer than 2 kept rows runs all its rows: a 1-row GEMM
-   falls to a gemv kernel with other accumulation bits.
-2. At ``L == 1`` the taped GEMMs (one per 1-row block) are themselves
-   1-row gemv calls, so packed activations keep a ``[R, 1, width]``
-   shape and each row stays its own gemv.
+**The backward rules.**  Every backward kernel runs the float32 ops of
+the layer's op-by-op chain (``x @ W + b``, the LayerNorm chain, the
+masked softmax, the dense pool), in tape order, on the rows it keeps;
+``tests/test_packed_trunk.py`` holds the trunk to that chain byte for
+byte.  Measured with this BLAS (scipy-openblas, one thread):
 
-A sample with no kept row pools to zeros.
+* Forward GEMMs run flat over the ``R`` packed rows: with at least 2
+  rows they give the dense per-sample GEMM's bytes on every weight
+  shape of the repo's model configs.
+* Input-gradient GEMMs run over the rows zero-padded into whole
+  ``L``-row blocks (``PackedRows.blocks``), the dense call shape; one
+  flat 2-D GEMM is not bit-equal (hidden 48: 0 of 10 trials).
+* Weight gradients add one ``x_sᵀ @ g_s`` GEMM per sample, in sample
+  order, skipping empty samples: the float32 sequence of the dense
+  ``(xᵀ @ g).sum(axis=0)``.  Pad and skipped rows carry zero gradients,
+  and a float32 sum starts from +0.0, so they change no sum.
+* q, k and v are three GEMMs, forward and backward.  The attention
+  input's gradient is the residual join's copy of the output gradient
+  plus the q, k and v input gradients, added in that order.
+* Subnormal gradients are flushed at the exp inside softmax and at both
+  operand gradients of ``q @ kᵀ`` and of ``attn @ v``
+  (:func:`repro.nn.tensor._flush_subnormals` says why).
+* A constant input (the feature block) gets no input-gradient GEMM.
+  Every gradient returned is a fresh C-contiguous float32 array.
 
-**Bounded scratch.**  Every packed buffer is sized by the chunk
-capacity ``n * L`` and sliced to the kept-row count ``R``, and every
-span-trimmed attention buffer (softmax's row statistics and folds
-included) is a view of one sized by the full ``L x L`` block, so the
-arena holds one buffer per call site and chunk geometry whatever the
-masks are; keying a buffer by ``R`` or the span would allocate one per
-distinct value.  Only a chunk's small index arrays (the kept-row ids,
-their places in the trimmed layouts, per-sample offsets) are allocated
-per call.
-
-**Bit-identity with the taped path** is a hard contract
-(property-tested in ``tests/test_nn_functional.py`` and
-``tests/test_predict.py``): every kernel replays the exact float32
-operation sequence of its taped layer on the rows it computes — same
-ufuncs, same operand order, same memory layouts into ``np.matmul``
-(layout matters: this BLAS does not produce identical bits for
-contiguous and non-contiguous operands, so head splits are materialized
-contiguous exactly where the taped reshape does).  A forward GEMM over
-gathered rows reproduces the taped ``L``-row GEMM's rows bit for bit
-whenever it has at least 2 rows (checked on every weight shape of the
-repo's model configs), a skipped key gets softmax weight exactly 0
-on both paths, and both paths trim the attention block to the same
-span and width.  The only other deviations are ``out=`` targets and
-algebraically-identity rewrites verified bit-exact on float32
-(``np.maximum(x, 0)`` for ``np.where(x > 0, x, 0)``, commuted addition,
-adding a sample's kept rows without the ``±0`` of its skipped ones).
-
-Single-column GEMMs (W of shape ``[K, 1]``) are erratic across small
-row counts on this BLAS, so the inference plan runs the score head once
-over the whole batch, at the same row count the taped forward uses.
+**Bounded scratch.**  Under an arena every packed buffer is sized by
+the chunk capacity ``n * L`` and sliced to ``R``, and every
+span-trimmed attention buffer is a view of one sized by the full
+``L x L`` block, so the arena holds one buffer per call site and chunk
+geometry whatever the masks are.  Single-column GEMMs (the score head)
+are erratic across small row counts on this BLAS, so ``predict`` runs
+the head once over the whole batch, at the row count ``forward`` uses.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
+from repro.nn.tensor import _flush_subnormals
+
 _F32_ZERO = np.float32(0.0)
 
-#: Additive logit for masked attention keys — must match
-#: ``repro.nn.attention`` (single source of the serving-path constant).
+#: Additive logit for masked attention keys: large enough that float32
+#: softmax assigns them exactly zero weight against any real logit.
 MASK_PENALTY = np.float32(1e9)
 
 #: Sequences shorter than this have their attention block trimmed to the
@@ -87,15 +87,15 @@ class ScratchArena:
 
     ``take(name, shape)`` returns the pooled buffer for that key,
     allocating only on first use — callers with a fixed batch geometry
-    (the compiled inference plan) hit the pool on every call after the
-    first.  A call site whose shape varies from call to call passes the
-    largest shape it will ask for as ``capacity``: the buffer is pooled
-    by that, and ``take`` returns a view of its first elements (packed
-    rows, :meth:`PackedRows.take`, and the span-trimmed attention
-    block), so the pool stays warm whatever the masks.  Keys include
-    the call-site name so two live buffers of equal shape never alias.
-    Contents are undefined on ``take``; every kernel fully overwrites
-    what it takes.
+    (``TLPModel.predict``) hit the pool on every call after the first.
+    A call site whose shape varies from call to call passes the largest
+    shape it will ask for as ``capacity``: the buffer is pooled by that,
+    and ``take`` returns a view of its first elements (packed rows,
+    :meth:`PackedRows.take`, and the span-trimmed attention block), so
+    the pool stays warm whatever the masks.  Keys include the call-site
+    name so two live buffers of equal shape never alias.  Contents are
+    undefined on ``take``; every kernel fully overwrites what it takes.
+    ``reuse`` lets a kernel consume an input in place.
 
     ``hits`` / ``misses`` count pool probes and back the no-allocation
     acceptance test: a steady-state ``predict`` call must be all hits.
@@ -121,6 +121,11 @@ class ScratchArena:
             return buf
         return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
 
+    def reuse(self, name: str, x: np.ndarray) -> np.ndarray:
+        """Where an in-place step on ``x`` writes: ``x`` itself (serving
+        reads no intermediate twice)."""
+        return x
+
     def reset_counters(self) -> None:
         self.hits = 0
         self.misses = 0
@@ -143,12 +148,36 @@ class ScratchArena:
                 f"nbytes={self.nbytes}, hits={self.hits}, misses={self.misses})")
 
 
+class TapeScratch:
+    """Scratch of one taped layer call: every ``take`` is a new
+    exact-shape array, kept under its name for the layer's backward
+    kernel (``scratch[name]``), and ``reuse`` never hands back its input,
+    so a kernel leaves its inputs and every intermediate intact."""
+
+    def __init__(self) -> None:
+        self._saved: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...],
+             capacity: tuple[int, ...] | None = None) -> np.ndarray:
+        buf = np.empty(shape, dtype=np.float32)
+        self._saved[name] = buf
+        return buf
+
+    def reuse(self, name: str, x: np.ndarray) -> np.ndarray:
+        return self.take(name, x.shape)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._saved[name]
+
+
+Scratch = ScratchArena | TapeScratch
+
+
 def additive_mask_bias(mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``[N, L]`` padding mask -> ``[N, 1, 1, L]`` additive attention bias.
 
-    The one home of the mask -> float conversion shared by the taped
-    attention forward and the tape-free ``predict`` plan: 0.0 on real
-    rows, ``-MASK_PENALTY`` on padding; cut to a key width
+    The one home of the mask -> float conversion: 0.0 on real rows,
+    ``-MASK_PENALTY`` on padding; cut to a key width
     (``bias[..., :key_width]``) it broadcasts over the span-trimmed
     ``[N, heads, span, key_width]`` score block.
     """
@@ -163,14 +192,13 @@ def additive_mask_bias(mask: np.ndarray, out: np.ndarray | None = None) -> np.nd
 
 
 class MaskBiasCache:
-    """:func:`additive_mask_bias` into a held buffer, one per geometry.
+    """:func:`additive_mask_bias` into a held buffer.
 
-    Every ``get`` recomputes the bias from the mask's current contents —
-    two ufunc passes, microseconds even for a ``[1024, 25]`` mask — so
-    nothing is keyed on the mask object: a buffer reused or mutated in
-    place always gets a fresh bias.  The buffer is reused while the
-    geometry stays the same, so steady-state serving and training
-    allocate nothing here.
+    Every ``get`` recomputes the bias from the mask's current contents
+    (microseconds), so a mask buffer reused or mutated in place always
+    gets a fresh bias.  A batch of no more rows at the same length (the
+    ragged last chunk of a ``predict`` call) reuses the buffer's first
+    rows, so steady-state serving and training allocate nothing here.
     """
 
     def __init__(self) -> None:
@@ -178,29 +206,24 @@ class MaskBiasCache:
 
     def get(self, mask: np.ndarray) -> np.ndarray:
         n, length = mask.shape
-        out = self._bias if self._bias is not None and self._bias.shape == (
-            n, 1, 1, length) else None
-        self._bias = additive_mask_bias(mask, out=out)
-        return self._bias
+        held = self._bias
+        if held is None or held.shape[0] < n or held.shape[3] != length:
+            held = self._bias = np.empty((n, 1, 1, length), dtype=np.float32)
+        return additive_mask_bias(mask, out=held if held.shape[0] == n else held[:n])
 
 
 class PackedRows:
-    """The rows of one ``[n, L]`` mask that the packed paths compute.
+    """The rows of one ``[n, L]`` mask that the layer kernels compute.
 
     ``index`` holds the flat ids (``s * L + l``) of the rows whose mask
     is non-zero, in row order; ``weight`` their mask values; sample
     ``s`` owns packed rows ``bounds[s]:bounds[s + 1]``.  A mask with
     fewer than 2 kept rows keeps all its rows (row rule 1 of the module
-    docstring).  The two paths lay the ``R`` packed rows out differently:
+    docstring).  Packed activations are ``lead + (width,)`` arrays,
+    ``lead`` being ``(R,)``, or ``(R, 1)`` at ``L == 1``; input-gradient
+    GEMMs pad them to whole ``L``-row blocks, ``blocks + (width,)``.
 
-    * ``predict`` as ``lead + (width,)`` arrays, ``lead`` being ``(R,)``,
-      or ``(R, 1)`` at ``L == 1`` (row rule 2);
-    * the taped path (``TLPModel.pool_features``) as ``blocks + (width,)``
-      arrays, ``blocks`` being ``(ceil(R / L), L)``: the rows zero-padded
-      to whole ``L``-row blocks, so every taped GEMM is the batched
-      ``[L, K] @ [K, E]`` call the dense layout makes.
-
-    Both paths' attention scores only the kept-row span.  ``span`` is 1 +
+    The attention block scores only the kept-row span.  ``span`` is 1 +
     the last position of a packed row over all samples: every query past
     it is a skipped row, whose output nobody reads.  ``key_width``, the
     key count, is the smallest multiple of 8 that is >= ``span`` and
@@ -247,13 +270,13 @@ class PackedRows:
         self.query_index = sample * self.span + position
         self.key_index = sample * self.key_width + position
 
-    def take(self, arena: ScratchArena, name: str, width: int) -> np.ndarray:
-        """Packed scratch, ``width`` columns a row: a view of the first
-        ``R`` rows of a buffer sized by the chunk capacity ``n * L``."""
+    def take(self, arena: Scratch, name: str, width: int) -> np.ndarray:
+        """Packed scratch, ``width`` columns a row: under an arena a view
+        of the first ``R`` rows of a buffer sized by the capacity ``n * L``."""
         return arena.take(name, self.lead + (width,),
                           capacity=(self.n * self.length, width))
 
-    def gather(self, arena: ScratchArena, name: str, x: np.ndarray,
+    def gather(self, arena: Scratch, name: str, x: np.ndarray,
                index: np.ndarray | None = None) -> np.ndarray:
         """Rows ``index`` (default: the kept rows) of a dense
         ``[..., width]`` array, packed."""
@@ -266,24 +289,32 @@ class PackedRows:
         return out
 
 
-# -- fused layer kernels -------------------------------------------------
+def _take(arena: Scratch, name: str, x: np.ndarray, width: int,
+          rows: PackedRows | None) -> np.ndarray:
+    """Scratch for a row-wise result of ``x``: packed rows are sized by
+    the chunk capacity, plain rows (the score head) by ``x``'s shape."""
+    if rows is None:
+        return arena.take(name, x.shape[:-1] + (width,))
+    return rows.take(arena, name, width)
+
+
+def _lead_axes(a: np.ndarray) -> tuple[int, ...]:
+    return tuple(range(a.ndim - 1))
+
+
+# -- linear ------------------------------------------------------------
 #
-# Each kernel takes the arena plus a call-site name, reads raw weight
-# ndarrays, and returns an arena-backed result.  Row-wise kernels take
-# the chunk's ``rows`` and size their scratch by its capacity.  Inputs
-# are never modified unless the kernel documents in-place consumption.
+# A forward kernel takes the scratch and a call-site name and returns a
+# scratch-backed result; it writes into an input only through
+# ``scratch.reuse``, which only an arena honours.
 
 
-def linear(arena: ScratchArena, name: str, x: np.ndarray,
+def linear(arena: Scratch, name: str, x: np.ndarray,
            weight: np.ndarray, bias: np.ndarray | None,
            relu: bool = False, rows: PackedRows | None = None) -> np.ndarray:
-    """Fused ``relu(x @ W + b)``: one GEMM into scratch, bias add and
-    ReLU in place.  Matches ``Linear`` (+ ``.relu()``) bit for bit.
-    Without ``rows`` (the batch-wide score head) ``x``'s own shape sizes
-    the scratch."""
-    width = weight.shape[1]
-    out = (arena.take(name, x.shape[:-1] + (width,)) if rows is None
-           else rows.take(arena, name, width))
+    """``relu(x @ W + b)``: one GEMM into scratch, bias add and ReLU in
+    place.  Packed rows run one flat GEMM over the ``R`` kept rows."""
+    out = _take(arena, name, x, weight.shape[1], rows)
     np.matmul(x, weight, out=out)
     if bias is not None:
         out += bias
@@ -292,34 +323,116 @@ def linear(arena: ScratchArena, name: str, x: np.ndarray,
     return out
 
 
-def layer_norm(arena: ScratchArena, name: str, x: np.ndarray,
+def _input_grad(g: np.ndarray, weight: np.ndarray,
+                rows: PackedRows | None) -> np.ndarray:
+    """``g @ Wᵀ``; packed rows run it zero-padded into whole ``L``-row
+    blocks, the dense call shape."""
+    weight_t = weight.swapaxes(-1, -2)
+    if rows is None:
+        return g @ weight_t
+    width, kept = g.shape[-1], rows.index.shape[0]
+    blocks = np.zeros(rows.blocks + (width,), dtype=np.float32)
+    blocks.reshape(-1, width)[:kept] = g.reshape(-1, width)
+    dx = (blocks @ weight_t).reshape(-1, weight.shape[0])
+    return dx[:kept].reshape(rows.lead + (weight.shape[0],))
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray, rows: PackedRows | None) -> np.ndarray:
+    """``xᵀ @ g`` over every row; packed rows add one GEMM per sample,
+    in sample order, into one ``[K, E]`` buffer, skipping empty samples."""
+    x2 = x.reshape(-1, x.shape[-1])
+    g2 = g.reshape(-1, g.shape[-1])
+    if rows is None:
+        return x2.T @ g2
+    out = np.zeros((x2.shape[1], g2.shape[1]), dtype=np.float32)
+    tmp = np.empty_like(out)
+    bounds = rows.bounds
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if start < stop:
+            np.matmul(x2[start:stop].T, g2[start:stop], out=tmp)
+            out += tmp
+    return out
+
+
+def linear_backward(g: np.ndarray, x: np.ndarray, weight: np.ndarray,
+                    rows: PackedRows | None = None, out: np.ndarray | None = None,
+                    need_x: bool = True) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients ``(dx, dW, db)`` of :func:`linear` given its output
+    gradient ``g``; ``out`` is the ReLU output when the forward ran one
+    (its positive entries pass the gradient), and ``dx`` is None unless
+    ``need_x``."""
+    if out is not None:
+        g = g * (out > 0)
+    dx = _input_grad(g, weight, rows) if need_x else None
+    return dx, _weight_grad(x, g, rows), g.sum(axis=_lead_axes(g))
+
+
+# -- LayerNorm ---------------------------------------------------------
+
+
+def layer_norm(arena: Scratch, name: str, x: np.ndarray,
                gamma: np.ndarray, beta: np.ndarray, eps: float,
-               rows: PackedRows) -> np.ndarray:
-    """Fused LayerNorm over the last axis.  Consumes ``x`` in place
-    (callers pass scratch they no longer need) and returns it.
+               rows: PackedRows | None = None) -> np.ndarray:
+    """LayerNorm over the last axis; under an arena it consumes ``x``.
 
-    The two-moment sequence (mean, then mean of squared deviations)
-    replays the taped ``LayerNorm.forward`` exactly — a one-pass
-    ``E[x^2] - mu^2`` rewrite would not be bit-identical in float32 —
-    but runs in three scratch buffers with every elementwise step
-    in place.
+    Two moments (mean, then mean of squared deviations; a one-pass
+    ``E[x^2] - mu^2`` would not be bit-identical) in three buffers: the
+    row statistic (the mean, then ``1/sqrt(var + eps)``), the squares
+    and ``var + eps``.  ``centered`` and then the output overwrite ``x``
+    under an arena; the backward reads ``centered`` and both statistics.
     """
-    mu = rows.take(arena, f"{name}.mu", 1)
-    np.mean(x, axis=-1, keepdims=True, dtype=np.float32, out=mu)
-    np.subtract(x, mu, out=x)  # x is now `centered`
-    sq = rows.take(arena, f"{name}.sq", x.shape[-1])
-    np.multiply(x, x, out=sq)
-    var = rows.take(arena, f"{name}.var", 1)
-    np.mean(sq, axis=-1, keepdims=True, dtype=np.float32, out=var)
+    inv_std = _take(arena, f"{name}.inv_std", x, 1, rows)
+    np.mean(x, axis=-1, keepdims=True, dtype=np.float32, out=inv_std)
+    centered = arena.reuse(f"{name}.centered", x)
+    np.subtract(x, inv_std, out=centered)
+    squares = _take(arena, f"{name}.squares", x, x.shape[-1], rows)
+    np.multiply(centered, centered, out=squares)
+    var = _take(arena, f"{name}.var", x, 1, rows)
+    np.mean(squares, axis=-1, keepdims=True, dtype=np.float32, out=var)
     var += np.float32(eps)
-    np.power(var, np.float32(-0.5), out=var)  # 1 / sqrt(var + eps)
-    np.multiply(x, var, out=x)
-    np.multiply(x, gamma, out=x)
-    x += beta
-    return x
+    np.power(var, np.float32(-0.5), out=inv_std)
+    out = arena.reuse(name, centered)
+    np.multiply(centered, inv_std, out=out)
+    np.multiply(out, gamma, out=out)
+    out += beta
+    return out
 
 
-def _pairwise_rowmax(v: np.ndarray, arena: ScratchArena, name: str,
+def layer_norm_backward(g: np.ndarray, scratch: TapeScratch, name: str,
+                        gamma: np.ndarray, need_x: bool = True
+                        ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients ``(dx, dgamma, dbeta)`` of :func:`layer_norm`.
+
+    The op-level chain ``mu = mean(x)``, ``c = x - mu``,
+    ``var = mean(c * c)``, ``p = (var + eps) ** -0.5``, ``n = c * p``,
+    ``n * gamma + beta`` backpropagated in tape order: ``c`` gets
+    ``g_n * p`` and then the squares' term twice, ``x`` gets ``g_c``
+    and then the mean's term.  ``normed`` is recomputed as ``c * p``.
+    """
+    centered = scratch[f"{name}.centered"]
+    inv_std = scratch[f"{name}.inv_std"]
+    var_eps = scratch[f"{name}.var"]
+    lead = _lead_axes(g)
+    d_beta = g.sum(axis=lead)
+    d_gamma = (g * (centered * inv_std)).sum(axis=lead)
+    if not need_x:
+        return None, d_gamma, d_beta
+    inv_width = np.float32(1.0 / g.shape[-1])
+    g_normed = g * gamma
+    g_centered = g_normed * inv_std
+    g_inv_std = (g_normed * centered).sum(axis=-1, keepdims=True)
+    g_var = g_inv_std * np.float32(-0.5) * var_eps ** np.float32(-1.5)
+    g_squares = (g_var * inv_width) * centered
+    g_centered += g_squares
+    g_centered += g_squares
+    g_mean = (-g_centered).sum(axis=-1, keepdims=True)
+    return g_centered + g_mean * inv_width, d_gamma, d_beta
+
+
+# -- attention ---------------------------------------------------------
+
+
+def _pairwise_rowmax(v: np.ndarray, arena: Scratch, name: str,
                      out: np.ndarray, capacity: tuple[int, int] | None = None) -> None:
     """Row max of ``v [M, W]`` into ``out [M, 1]`` by pairwise halving.
 
@@ -352,12 +465,13 @@ def _pairwise_rowmax(v: np.ndarray, arena: ScratchArena, name: str,
         np.copyto(out, v)
 
 
-def softmax_(x: np.ndarray, arena: ScratchArena, name: str,
+def softmax_(x: np.ndarray, arena: Scratch, name: str,
              capacity: tuple[int, int] | None = None) -> np.ndarray:
-    """In-place last-axis max-shifted softmax; matches ``tensor.softmax``
-    bit for bit (the shift is the same detached constant).  ``capacity``
-    is the largest ``[rows, width]`` the call site sees (default ``x``'s
-    own), which sizes the row statistics and folds."""
+    """Last-axis softmax shifted by the row max.  Leaves
+    ``e = exp(x - max)`` in ``x`` and its row sums ``z`` in
+    ``{name}.stat``, and returns ``e / z`` in ``{name}.probs`` (``x``
+    itself under an arena).  ``capacity``, the largest ``[rows, width]``
+    the call site sees, sizes the row statistics and folds."""
     width = x.shape[-1]
     rows = x.size // width
     cap_rows, cap_width = (rows, width) if capacity is None else capacity
@@ -367,29 +481,37 @@ def softmax_(x: np.ndarray, arena: ScratchArena, name: str,
     np.subtract(x, stat, out=x)
     np.exp(x, out=x)
     np.sum(x, axis=-1, keepdims=True, out=stat)
-    np.divide(x, stat, out=x)
-    return x
+    probs = arena.reuse(f"{name}.probs", x)
+    np.divide(x, stat, out=probs)
+    return probs
 
 
-def attention(arena: ScratchArena, name: str, x: np.ndarray,
-              qkv_weight: np.ndarray, qkv_bias: np.ndarray,
-              out_weight: np.ndarray, out_bias: np.ndarray,
+def softmax_backward(g: np.ndarray, e: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Gradient of ``e / z``, ``e = exp(x - max)``, ``z = e.sum(-1)``,
+    with respect to ``x``: the quotient's term for ``e`` first, then the
+    sum's, then the exp, whose subnormal products are flushed."""
+    g_e = g / z
+    g_e += (-g * e / (z * z)).sum(axis=-1, keepdims=True)
+    return _flush_subnormals(g_e * e)
+
+
+def _heads(flat: np.ndarray, n: int, n_heads: int) -> np.ndarray:
+    """``[n * size, D]`` -> the ``[n, heads, size, head_dim]`` view."""
+    dim = flat.shape[-1]
+    return flat.reshape(n, -1, n_heads, dim // n_heads).transpose(0, 2, 1, 3)
+
+
+def attention(arena: Scratch, name: str, x: np.ndarray,
+              projections: Sequence[tuple[np.ndarray, np.ndarray]],
               n_heads: int, rows: PackedRows, mask_bias: np.ndarray) -> np.ndarray:
-    """Fused multi-head self-attention over packed rows, bit-identical
-    on them to ``MultiHeadSelfAttention.forward``.
+    """``x + MHSA(x)`` over packed rows: self-attention and its residual join.
 
-    The q/k/v projections run as one stacked GEMM over the packed rows
-    against the ``[D, 3D]`` ``qkv_weight`` (verified bit-identical per
-    column block to three separate GEMMs on this BLAS).  The score block
-    covers only the kept-row span (:class:`PackedRows`): q is scattered
-    into ``[n, span, H, hd]`` and k/v into ``[n, key_width, H, hd]`` scratch
-    — the contiguous layout the taped ``reshape`` produces, because
-    matmul bits depend on operand layout — with zeros on the skipped
-    rows, whose keys the ``[n, 1, 1, L]`` additive ``mask_bias``
-    (``MaskBiasCache``), cut to ``key_width`` columns, gives exactly zero
-    weight.  The softmax runs in place on the ``[n, H, span, key_width]``
-    scores, and the output projection runs over the packed rows gathered
-    back out of the mixed heads.
+    ``projections`` holds the q, k, v and output ``(weight, bias)``
+    pairs.  The score block covers only the kept-row span: q is
+    scattered into ``[n, span, H, hd]`` and k/v into
+    ``[n, key_width, H, hd]`` scratch (contiguous: matmul bits depend on
+    operand layout), zeros on the skipped rows, whose keys the additive
+    ``[n, 1, 1, L]`` ``mask_bias`` gives exactly zero weight.
     """
     dim = x.shape[-1]
     if dim % n_heads:
@@ -398,19 +520,15 @@ def attention(arena: ScratchArena, name: str, x: np.ndarray,
     head_dim = dim // n_heads
     scale = np.float32(1.0 / math.sqrt(head_dim))
 
-    qkv = rows.take(arena, f"{name}.qkv", 3 * dim)
-    np.matmul(x, qkv_weight, out=qkv)
-    qkv += qkv_bias
-    qkv = qkv.reshape(-1, 3 * dim)
-
     heads = []
-    for i, (part, size, index) in enumerate((("q", span, rows.query_index),
-                                             ("k", key_width, rows.key_index),
-                                             ("v", key_width, rows.key_index))):
+    for part, size, index, (weight, bias) in zip(
+            "qkv", (span, key_width, key_width),
+            (rows.query_index, rows.key_index, rows.key_index), projections):
+        packed = linear(arena, f"{name}.{part}_proj", x, weight, bias, rows=rows)
         h = arena.take(f"{name}.{part}", (n * size, dim), capacity=(n * length, dim))
         h.fill(_F32_ZERO)
-        h[index] = qkv[:, i * dim:(i + 1) * dim]
-        heads.append(h.reshape(n, size, n_heads, head_dim).transpose(0, 2, 1, 3))
+        h[index] = packed.reshape(-1, dim)
+        heads.append(_heads(h, n, n_heads))
     q, k, v = heads  # [n, H, size, hd] views
 
     scores = arena.take(f"{name}.scores", (n, n_heads, span, key_width),
@@ -418,51 +536,113 @@ def attention(arena: ScratchArena, name: str, x: np.ndarray,
     np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
     scores *= scale
     scores += mask_bias[..., :key_width]
-    softmax_(scores, arena, f"{name}.softmax", capacity=(n * n_heads * length, length))
+    probs = softmax_(scores, arena, f"{name}.softmax", capacity=(n * n_heads * length, length))
 
     mixed_h = arena.take(f"{name}.mixed_h", (n, n_heads, span, head_dim),
                          capacity=(n, n_heads, length, head_dim))
-    np.matmul(scores, v, out=mixed_h)
-    # Back to [n, span, D] contiguous, as the taped transpose+reshape copies.
+    np.matmul(probs, v, out=mixed_h)
+    # Back to [n, span, D] contiguous, the layout the packed rows leave.
     mixed = arena.take(f"{name}.mixed", (n, span, dim), capacity=(n, length, dim))
     np.copyto(mixed.reshape(n, span, n_heads, head_dim), mixed_h.transpose(0, 2, 1, 3))
     packed = rows.gather(arena, f"{name}.mixed_rows", mixed, rows.query_index)
-    return linear(arena, f"{name}.out", packed, out_weight, out_bias, rows=rows)
-
-
-def residual_relu_linear(arena: ScratchArena, name: str, x: np.ndarray,
-                         weight: np.ndarray, bias: np.ndarray,
-                         rows: PackedRows) -> np.ndarray:
-    """Fused ``x + relu(x @ W + b)`` — the ``ResidualBlock`` unit."""
-    out = linear(arena, name, x, weight, bias, relu=True, rows=rows)
-    np.add(x, out, out=out)  # same operand order as the taped `x + relu`
+    out = linear(arena, f"{name}.out", packed, *projections[3], rows=rows)
+    np.add(x, out, out=out)  # the residual join, `x + attention` order
     return out
 
 
-def masked_sum_pool(arena: ScratchArena, name: str, x: np.ndarray,
-                    rows: PackedRows,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Packed rows -> ``[n, D]`` sequence sums.  Consumes ``x``.
+def attention_backward(g: np.ndarray, scratch: TapeScratch, name: str, x: np.ndarray,
+                       weights: Sequence[np.ndarray], n_heads: int, rows: PackedRows,
+                       need_x: bool = True) -> list[np.ndarray | None]:
+    """Gradients of :func:`attention`: ``[dx, dWq, dbq, dWk, dbk, dWv,
+    dbv, dWo, dbo]``, ``weights`` being the q, k, v and output weights.
 
-    Each sample's kept rows, times their mask values, added in row
-    order, as the taped ``repro.nn.tensor.segment_sum`` pool does.  A
-    sample with no kept row pools to zeros.  ``out`` lets the inference
-    plan pool chunk results into a slice of a full-batch buffer (so the
-    row-count sensitive head GEMM can run once over all rows — see the
-    module docstring).
+    ``dx`` starts as the residual join's copy of ``g`` and then adds the
+    q, k and v input gradients, in that order.  The four activation
+    products flush their subnormal gradients, as does the softmax's exp.
     """
-    np.multiply(x, rows.weight.reshape(rows.lead + (1,)), out=x)
-    x = x.reshape(-1, x.shape[-1])
-    if out is None:
-        out = arena.take(name, (rows.n, x.shape[1]))
+    n, span, key_width = rows.n, rows.span, rows.key_width
+    dim = x.shape[-1]
+    scale = np.float32(1.0 / math.sqrt(dim // n_heads))
+    d_mixed, d_out_w, d_out_b = linear_backward(
+        g, scratch[f"{name}.mixed_rows"], weights[3], rows)
+    g_mixed = np.zeros((n * span, dim), dtype=np.float32)
+    g_mixed[rows.query_index] = d_mixed.reshape(-1, dim)
+    g_mixed = np.ascontiguousarray(_heads(g_mixed, n, n_heads))
+    q, k, v = (_heads(scratch[f"{name}.{part}"], n, n_heads) for part in "qkv")
+    probs = scratch[f"{name}.softmax.probs"]
+    z = scratch[f"{name}.softmax.stat"].reshape(probs.shape[:-1] + (1,))
+
+    g_probs = _flush_subnormals(g_mixed @ v.swapaxes(-1, -2))
+    g_v = _flush_subnormals(probs.swapaxes(-1, -2) @ g_mixed)
+    g_scores = softmax_backward(g_probs, scratch[f"{name}.scores"], z) * scale
+    g_q = _flush_subnormals(g_scores @ k)
+    g_k = _flush_subnormals(q.swapaxes(-1, -2) @ g_scores)
+
+    packed = (
+        (g_q.transpose(0, 2, 1, 3).reshape(n * span, dim), rows.query_index),
+        (g_k.transpose(0, 3, 1, 2).reshape(n * key_width, dim), rows.key_index),
+        (g_v.transpose(0, 2, 1, 3).reshape(n * key_width, dim), rows.key_index),
+    )
+    dx = g.copy() if need_x else None
+    grads: list[np.ndarray | None] = [dx]
+    for (dense, index), weight in zip(packed, weights):
+        d_in, d_w, d_b = linear_backward(dense[index].reshape(rows.lead + (dim,)),
+                                         x, weight, rows, need_x=need_x)
+        if need_x:
+            dx += d_in
+        grads += [d_w, d_b]
+    return grads + [d_out_w, d_out_b]
+
+
+# -- residual block and pool -------------------------------------------
+
+
+def residual_relu_linear(arena: Scratch, name: str, x: np.ndarray,
+                         weight: np.ndarray, bias: np.ndarray,
+                         rows: PackedRows | None = None) -> np.ndarray:
+    """``x + relu(x @ W + b)`` — the ``ResidualBlock`` unit; the branch
+    output is kept for the backward except under an arena."""
+    branch = linear(arena, name, x, weight, bias, relu=True, rows=rows)
+    out = arena.reuse(f"{name}.join", branch)
+    np.add(x, branch, out=out)
+    return out
+
+
+def residual_relu_linear_backward(g: np.ndarray, scratch: TapeScratch, name: str,
+                                  x: np.ndarray, weight: np.ndarray,
+                                  rows: PackedRows | None = None, need_x: bool = True
+                                  ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients ``(dx, dW, db)`` of :func:`residual_relu_linear`: the
+    join's copy of ``g`` plus the branch's input gradient."""
+    d_in, d_w, d_b = linear_backward(g, x, weight, rows, out=scratch[name], need_x=need_x)
+    return (g + d_in if need_x else None), d_w, d_b
+
+
+def masked_sum_pool(arena: Scratch, name: str, x: np.ndarray,
+                    rows: PackedRows) -> np.ndarray:
+    """Packed rows -> ``[n, D]`` sequence sums; under an arena it
+    consumes ``x``.  Each sample's kept rows, times their mask values,
+    added in row order; a sample with no kept row pools to zeros."""
+    weighted = arena.reuse(f"{name}.weighted", x)
+    np.multiply(x, rows.weight.reshape(rows.lead + (1,)), out=weighted)
+    weighted = weighted.reshape(-1, weighted.shape[-1])
+    out = arena.take(name, (rows.n, weighted.shape[1]))
     bounds = rows.bounds
     for s in range(rows.n):
         start, stop = bounds[s], bounds[s + 1]
         if start == stop:
             out[s] = _F32_ZERO
         else:
-            np.add.reduce(x[start:stop], axis=0, out=out[s])
+            np.add.reduce(weighted[start:stop], axis=0, out=out[s])
     return out
+
+
+def masked_sum_pool_backward(g: np.ndarray, rows: PackedRows) -> np.ndarray:
+    """Gradient of :func:`masked_sum_pool`: each sample's row of ``g``
+    on each of its kept rows, times their mask values."""
+    dx = np.repeat(g, np.diff(rows.bounds), axis=0)
+    dx *= rows.weight.reshape(-1, 1)
+    return dx.reshape(rows.lead + (g.shape[-1],))
 
 
 __all__ = [
@@ -470,11 +650,18 @@ __all__ = [
     "MaskBiasCache",
     "PackedRows",
     "ScratchArena",
+    "TapeScratch",
     "additive_mask_bias",
     "attention",
+    "attention_backward",
     "layer_norm",
+    "layer_norm_backward",
     "linear",
+    "linear_backward",
     "masked_sum_pool",
+    "masked_sum_pool_backward",
     "residual_relu_linear",
+    "residual_relu_linear_backward",
     "softmax_",
+    "softmax_backward",
 ]

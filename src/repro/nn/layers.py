@@ -1,28 +1,32 @@
 """The layer kit the Fig. 7 model is assembled from.
 
-Linear, LayerNorm, Dropout, ReLU, and the dimension-preserving residual
-block.  Every layer that owns weights accepts an ``rng`` generator (from
-a named ``repro.utils.rng`` stream); models thread one generator through
-all submodules so construction order fully determines the weights.
+Linear, LayerNorm, Dropout, the dimension-preserving residual block and
+the masked sequence-sum pool.  Every layer that owns weights accepts an
+``rng`` generator (from a named ``repro.utils.rng`` stream); models
+thread one generator through all submodules so construction order fully
+determines the weights.
 
-``Linear``, ``ResidualBlock`` and ``Dropout`` also run over packed rows:
-given a :class:`~repro.nn.functional.PackedRows`, their input is the
-``[ceil(R / L), L, width]`` blocks of the ``R`` kept rows (what
-``TLPModel.pool_features`` computes).  The forward GEMM is the same
-batched call over blocks instead of samples; ``Linear``'s weight
-gradient runs one GEMM per sample over that sample's kept rows, and
-``Dropout`` draws its keep-mask at the dense shape, so the generator and
-the kept rows' factors are those of the dense input.
+One forward per layer: ``Linear`` (with or without its ReLU),
+``LayerNorm``, ``ResidualBlock`` and :func:`masked_sum_pool` run their
+packed kernel of :mod:`repro.nn.functional` in training and in
+``TLPModel.predict`` alike, and with grad enabled record one tape node
+with the kernel's hand-written backward.  Given
+:class:`~repro.nn.functional.PackedRows`, input and output are the
+packed kept rows; without (the score head) every row is computed.
+``arena`` is ``predict``'s scratch and ``name`` its call-site key.
+``Dropout`` draws its keep-mask at the dense shape, so the generator
+and the kept rows' factors are those of the dense input.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.nn import functional as F
 from repro.nn import init
-from repro.nn.functional import PackedRows
+from repro.nn.functional import PackedRows, ScratchArena
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, gather_rows
+from repro.nn.tensor import Tensor, track_layer
 from repro.utils.rng import stream
 
 
@@ -30,8 +34,13 @@ def _default_rng(tag: str) -> np.random.Generator:
     return stream(f"nn.init.{tag}")
 
 
+def scratch_for(arena: ScratchArena | None) -> F.Scratch:
+    """``predict``'s arena, or a fresh :class:`~repro.nn.functional.TapeScratch`."""
+    return F.TapeScratch() if arena is None else arena
+
+
 class Linear(Module):
-    """``y = x @ W + b`` over the last axis (batched inputs broadcast)."""
+    """``y = x @ W + b`` over the last axis, ReLU'd if asked."""
 
     def __init__(
         self,
@@ -47,19 +56,18 @@ class Linear(Module):
         self.weight = Parameter(init.kaiming_uniform((in_features, out_features), rng))
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
-    def forward(self, x: Tensor, rows: PackedRows | None = None) -> Tensor:
-        """``rows`` marks ``x`` as packed ``[B, L, in]`` blocks
-        (:class:`~repro.nn.functional.PackedRows`): the weight gradient
-        then runs one GEMM per sample over that sample's rows."""
-        out = x.matmul(self.weight, None if rows is None else rows.bounds)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+    def forward(self, x: Tensor, rows: PackedRows | None = None, relu: bool = False,
+                arena: ScratchArena | None = None, name: str = "linear") -> Tensor:
+        weight, bias = self.weight, self.bias
+        out = F.linear(scratch_for(arena), name, x.data, weight.data,
+                       None if bias is None else bias.data, relu=relu, rows=rows)
 
+        def grads(g: np.ndarray):
+            return F.linear_backward(g, x.data, weight.data, rows,
+                                     out if relu else None, x.requires_grad)
 
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
+        parents = (x, weight) if bias is None else (x, weight, bias)
+        return track_layer(out, parents, grads)
 
 
 class LayerNorm(Module):
@@ -71,12 +79,13 @@ class LayerNorm(Module):
         self.gamma = Parameter(init.ones((dim,)))
         self.beta = Parameter(init.zeros((dim,)))
 
-    def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered * (var + self.eps) ** -0.5
-        return normed * self.gamma + self.beta
+    def forward(self, x: Tensor, rows: PackedRows | None = None,
+                arena: ScratchArena | None = None, name: str = "norm") -> Tensor:
+        scratch = scratch_for(arena)
+        out = F.layer_norm(scratch, name, x.data, self.gamma.data, self.beta.data,
+                           self.eps, rows)
+        return track_layer(out, (x, self.gamma, self.beta), lambda g: F.layer_norm_backward(
+            g, scratch, name, self.gamma.data, x.requires_grad))
 
 
 class Dropout(Module):
@@ -102,7 +111,7 @@ class Dropout(Module):
         shape = x.shape if rows is None else (rows.n, rows.length, x.shape[-1])
         keep = (self._rng.random(shape) >= self.p).astype(np.float32)
         if rows is not None:
-            keep = gather_rows(Tensor(keep), rows.index, rows.blocks).data
+            keep = keep.reshape(-1, shape[-1])[rows.index].reshape(x.shape)
         return x * (keep / np.float32(1.0 - self.p))
 
 
@@ -114,8 +123,21 @@ class ResidualBlock(Module):
             rng = _default_rng(f"residual.{dim}")
         self.fc = Linear(dim, dim, rng=rng)
 
-    def forward(self, x: Tensor, rows: PackedRows | None = None) -> Tensor:
-        return x + self.fc(x, rows).relu()
+    def forward(self, x: Tensor, rows: PackedRows | None = None,
+                arena: ScratchArena | None = None, name: str = "res") -> Tensor:
+        scratch = scratch_for(arena)
+        weight, bias = self.fc.weight, self.fc.bias
+        out = F.residual_relu_linear(scratch, name, x.data, weight.data, bias.data, rows)
+        return track_layer(out, (x, weight, bias), lambda g: F.residual_relu_linear_backward(
+            g, scratch, name, x.data, weight.data, rows, x.requires_grad))
 
 
-__all__ = ["Dropout", "LayerNorm", "Linear", "ReLU", "ResidualBlock"]
+def masked_sum_pool(x: Tensor, rows: PackedRows, arena: ScratchArena | None = None,
+                    name: str = "pool") -> Tensor:
+    """Packed rows -> ``[n, D]`` sequence sums, each kept row times its
+    mask value (:func:`repro.nn.functional.masked_sum_pool`)."""
+    out = F.masked_sum_pool(scratch_for(arena), name, x.data, rows)
+    return track_layer(out, (x,), lambda g: (F.masked_sum_pool_backward(g, rows),))
+
+
+__all__ = ["Dropout", "LayerNorm", "Linear", "ResidualBlock", "masked_sum_pool"]

@@ -36,6 +36,24 @@ def read_archive(path: Path) -> dict[str, np.ndarray]:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
 
 
+def write_archive(path: Path, arrays: dict[str, np.ndarray]) -> Path:
+    """Write ``arrays`` as an ``.npz`` archive at ``path``, atomically.
+
+    The archive goes to a ``.tmp`` sibling first and is renamed over
+    ``path`` only once complete, so a save that fails or is killed
+    partway through leaves the last good file as it was.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 class Parameter(Tensor):
     """A trainable tensor — ``requires_grad`` is always on."""
 
@@ -134,17 +152,14 @@ class Module:
             p.data = np.array(state[name], dtype=np.float32)
 
     def save(self, path: str | Path) -> Path:
-        """Write the state dict to ``path`` as an ``.npz`` archive.
+        """Write the state dict to ``path`` as an ``.npz`` archive,
+        atomically (:func:`write_archive`).
 
         The serving warm-restart format: ``load`` on a freshly
         constructed module of the same architecture restores bit-identical
         weights (float32 round-trips exactly through ``np.savez``).
         """
-        path = Path(path)
-        state = self.state_dict()
-        with path.open("wb") as fh:
-            np.savez(fh, **state)
-        return path
+        return write_archive(Path(path), self.state_dict())
 
     def load(self, path: str | Path) -> "Module":
         """Restore a state dict written by :meth:`save`; returns ``self``.
@@ -158,16 +173,4 @@ class Module:
         return self
 
 
-class Sequential(Module):
-    """Chain modules in order; the TLP up-sampling stack uses this."""
-
-    def __init__(self, *modules: Module):
-        self.steps = list(modules)
-
-    def forward(self, x):
-        for step in self.steps:
-            x = step(x)
-        return x
-
-
-__all__ = ["CheckpointError", "Module", "Parameter", "Sequential", "read_archive"]
+__all__ = ["CheckpointError", "Module", "Parameter", "read_archive", "write_archive"]

@@ -3,11 +3,15 @@
 The PyTorch substitute's core: a :class:`Tensor` wraps one
 ``np.float32`` ndarray and records, per operation, a backward closure
 plus its parent tensors.  ``backward()`` topologically sorts the tape
-and accumulates gradients into every ``requires_grad`` leaf.  The op
-set is exactly what the TLP model (Fig. 7) and its losses need —
-broadcasted arithmetic, batched matmul, reductions, shape moves,
-indexed gather, the packed-row moves, and the stable nonlinearities —
-each with an analytic gradient that the finite-difference checks in
+and accumulates gradients into every ``requires_grad`` leaf.
+
+Each layer of the Fig. 7 trunk records one node through
+:func:`track_layer`, with the hand-written backward of its packed
+kernel (:mod:`repro.nn.functional`).  Everything else — the losses,
+the MTL heads, dropout, and the test suite's op-level reference of every
+layer — is built from ops: broadcasted arithmetic, matmul, reductions,
+shape moves, indexed gather and the stable nonlinearities, each with an
+analytic gradient that the finite-difference checks in
 ``repro.nn.gradcheck`` pin to < 1e-3 relative error.
 
 Everything stays float32 end to end (DESIGN.md §7, enforced by
@@ -17,46 +21,21 @@ tape never grows through optimizer steps.
 The backward pass does only the work somebody reads:
 
 * An operand built with ``requires_grad=False`` (the feature block,
-  the attention mask bias, loss constants, scalars) gets no gradient
-  computed and ends with ``.grad is None``.
+  loss constants, scalars) gets no gradient computed and ends with
+  ``.grad is None``.
 * A gradient array a closure has just allocated becomes the operand's
   ``.grad`` as is; only a view of another tensor's gradient (the
   pass-through of ``+``, ``reshape``, ``transpose``, ``sum``) is copied,
   so no two ``.grad`` arrays ever share memory.
-* The weight gradient of a batched ``[B, L, K] @ [K, E]`` adds one GEMM
-  per sample, in sample order, into one ``[K, E]`` buffer.  With a
-  sample per ``L``-row slice (the dense layout) that is the exact
-  float32 sequence of ``(xᵀ @ g).sum(axis=0)`` without its
-  ``[B, K, E]`` intermediate.
-
-**Packed rows.**  The TLP trunk (``TLPModel.pool_features``) computes
-only the rows whose mask is non-zero.  :func:`gather_rows` packs them,
-in row order, into whole ``L``-row blocks, ``[ceil(R / L), L, width]``
-zero-padded; :func:`scatter_rows` puts packed rows into attention's
-span-trimmed ``[n, span, width]`` and ``[n, key width, width]`` layouts
-(:class:`repro.nn.functional.PackedRows`); and :func:`segment_sum`
-pools each sample's rows.  Two rules keep every bit
-of the dense trunk, measured with this BLAS (scipy-openblas, one
-thread):
-
-* The forward and input-gradient GEMMs keep the dense call shape, a
-  batched ``[L, K] @ [K, E]`` per block.  The bits of a row depend on
-  the GEMM's shape, not on which rows fill it.  Blocks matched the
-  dense per-sample GEMMs in every trial; one 2-D GEMM over the packed
-  rows did not (input gradients at hidden 48), nor did one GEMM per
-  sample over its packed rows (input gradients at hidden 256).
-* The weight gradient runs one GEMM per sample over that sample's
-  packed rows (:meth:`Tensor.matmul`'s ``bounds``), skipping samples
-  with none.  The rows it leaves out carry exact-zero gradients, and
-  the sums matched the dense ones byte for byte.
 
 Subnormal float32 gradients are flushed to (signed) zero where the
-attention backward creates them: the :meth:`Tensor.exp` backward,
-which :func:`softmax` uses (probabilities of keys a saturated row
-scores ~88-104 below its max are subnormal), and the operand gradients
-of batched activation-by-activation matmuls (attention's ``q @ kᵀ`` and
-``attn @ v``).  On x86 every arithmetic op that meets a subnormal takes
-a microcode assist, ~100x the cost of the op; left alone, the ~1% of
+attention backward creates them: the :meth:`Tensor.exp` backward
+(probabilities of keys a saturated row scores ~88-104 below its max are
+subnormal), and the operand gradients of batched
+activation-by-activation matmuls (attention's ``q @ kᵀ`` and
+``attn @ v``); the attention layer's backward flushes at the same
+points.  On x86 every arithmetic op that meets a subnormal takes a
+microcode assist, ~100x the cost of the op; left alone, the ~1% of
 subnormal entries those products emit slow each downstream
 projection-layer GEMM by 2-6x.  Hardware FTZ/DAZ would remove the cost,
 but numpy has no switch for them, so the flush is done in numpy,
@@ -66,9 +45,9 @@ below the last bit, so the flush changes no recorded training digest
 not bit-neutral for every conceivable input.
 
 Inference never runs the backward pass, so it should not pay for the
-tape: inside :func:`no_grad` every op skips parent tracking and
-backward-closure recording, so intermediates are freed as the forward
-pass proceeds.  Tensors produced under
+tape: inside :func:`no_grad` every op and layer skips parent tracking
+and backward-closure recording, so intermediates are freed as the
+forward pass proceeds.  Tensors produced under
 ``no_grad`` are permanently tape-free — calling ``backward()`` on one
 raises instead of silently doing nothing.
 """
@@ -127,52 +106,6 @@ def _flush_subnormals(a: np.ndarray) -> np.ndarray:
     """
     np.multiply(a, np.abs(a) >= _F32_TINY, out=a)
     return a
-
-
-def _batched_weight_grad(x: np.ndarray, g: np.ndarray,
-                         bounds: Sequence[int]) -> np.ndarray:
-    """Weight gradient of a batched ``[B, L, K] @ [K, E]``: one
-    ``x_sᵀ @ g_s`` GEMM per sample, added in sample order into one
-    ``[K, E]`` buffer, sample ``s`` owning rows ``bounds[s]:bounds[s + 1]``
-    of ``x`` and ``g`` read as ``[B * L, K]`` and ``[B * L, E]``; samples
-    with no row are skipped.
-
-    With a sample per ``L``-row slice each GEMM is the call the batched
-    matmul makes for that slice, and numpy's axis-0 sum starts from 0.0
-    and adds the slices in order, so this is bit-identical to
-    ``(xᵀ @ g).sum(axis=0)`` without its ``[B, K, E]`` intermediate.
-    Packed rows: see the module docstring.
-    """
-    x2 = x.reshape(-1, x.shape[-1])
-    g2 = g.reshape(-1, g.shape[-1])
-    out = np.zeros((x2.shape[1], g2.shape[1]), dtype=np.float32)
-    tmp = np.empty_like(out)
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        if start < stop:
-            np.matmul(x2[start:stop].T, g2[start:stop], out=tmp)
-            out += tmp
-    return out
-
-
-def _gather(a: np.ndarray, index: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
-    """Rows ``index`` of ``a`` (read as ``[-1, width]``), in order, into
-    the first rows of a zero ``lead + (width,)`` array."""
-    width = a.shape[-1]
-    out = np.zeros(lead + (width,), dtype=np.float32)
-    # mode="clip" writes straight into ``out`` (the default "raise"
-    # buffers); the index never leaves the array.
-    np.take(a.reshape(-1, width), index, axis=0,
-            out=out.reshape(-1, width)[:index.shape[0]], mode="clip")
-    return out
-
-
-def _scatter(a: np.ndarray, index: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
-    """The first ``len(index)`` rows of ``a`` (read as ``[-1, width]``)
-    into rows ``index`` of a zero ``lead + (width,)`` array."""
-    width = a.shape[-1]
-    out = np.zeros(lead + (width,), dtype=np.float32)
-    out.reshape(-1, width)[index] = a.reshape(-1, width)[:index.shape[0]]
-    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -397,38 +330,20 @@ class Tensor:
     def __matmul__(self, other: TensorLike) -> "Tensor":
         return self.matmul(other)
 
-    def matmul(self, other: TensorLike, bounds: Sequence[int] | None = None) -> "Tensor":
-        """``self @ other``.
-
-        For a batched ``[B, L, K] @ [K, E]`` (a linear layer over
-        sequences) the weight gradient adds one GEMM per sample, sample
-        ``s`` owning rows ``bounds[s]:bounds[s + 1]`` of the ``B * L``
-        rows; by default each ``L``-row slice is one sample.  Packed rows
-        (:class:`repro.nn.functional.PackedRows`) pass their per-sample
-        bounds.
-        """
+    def matmul(self, other: TensorLike) -> "Tensor":
         other = as_tensor(other)
         if self.ndim < 2 or other.ndim < 2:
             raise ValueError("matmul needs operands with ndim >= 2")
         # Activation-by-activation products (attention's q @ kᵀ and
         # attn @ v) are where subnormal gradients arise; see module doc.
         flush = self.ndim >= 3 and other.ndim >= 3
-        per_sample_weight_grad = self.ndim == 3 and other.ndim == 2
-        if bounds is not None and not per_sample_weight_grad:
-            raise ValueError("per-sample bounds need a [B, L, K] @ [K, E] matmul")
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
                 grad = _unbroadcast(g @ other.data.swapaxes(-1, -2), self.data.shape)
                 self._accumulate(_flush_subnormals(grad) if flush else grad, owned=True)
             if other.requires_grad:
-                if per_sample_weight_grad:
-                    n, length = self.data.shape[:2]
-                    grad = _batched_weight_grad(
-                        self.data, g,
-                        range(0, n * length + 1, length or 1) if bounds is None else bounds)
-                else:
-                    grad = _unbroadcast(self.data.swapaxes(-1, -2) @ g, other.data.shape)
+                grad = _unbroadcast(self.data.swapaxes(-1, -2) @ g, other.data.shape)
                 other._accumulate(_flush_subnormals(grad) if flush else grad, owned=True)
 
         return self._track(self.data @ other.data, (self, other), backward)
@@ -551,68 +466,22 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``, max-shifted for stability.
+def track_layer(data: np.ndarray, parents: Sequence[Tensor],
+                grads: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
+    """One tape node for a whole layer.
 
-    The shift is a detached constant: softmax is invariant to it, so the
-    gradient is exact without differentiating through the max.
+    ``data`` is the layer's forward output; ``grads(g)`` maps the
+    output's gradient to one gradient per parent, in parent order, each
+    a fresh C-contiguous float32 array, or None for a parent that needs
+    none.  The node adds them into the parents' ``.grad``.
     """
-    shifted = x - x.data.max(axis=axis, keepdims=True)
-    e = shifted.exp()
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def gather_rows(x: Tensor, index: np.ndarray, lead: tuple[int, ...]) -> Tensor:
-    """Rows ``index`` of ``x`` (read as ``[-1, width]``), in order, into
-    the first rows of a zero ``lead + (width,)`` tensor — packing a
-    ``[n, size, width]`` block into packed rows.  The backward scatters
-    the gradient of those rows back to their places; the rest get 0."""
 
     def backward(g: np.ndarray) -> None:
-        x._accumulate(_scatter(g, index, x.data.shape[:-1]), owned=True)
+        for parent, grad in zip(parents, grads(g)):
+            if grad is not None:
+                parent._accumulate(grad, owned=True)
 
-    return x._track(_gather(x.data, index, lead), (x,), backward)
-
-
-def scatter_rows(x: Tensor, index: np.ndarray, lead: tuple[int, ...]) -> Tensor:
-    """The first ``len(index)`` rows of ``x`` (read as ``[-1, width]``)
-    into rows ``index`` of a zero ``lead + (width,)`` tensor — unpacking
-    packed rows into an ``[n, size, width]`` block; the inverse of
-    :func:`gather_rows`, which is also its backward."""
-
-    def backward(g: np.ndarray) -> None:
-        x._accumulate(_gather(g, index, x.data.shape[:-1]), owned=True)
-
-    return x._track(_scatter(x.data, index, lead), (x,), backward)
+    return parents[0]._track(data, parents, backward)
 
 
-def segment_sum(x: Tensor, bounds: Sequence[int], weight: np.ndarray) -> Tensor:
-    """Per-sample sums of weighted rows: ``out[s]`` adds rows
-    ``bounds[s]:bounds[s + 1]`` of ``x`` (read as ``[-1, width]``), each
-    times its ``weight``, in row order; a sample with no row sums to 0.
-
-    Rows past ``bounds[-1]`` are never read and get a zero gradient.
-    Over packed rows this is the taped ``(x * mask[..., None]).sum(1)``
-    pool without the ``±0`` terms of the skipped rows, which change no
-    sum.
-    """
-    width = x.data.shape[-1]
-    kept = int(bounds[-1])
-    scale = weight.reshape(kept, 1)
-    rows = x.data.reshape(-1, width)[:kept] * scale
-    out = np.zeros((len(bounds) - 1, width), dtype=np.float32)
-    for s, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if start < stop:
-            np.add.reduce(rows[start:stop], axis=0, out=out[s])
-
-    def backward(g: np.ndarray) -> None:
-        grad = np.zeros(x.data.shape, dtype=np.float32)
-        np.multiply(np.repeat(g, np.diff(bounds), axis=0), scale,
-                    out=grad.reshape(-1, width)[:kept])
-        x._accumulate(grad, owned=True)
-
-    return x._track(out, (x,), backward)
-
-
-__all__ = ["Tensor", "TensorLike", "as_tensor", "gather_rows", "is_grad_enabled",
-           "no_grad", "scatter_rows", "segment_sum", "softmax"]
+__all__ = ["Tensor", "TensorLike", "as_tensor", "is_grad_enabled", "no_grad", "track_layer"]

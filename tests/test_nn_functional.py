@@ -1,11 +1,11 @@
-"""The fused inference kernels (repro.nn.functional).
+"""The layer kernels (repro.nn.functional).
 
 Two contracts:
 
-1. Bit-identity — every fused kernel reproduces its taped layer's
-   float32 output exactly, bit for bit (the serving path must rank
-   candidates identically to the training-time forward).
-2. Allocation discipline — the :class:`ScratchArena` pools buffers by
+1. Bit-identity -- every kernel reproduces, on the rows it computes,
+   the float32 bits of its layer's op-level chain in raw ``Tensor`` ops
+   (``nn_reference``), forward and backward.
+2. Allocation discipline -- the :class:`ScratchArena` pools buffers by
    (name, shape), so a warm call sequence allocates nothing, and the
    hit/miss counters prove it.
 """
@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nn_reference as ref
 from repro.nn import MaskBiasCache, ScratchArena
 from repro.nn import functional as F
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.layers import LayerNorm, Linear, ResidualBlock
-from repro.nn.tensor import Tensor, gather_rows, softmax
+from repro.nn.tensor import Tensor
 from repro.utils.rng import stream
 
 _RNG = stream("test.nn.functional")
@@ -105,55 +106,85 @@ def test_attention_module_shares_the_cache():
     assert att.mask_bias(mask) is att.mask_bias(mask)
 
 
-# -- kernel bit-identity against the taped layers ----------------------
+# -- kernel bit-identity against the op-level reference --------------
+
+
+def _kept(a: np.ndarray, rows: F.PackedRows) -> np.ndarray:
+    """The rows of a dense ``[..., width]`` array that ``rows`` keeps."""
+    return a.reshape(-1, a.shape[-1])[rows.index]
 
 
 def test_linear_kernel_matches_taped_linear():
+    """Forward and backward of ``x @ W + b`` (and its ReLU) on plain rows."""
     arena = ScratchArena()
     layer = Linear(6, 10, rng=stream("test.nn.functional.linear"))
     x = _x(4, 5, 6)
-    taped = layer(Tensor(x)).data
-    fused = F.linear(arena, "lin", x, layer.weight.data, layer.bias.data)
-    assert np.array_equal(fused, taped)
-    taped_relu = layer(Tensor(x)).relu().data
-    fused_relu = F.linear(arena, "lin", x, layer.weight.data, layer.bias.data,
-                          relu=True)
-    assert np.array_equal(fused_relu, taped_relu)
+    for relu in (False, True):
+        xt = Tensor(x, requires_grad=True)
+        layer.zero_grad()
+        taped = ref.linear(xt, layer, relu=relu)
+        g = _x(4, 5, 10)
+        taped.backward(g)
+        fused = F.linear(arena, "lin", x, layer.weight.data, layer.bias.data, relu=relu)
+        assert np.array_equal(fused, taped.data)
+        dx, dw, db = F.linear_backward(g.reshape(20, 10), x.reshape(20, 6), layer.weight.data,
+                                       out=fused.reshape(20, 10) if relu else None)
+        assert dx.tobytes() == xt.grad.tobytes()
+        assert db.tobytes() == layer.bias.grad.tobytes()
+        assert np.allclose(dw, layer.weight.grad, atol=1e-5)  # one GEMM, not per sample
 
 
 def test_layer_norm_kernel_matches_taped_layer_norm():
-    arena = ScratchArena()
+    """Forward and backward, on the kept rows, with any gain and shift."""
     layer = LayerNorm(12)
     layer.gamma.data = _x(12)
     layer.beta.data = _x(12)
     x = _x(3, 5, 12)
-    taped = layer(Tensor(x)).data
+    xt = Tensor(x, requires_grad=True)
+    taped = ref.layer_norm(xt, layer)
+    g = _x(3, 5, 12)
     mask = (_RNG.random((3, 5)) < 0.6).astype(np.float32)
     rows = F.PackedRows(mask)
-    fused = F.layer_norm(arena, "ln", rows.gather(arena, "x", x), layer.gamma.data,
-                         layer.beta.data, layer.eps, rows)
-    assert np.array_equal(fused, taped.reshape(-1, 12)[rows.index])
+    g *= mask[..., None]  # skipped rows get no gradient, as in the model
+    taped.backward(g)
+    for scratch in (ScratchArena(), F.TapeScratch()):
+        fused = F.layer_norm(scratch, "ln", rows.gather(scratch, "x", x), layer.gamma.data,
+                             layer.beta.data, layer.eps, rows)
+        assert np.array_equal(fused, _kept(taped.data, rows))
+    # ``scratch`` is now the TapeScratch, whose arrays the backward reads.
+    dx, d_gamma, d_beta = F.layer_norm_backward(_kept(g, rows), scratch, "ln",
+                                                layer.gamma.data)
+    assert dx.tobytes() == _kept(xt.grad, rows).tobytes()
+    assert d_gamma.tobytes() == layer.gamma.grad.tobytes()
+    assert d_beta.tobytes() == layer.beta.grad.tobytes()
 
 
 def test_residual_kernel_matches_taped_residual_block():
-    arena = ScratchArena()
     block = ResidualBlock(8, rng=stream("test.nn.functional.res"))
     x = _x(4, 3, 8)
-    taped = block(Tensor(x)).data
+    taped = ref.residual(Tensor(x), block).data
     mask = (_RNG.random((4, 3)) < 0.6).astype(np.float32)
     rows = F.PackedRows(mask)
-    fused = F.residual_relu_linear(arena, "res", rows.gather(arena, "x", x),
-                                   block.fc.weight.data, block.fc.bias.data, rows)
-    assert np.array_equal(fused, taped.reshape(-1, 8)[rows.index])
+    for scratch in (ScratchArena(), F.TapeScratch()):
+        fused = F.residual_relu_linear(scratch, "res", rows.gather(scratch, "x", x),
+                                       block.fc.weight.data, block.fc.bias.data, rows)
+        assert np.array_equal(fused, _kept(taped, rows))
 
 
 @pytest.mark.parametrize("length", [1, 2, 7, 25])
 def test_softmax_kernel_matches_taped_softmax(length):
-    arena = ScratchArena()
     x = _x(3, 2, 4, length)
-    taped = softmax(Tensor(x), axis=-1).data
-    fused = F.softmax_(x.copy(), arena, "sm")
-    assert np.array_equal(fused, taped)
+    xt = Tensor(x, requires_grad=True)
+    taped = ref.softmax(xt, axis=-1)
+    g = _x(3, 2, 4, length)
+    taped.backward(g)
+    fused = F.softmax_(x.copy(), ScratchArena(), "sm")
+    assert np.array_equal(fused, taped.data)
+    scratch, e = F.TapeScratch(), x.copy()
+    probs = F.softmax_(e, scratch, "sm")
+    assert np.array_equal(probs, taped.data)
+    z = scratch["sm.stat"].reshape(probs.shape[:-1] + (1,))
+    assert F.softmax_backward(g, e, z).tobytes() == xt.grad.tobytes()
 
 
 @pytest.mark.parametrize("length", list(range(1, 12)) + [25, 54])
@@ -167,14 +198,9 @@ def test_pairwise_rowmax_matches_amax(length):
     assert np.array_equal(out, np.amax(v, axis=1, keepdims=True))
 
 
-def _qkv_stack(att):
-    dim = att.dim
-    qkv_w = np.empty((dim, 3 * dim), dtype=np.float32)
-    qkv_b = np.empty(3 * dim, dtype=np.float32)
-    for i, proj in enumerate((att.q_proj, att.k_proj, att.v_proj)):
-        qkv_w[:, i * dim:(i + 1) * dim] = proj.weight.data
-        qkv_b[i * dim:(i + 1) * dim] = proj.bias.data
-    return qkv_w, qkv_b
+def _projections(att):
+    return [(p.weight.data, p.bias.data)
+            for p in (att.q_proj, att.k_proj, att.v_proj, att.out_proj)]
 
 
 def test_attention_kernel_matches_taped_attention():
@@ -183,9 +209,9 @@ def test_attention_kernel_matches_taped_attention():
 
 
 def _check_attention_kernel(length):
-    """On every row it computes, the packed kernel equals the taped
-    layer; skipped rows are never computed."""
-    arena = ScratchArena()
+    """On every row it computes, the packed kernel equals ``x`` plus the
+    dense layer over the whole ``L x L`` block; skipped rows are never
+    computed."""
     att = MultiHeadSelfAttention(16, 4, rng=stream("test.nn.functional.mha"))
     x = _x(5, length, 16)
     mask = (_RNG.random((5, length)) < 0.6).astype(np.float32)
@@ -195,38 +221,40 @@ def _check_attention_kernel(length):
     rows = F.PackedRows(mask)
     kept = np.flatnonzero(mask.reshape(-1))
     assert np.array_equal(rows.index, kept)
-    taped = att(gather_rows(Tensor(x), rows.index, rows.blocks), rows).data
-    assert taped.shape == rows.blocks + (16,)
-
-    qkv_w, qkv_b = _qkv_stack(att)
-    fused = F.attention(arena, "mha", rows.gather(arena, "x", x), qkv_w, qkv_b,
-                        att.out_proj.weight.data, att.out_proj.bias.data,
-                        att.n_heads, rows, mask_bias=F.additive_mask_bias(mask))
-    assert fused.shape == rows.lead + (16,)
-    assert np.array_equal(fused.reshape(-1, 16), taped.reshape(-1, 16)[:kept.shape[0]])
+    xt = Tensor(x)
+    taped = (xt + ref.attention(att, xt, mask)).data
+    for scratch in (ScratchArena(), F.TapeScratch()):
+        fused = F.attention(scratch, "mha", rows.gather(scratch, "x", x), _projections(att),
+                            att.n_heads, rows, mask_bias=F.additive_mask_bias(mask))
+        assert fused.shape == rows.lead + (16,)
+        assert np.array_equal(fused.reshape(-1, 16), _kept(taped, rows))
 
 
 def test_attention_kernel_rejects_bad_heads():
     rows = F.PackedRows(np.ones((1, 2), dtype=np.float32))
     with pytest.raises(ValueError):
-        F.attention(ScratchArena(), "bad", _x(2, 6), _x(6, 18), _x(18),
-                    _x(6, 6), _x(6), n_heads=4, rows=rows,
-                    mask_bias=F.additive_mask_bias(rows.mask))
+        F.attention(ScratchArena(), "bad", _x(2, 6), [(_x(6, 6), _x(6))] * 4,
+                    n_heads=4, rows=rows, mask_bias=F.additive_mask_bias(rows.mask))
 
 
 def test_masked_sum_pool_matches_taped_pool():
-    arena = ScratchArena()
     for length in (1, 5):
         x = _x(4, length, 8)
         mask = (_RNG.random((4, length)) < 0.6).astype(np.float32)
         mask[0] = np.float32(0.5)  # mask values scale their rows
         mask[1] = 0.0              # no kept row: pools to zeros
-        t = Tensor(x)
-        taped = (t * mask.reshape(4, length, 1)).sum(axis=1).data
+        xt = Tensor(x, requires_grad=True)
+        taped = ref.pool(xt, mask)
+        g = _x(4, 8)
+        taped.backward(g)
         rows = F.PackedRows(mask)
-        fused = F.masked_sum_pool(arena, "pool", rows.gather(arena, "x", x), rows)
-        assert np.array_equal(fused, taped)
-        assert not fused[1].any()
+        for scratch in (ScratchArena(), F.TapeScratch()):
+            fused = F.masked_sum_pool(scratch, "pool", rows.gather(scratch, "x", x), rows)
+            assert np.array_equal(fused, taped.data)
+            assert not fused[1].any()
+        dx = F.masked_sum_pool_backward(g, rows)
+        assert dx.shape == rows.lead + (8,)
+        assert dx.tobytes() == _kept(xt.grad, rows).tobytes()
 
 
 def test_packed_rows_row_rules():
@@ -307,7 +335,7 @@ def test_warm_kernel_sequence_is_all_hits():
     assert arena.misses == 0 and arena.hits == 1
 
 
-# -- property: fused linear == taped across geometries -----------------
+# -- property: linear kernel == reference across geometries -----------------
 
 
 @settings(max_examples=30, deadline=None)
@@ -322,9 +350,7 @@ def test_linear_bit_identity_property(n, length, d_in, d_out, relu):
     rng = stream(f"test.nn.functional.prop.{d_in}.{d_out}")
     layer = Linear(d_in, d_out, rng=rng)
     x = rng.standard_normal((n, length, d_in)).astype(np.float32)
-    taped = layer(Tensor(x))
-    if relu:
-        taped = taped.relu()
+    taped = ref.linear(Tensor(x), layer, relu=relu)
     fused = F.linear(ScratchArena(), "p", x, layer.weight.data,
                      layer.bias.data, relu=relu)
     assert np.array_equal(fused, taped.data)

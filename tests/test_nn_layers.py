@@ -11,9 +11,7 @@ from repro.nn import (
     Linear,
     Module,
     Parameter,
-    ReLU,
     ResidualBlock,
-    Sequential,
     Tensor,
     assert_gradients_match,
 )
@@ -29,8 +27,16 @@ def _x(shape, scale=1.0):
 # -- module registry ---------------------------------------------------
 
 
+class _Stack(Module):
+    """A module holding a list of modules: the tree walks' test case."""
+
+    def __init__(self, *modules: Module):
+        self.steps = list(modules)
+
+
 def test_named_parameters_walks_nested_modules_and_lists():
-    model = Sequential(Linear(4, 8, rng=stream("t.l1")), ReLU(), ResidualBlock(8, rng=stream("t.l2")))
+    model = _Stack(Linear(4, 8, rng=stream("t.l1")), Dropout(0.5, rng=stream("t.l1d")),
+                   ResidualBlock(8, rng=stream("t.l2")))
     names = dict(model.named_parameters())
     assert set(names) == {
         "steps.0.weight", "steps.0.bias", "steps.2.fc.weight", "steps.2.fc.bias",
@@ -49,7 +55,7 @@ def test_state_dict_round_trip_and_shape_validation():
 
 
 def test_train_eval_toggles_recursively():
-    model = Sequential(Dropout(0.5, rng=stream("t.te")), ResidualBlock(4))
+    model = _Stack(Dropout(0.5, rng=stream("t.te")), ResidualBlock(4))
     model.eval()
     assert all(not m.training for m in model.modules())
     model.train()

@@ -12,10 +12,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nn_reference import softmax
+
 from repro.core.tlp_model import TLPModel, TLPModelConfig
-from repro.nn import Tensor, as_tensor, assert_gradients_match, lambda_rank_loss, softmax
+from repro.nn import (
+    LayerNorm,
+    Linear,
+    MultiHeadSelfAttention,
+    ResidualBlock,
+    Tensor,
+    as_tensor,
+    assert_gradients_match,
+    lambda_rank_loss,
+)
+from repro.nn import functional as F
 from repro.nn.functional import PackedRows
-from repro.nn.tensor import _unbroadcast, gather_rows, scatter_rows, segment_sum
+from repro.nn.layers import masked_sum_pool
+from repro.nn.tensor import _unbroadcast
 from repro.utils.rng import stream
 
 _RNG = stream("test.nn.tensor")
@@ -171,30 +184,59 @@ def test_gradcheck_softmax():
     assert_gradients_match(lambda: (softmax(x, axis=-1) ** 2).sum(), [x])
 
 
-# The packed rows of a [3, 4] mask: 5 kept rows (one at weight 0.5) in
-# two zero-padded 4-row blocks, sample 1 without a kept row.
-_ROWS = PackedRows(np.array([[1, 1, 0, 1], [0, 0, 0, 0], [1, 0.5, 0, 0]],
-                            dtype=np.float32))
+# The packed rows of two masks: L = 4 with sample 1 empty and one row at
+# weight 0.5 (5 kept rows in two zero-padded 4-row blocks), and L = 1
+# (every packed row its own 1-row block).
+_ROWS = {
+    "L4": PackedRows(np.array([[1, 1, 0, 1], [0, 0, 0, 0], [1, 0.5, 0, 0]],
+                              dtype=np.float32)),
+    "L1": PackedRows(np.array([[1], [0], [1], [1]], dtype=np.float32)),
+}
 
 
-def _pool(x: Tensor) -> Tensor:
-    return segment_sum(x, _ROWS.bounds, _ROWS.weight)
+def _off_kink(linear: Linear) -> Linear:
+    """Small weights and a positive bias hold every ReLU preactivation
+    away from its kink under the finite-difference perturbations."""
+    linear.weight.data *= np.float32(0.3)
+    linear.bias.data += np.float32(2.0)
+    return linear
+
+
+def _packed_layer(kind: str, rows: PackedRows):
+    """``(width, parameters, forward)`` of one layer over packed rows."""
+    rng = stream(f"test.nn.tensor.packed.{kind}")
+    if kind in ("linear", "linear_relu"):
+        lin = Linear(5, 3, rng=rng)
+        relu = kind == "linear_relu"
+        if relu:
+            _off_kink(lin)
+        return 5, lin.parameters(), lambda x: lin(x, rows, relu=relu)
+    if kind == "layer_norm":
+        ln = LayerNorm(6)
+        ln.gamma.data = rng.standard_normal(6).astype(np.float32)
+        ln.beta.data = rng.standard_normal(6).astype(np.float32)
+        return 6, ln.parameters(), lambda x: ln(x, rows).tanh()
+    if kind == "attention":
+        att = MultiHeadSelfAttention(4, 2, rng=rng)
+        return 4, att.parameters(), lambda x: att(x, rows)
+    if kind == "residual":
+        block = ResidualBlock(4, rng=rng)
+        _off_kink(block.fc)
+        return 4, block.parameters(), lambda x: block(x, rows)
+    return 5, [], lambda x: masked_sum_pool(x, rows)
 
 
 @pytest.mark.gradcheck
-@pytest.mark.parametrize(
-    "name, shape, fn",
-    [
-        ("gather_rows", (3, 4, 5),
-         lambda x: (gather_rows(x, _ROWS.index, _ROWS.blocks) ** 2).sum()),
-        ("scatter_rows", _ROWS.blocks + (5,),
-         lambda x: (scatter_rows(x, _ROWS.index, (3, 4)) ** 2).sum()),
-        ("segment_sum", _ROWS.blocks + (5,), lambda x: (_pool(x) ** 2).sum()),
-    ],
-)
-def test_gradcheck_packed_row_ops(name, shape, fn):
-    x = _t(shape)
-    assert_gradients_match(lambda: fn(x), [x])
+@pytest.mark.parametrize("rows", sorted(_ROWS))
+@pytest.mark.parametrize("kind", ["linear", "linear_relu", "layer_norm", "attention",
+                                  "residual", "pool"])
+def test_gradcheck_layer_over_packed_rows(kind, rows):
+    """Each layer's hand-written backward over packed rows, input and
+    parameters, at L >= 2 with an empty sample and at L == 1."""
+    packed = _ROWS[rows]
+    width, params, forward = _packed_layer(kind, packed)
+    x = _t(packed.lead + (width,), scale=0.5)
+    assert_gradients_match(lambda: (forward(x) ** 2).sum(), [x, *params])
 
 
 @pytest.mark.gradcheck
@@ -202,16 +244,20 @@ def test_gradcheck_weight_grad_over_packed_rows():
     """Per-sample weight GEMMs over the packed rows, samples added in
     order and the empty one skipped; only kept rows reach the loss, as
     in the model's pool."""
-    x, w = _t(_ROWS.blocks + (5,), scale=0.5), _t((5, 3), scale=0.5)
-    assert_gradients_match(lambda: (_pool(x.matmul(w, _ROWS.bounds)) ** 2).sum(), [x, w])
+    rows = _ROWS["L4"]
+    lin = Linear(5, 3, bias=False, rng=stream("test.nn.tensor.packed.weight"))
+    x = _t(rows.lead + (5,), scale=0.5)
+    assert_gradients_match(lambda: (masked_sum_pool(lin(x, rows), rows) ** 2).sum(),
+                           [x, lin.weight])
 
 
 # -- backward contract -------------------------------------------------
 #
 # The backward pass skips gradients nobody reads, adopts freshly
-# allocated gradient arrays, accumulates batched weight gradients per
-# sample, and flushes subnormals out of the attention products — and
-# none of that may move a bit of what the old formulas computed.
+# allocated gradient arrays, accumulates the linear kernel's weight
+# gradients per sample, and flushes subnormals out of the attention
+# products -- and none of that may move a bit of what the dense
+# formulas compute.
 
 _TINY = np.finfo(np.float32).tiny
 
@@ -231,18 +277,20 @@ def _flushed(a: np.ndarray) -> np.ndarray:
 
 
 def _batched_linear_grads(n, length, k, e, seed):
-    """Input and weight gradients of ``[N, L, K] @ [K, E]`` from the tape,
-    then the same two from the pre-change formulas."""
+    """Input and weight gradients of ``[N, L, K] @ [K, E]`` from the
+    linear kernel's backward over every row kept (a sample per ``L``
+    rows), then the same two from the dense formulas."""
     rng = stream(f"test.nn.tensor.batched.{n}.{length}.{k}.{e}.{seed}")
     x = rng.standard_normal((n, length, k)).astype(np.float32)
     w = rng.standard_normal((k, e)).astype(np.float32)
     g = rng.standard_normal((n, length, e)).astype(np.float32)
     x[rng.random(x.shape) < 0.2] = 0.0  # ReLU-like zeros
-    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-    (xt @ wt).backward(g)
+    rows = PackedRows(np.ones((n, length), dtype=np.float32))
+    gx, gw, _ = F.linear_backward(g.reshape(rows.lead + (e,)), x.reshape(rows.lead + (k,)),
+                                  w, rows)
     ref_x = g @ w.swapaxes(-1, -2)
     ref_w = _unbroadcast(x.swapaxes(-1, -2) @ g, w.shape)
-    return xt.grad, wt.grad, ref_x, ref_w
+    return gx.reshape(ref_x.shape), gw, ref_x, ref_w
 
 
 @settings(max_examples=60, deadline=None)
@@ -367,6 +415,11 @@ def test_softmax_backward_flushes_subnormals():
     assert _subnormal(ref).any()  # the case is not vacuous
     assert not _subnormal(x.grad).any()
     assert np.array_equal(_bits(x.grad), _bits(_flushed(ref)))
+    # The attention kernel's softmax backward: the same bits.
+    e, scratch = x.data.copy(), F.TapeScratch()
+    F.softmax_(e, scratch, "sm")
+    kernel = F.softmax_backward(g, e, scratch["sm.stat"].reshape(e.shape[:-1] + (1,)))
+    assert np.array_equal(_bits(kernel), _bits(x.grad))
 
 
 def test_score_matmul_backward_flushes_subnormals():
@@ -395,3 +448,34 @@ def test_score_matmul_backward_flushes_subnormals():
     for grad, ref in ((q.grad, dq_ref), (k.grad, dk_ref)):
         assert not _subnormal(grad).any()
         assert np.array_equal(_bits(grad), _bits(_flushed(ref)))
+
+
+def test_attention_backward_flushes_where_the_op_chain_does(monkeypatch):
+    """On saturated scores the attention layer's backward gives the
+    op-level chain's bits, flushing at its five points: the softmax's
+    exp and both operand gradients of ``q @ kᵀ`` and ``attn @ v``."""
+    import nn_reference as ref
+
+    rng = stream("test.nn.tensor.saturated.attention")
+    att = MultiHeadSelfAttention(8, 2, rng=rng)
+    att.q_proj.weight.data *= np.float32(40.0)  # score rows spread past exp's range
+    n, length = 3, 25
+    x = rng.standard_normal((n, length, 8)).astype(np.float32)
+    g = rng.standard_normal((n, length, 8)).astype(np.float32)
+    mask = np.ones((n, length), dtype=np.float32)
+    rows = PackedRows(mask)
+
+    xr = Tensor(x, requires_grad=True)
+    (xr + ref.attention(att, xr, mask)).backward(g)
+    expected = [xr.grad] + [p.grad.copy() for p in att.parameters()]
+
+    calls = []
+    flush = F._flush_subnormals
+    monkeypatch.setattr(F, "_flush_subnormals", lambda a: calls.append(1) or flush(a))
+    att.zero_grad()
+    xt = Tensor(x.reshape(rows.lead + (8,)), requires_grad=True)
+    att(xt, rows).backward(g.reshape(rows.lead + (8,)))
+    assert len(calls) == 5
+    got = [xt.grad] + [p.grad for p in att.parameters()]
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()

@@ -1,57 +1,26 @@
-"""The packed taped trunk against the dense trunk it replaced.
+"""The packed trunk against the dense op-level reference.
 
 ``TLPModel.pool_features`` computes only the rows whose mask is
-non-zero, packed into whole ``L``-row blocks, and scores attention over
-the kept-row span only.  :func:`dense_pool_features` is the dense body
-it replaced: every row of every sequence through every layer, the whole
-``L x L`` attention block, padding zeroed at the pool.  A training step's scores, its
-lambda-rank loss and every parameter gradient must agree byte for byte,
-for the prefix masks the featurizer emits and for the edge cases it
-never emits.
+non-zero, each layer one packed kernel with a hand-written backward,
+and scores attention over the kept-row span only.
+:func:`nn_reference.dense_forward` is the dense model in raw ``Tensor``
+ops: every row of every sequence through every layer, the whole
+``L x L`` attention block, padding zeroed at the pool.  A training
+step's scores, its lambda-rank loss and every parameter gradient must
+agree byte for byte, for the prefix masks the featurizer emits and for
+the edge cases it never emits; so must ``predict`` with the eval-mode
+forward.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
-import math
-
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
+from nn_reference import dense_forward
 
 from repro.core import MTLTLPModel, TLPModel, TLPModelConfig
-from repro.nn import Adam, Tensor, lambda_rank_loss_grouped, softmax
+from repro.nn import Adam, lambda_rank_loss_grouped
 from repro.utils.rng import stream
-
-
-def dense_pool_features(model: TLPModel, X: np.ndarray, mask: np.ndarray) -> Tensor:
-    """The dense taped trunk: every row of every sequence, all layers."""
-    x = Tensor(X)
-    n, length, _ = X.shape
-    att = model.attention
-    h = model.up2(model.up1(x).relu()).relu()
-    q, k, v = (proj(h).reshape(n, length, att.n_heads, att.head_dim).transpose((0, 2, 1, 3))
-               for proj in (att.q_proj, att.k_proj, att.v_proj))
-    scores = (q @ k.transpose((0, 1, 3, 2))) * np.float32(1.0 / math.sqrt(att.head_dim))
-    attn = softmax(scores + att.mask_bias(mask), axis=-1)
-    mixed = (attn @ v).transpose((0, 2, 1, 3)).reshape(n, length, att.dim)
-    h = model.norm(h + att.out_proj(mixed))
-    if model.dropout is not None:
-        h = model.dropout(h)
-    for block in model.res_blocks:
-        h = block(h)
-    return (h * mask.reshape(n, length, 1)).sum(axis=1)
-
-
-@contextlib.contextmanager
-def _dense(model):
-    """Run ``model``'s forward over the dense reference trunk."""
-    trunk = model.trunk if isinstance(model, MTLTLPModel) else model
-    trunk.pool_features = functools.partial(dense_pool_features, trunk)
-    try:
-        yield
-    finally:
-        del trunk.pool_features
 
 
 # The model geometries the repo trains and serves: unit tests (hidden 8),
@@ -105,13 +74,15 @@ def _batch(model, n, length, kind, density, seed, span=None):
     return X, mask, labels, gids, pids
 
 
-def _step(model, X, mask, labels, gids, pids, optimizer=None):
-    """Scores, loss and every parameter gradient of one training step."""
+def _step(model, X, mask, labels, gids, pids, optimizer=None, dense=False):
+    """Scores, loss and every parameter gradient of one training step,
+    through the model or through the dense reference."""
     model.zero_grad()
-    if isinstance(model, MTLTLPModel):
-        scores = model(X, mask, pids)
+    mtl = isinstance(model, MTLTLPModel)
+    if dense:
+        scores = dense_forward(model, X, mask, pids if mtl else None)
     else:
-        scores = model(X, mask)
+        scores = model(X, mask, pids) if mtl else model(X, mask)
     loss = lambda_rank_loss_grouped(scores, labels, gids)
     loss.backward()
     out = [scores.data.copy(), loss.data.copy()]
@@ -172,8 +143,7 @@ def test_packed_trunk_bit_identical_to_dense_property(model_i, n, length, kind,
     model = _MODELS[model_i]
     batch = _batch(model, n, length, kind, density, seed, span)
     packed = _step(model, *batch)
-    with _dense(model):
-        dense = _step(model, *batch)
+    dense = _step(model, *batch, dense=True)
     _assert_same_bytes(packed, dense)
 
 
@@ -188,10 +158,35 @@ def test_dropout_step_bit_identical_to_dense():
     for seed in range(3):
         batch = _batch(packed_model, 6, 7, "prefix", 0.0, seed)
         packed = _step(packed_model, *batch, optimizer=packed_opt)
-        with _dense(dense_model):
-            dense = _step(dense_model, *batch, optimizer=dense_opt)
+        dense = _step(dense_model, *batch, optimizer=dense_opt, dense=True)
         _assert_same_bytes(packed, dense)
     for (_, a), (_, b) in zip(packed_model.named_parameters(),
                               dense_model.named_parameters()):
         assert a.data.tobytes() == b.data.tobytes()
     assert packed_model.dropout._rng.random() == dense_model.dropout._rng.random()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    length=st.sampled_from((1, 2, 3, 7, 25)),
+    kind=st.sampled_from(_MASK_KINDS),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+@example(n=9, length=25, kind="prefix", density=0.0, seed=0)
+@example(n=5, length=1, kind="empty_sample", density=0.6, seed=1)
+def test_mtl_predict_bit_identical_to_eval_forward(n, length, kind, density, seed):
+    """``MTLTLPModel.predict`` runs the trunk's chunked pass and then the
+    heads once over the batch: the bytes of the eval-mode forward."""
+    model = _MODELS[-1]
+    X, mask, _, _, pids = _batch(model, n, length, kind, density, seed)
+    model.eval()
+    try:
+        expected = model(X, mask, pids).data
+        assert model.predict(X, mask, pids).tobytes() == expected.tobytes()
+        model.trunk._arena.reset_counters()  # warm: every scratch probe hits
+        assert model.predict(X, mask, pids).tobytes() == expected.tobytes()
+        assert model.trunk.scratch_info()["misses"] == 0
+    finally:
+        model.train()

@@ -2,10 +2,10 @@
 
 The ISSUE 4 acceptance properties live here:
 
-* ``no_grad()`` forward is bit-identical to the taped eval forward
+* ``no_grad()`` forward is bit-identical to the taped eval-mode forward
   across random configs and batch shapes, and tensors produced under it
   refuse ``backward()`` with a clear error;
-* ``predict`` is bit-identical to the taped eval forward for every
+* ``predict`` is bit-identical to the taped eval-mode forward for every
   config / batch shape / ``max_chunk`` / padding mask (chunk rows are
   independent), including the packed path's row rules: a chunk with
   fewer than 2 kept rows runs all its rows, ``L == 1`` keeps the taped
@@ -15,8 +15,9 @@ The ISSUE 4 acceptance properties live here:
 * steady-state ``predict`` allocates no large buffers — every scratch
   probe hits the arena, for any mask or span at a warm geometry;
 * ``Module.save`` / ``Module.load`` round-trips weights bit-exactly,
-  so a reloaded model predicts bit-identical scores, and an unreadable
-  file raises ``CheckpointError`` naming it.
+  so a reloaded model predicts bit-identical scores, an unreadable
+  file raises ``CheckpointError`` naming it, and a save that fails
+  partway through leaves the previous file loadable.
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ def test_predict_chunking_is_invisible():
 
 
 def test_predict_tracks_weight_updates():
-    """The plan is rebuilt per call: predict sees in-place weight edits."""
+    """predict reads the weights on every call: it sees in-place edits."""
     cfg = _CONFIGS[0]
     model = TLPModel(cfg).eval()
     X, mask = _batch(cfg, 4, 3)
@@ -375,3 +376,26 @@ def test_load_names_an_unreadable_file(tmp_path):
             model.load(truncated)
     for name, p in model.named_parameters():
         assert np.array_equal(p.data, before[name])
+
+
+def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch):
+    """A save that dies partway through writing leaves the last good
+    file in place: it still loads bit-identical weights."""
+    path = tmp_path / "serving.npz"
+    saved = TLPModel(_CONFIGS[1])
+    saved.save(path)
+    other = TLPModel(TLPModelConfig(emb=7, hidden=12, n_heads=4, n_res_blocks=1,
+                                    stream_name="test.predict.failed_save"))
+
+    def dies_partway(fh, **arrays):
+        fh.write(b"PK\x03\x04 half an archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", dies_partway)
+    with pytest.raises(OSError, match="disk full"):
+        other.save(path)
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["serving.npz"]
+    restored = TLPModel(_CONFIGS[1]).load(path)
+    for name, p in restored.named_parameters():
+        assert p.data.tobytes() == dict(saved.named_parameters())[name].data.tobytes()
