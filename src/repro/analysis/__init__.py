@@ -4,9 +4,12 @@ view, and the repo lint.
 * ``absint`` — the one interpreter of the 11 primitive kinds, run over
   an abstract loop-nest interval domain without applying the schedule:
   in raise mode it yields a :class:`~repro.analysis.absint.StaticProfile`
-  (the concrete nest ``Schedule.apply()`` returns, the static feature
-  plane, draft scores for draft-then-verify ranking); in collect mode
-  it yields diagnostics.
+  (the concrete nest ``Schedule.apply()`` returns); in collect mode it
+  yields diagnostics.
+* ``batch`` — the interpreter's batch pass (``BatchProfile``): raise
+  mode over a (subgraph, target) batch, one run per structural key and
+  the rest as integer columns, yielding the batch's static feature
+  plane, nest features and draft scores.
 * ``verifier`` — thin functions over the collect mode: structural E1xx
   rules, axis-liveness E2xx dataflow, W3xx performance smells, and the
   fail-closed ``assert_valid*`` gates.

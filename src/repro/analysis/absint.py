@@ -8,7 +8,7 @@ building a program, and every view of a sequence is one of its runs:
   :class:`AbsIntError` and otherwise returns the :class:`StaticProfile`:
   loop extents, tile footprints, parallel/vector structure, GPU grid
   geometry.  ``Schedule.apply()`` is that profile concretized
-  (:meth:`StaticProfile.to_nest`), and the dataset build gates on it.
+  (:meth:`StaticProfile.to_nest`).
 * **collect mode** — ``repro.analysis.verifier`` turns every rejection
   into a :class:`~repro.analysis.diagnostics.Diagnostic` (E1xx/E2xx,
   plus the W301–W303 smells at the step that causes them) and recovers:
@@ -26,16 +26,25 @@ iterations once split padding is accounted for: a padded split leaves
 its first inner level with a ragged final tile, so that loop's interval
 widens while every trip count stays exact.
 
-Three more consumers of the profile:
+**The batch pass.**  ``repro.analysis.batch.BatchProfile`` is raise mode
+over a whole (subgraph, target) batch: one interpreter run per
+structural key, the rest as int64 columns, replaying the dataflow each
+run logs (``Interpreter.profile(..., ops)``) with the rules
+``Interpreter._split`` uses (:func:`~repro.tensorir.schedule.split_parts`,
+:func:`~repro.tensorir.schedule.pads_beyond_allowance` and
+:func:`first_inner_floor`), and reading the static plane off
+:func:`static_plane`, the one statement of its 25 formulas.  Through it:
 
 * :func:`profile_many` — fixed-width float32 static-feature plane
-  (``STATIC_FEATURE_NAMES`` columns) for screening models.
+  (``STATIC_FEATURE_NAMES`` columns) for screening models;
 * :func:`draft_scores` — Pruner-style draft score: the static profile is
   costed on the target's *reference* ``simhw`` platform, no TLP model
   involved.  ``CandidateScorer.propose_topk(draft_keep=...)`` uses it to
   run ``TLPModel.predict`` on the top slice only.
-* :func:`smell_diagnostics` — the W304–W306 facts (footprint vs last-level
-  cache, under-parallelization, unroll bodies past the icache budget).
+
+:func:`smell_diagnostics` reads one profile's W304–W306 facts (footprint
+vs last-level cache, under-parallelization, unroll bodies past the
+icache budget).
 """
 
 from __future__ import annotations
@@ -49,9 +58,16 @@ import numpy as np
 from repro.analysis.diagnostics import Diagnostic, make
 from repro.simhw.cache import (
     BYTES_PER_POINT,
-    NestFeatures,
+    K_PARALLEL,
+    K_UNROLLED,
+    K_VECTORIZED,
     POW2_CONFLICT_THRESHOLD,
     REUSE_EXPONENT,
+    TAG_BLOCK,
+    TAG_THREAD,
+    TAG_VTHREAD,
+    LoopPlanes,
+    loop_planes,
 )
 from repro.simhw.platform import ALL_PLATFORMS, Platform
 from repro.tensorir.loops import ANNOTATION_KINDS, Interval, Loop, LoopKind, LoopNest
@@ -66,7 +82,13 @@ from repro.tensorir.primitives import (
     fused_name,
     split_names,
 )
-from repro.tensorir.schedule import PAD_ALLOWANCE, ScheduleError, split_parts
+from repro.tensorir.schedule import (
+    PAD_ALLOWANCE,
+    ScheduleError,
+    ceil_div,
+    pads_beyond_allowance,
+    split_parts,
+)
 from repro.tensorir.subgraph import Subgraph
 
 #: ``auto_unroll_max_step`` values above this trigger W302.
@@ -180,11 +202,6 @@ class StaticProfile:
         """Lower bound on useful iterations (product of interval floors)."""
         return math.prod(l.lo for l in self.loops)
 
-    def padding_ratio(self) -> float:
-        if self.domain_points <= 0:
-            return math.inf
-        return self.padded_points() / self.domain_points
-
     def to_nest(self) -> LoopNest:
         """The concrete loop nest — what ``Schedule.apply()`` returns."""
         return LoopNest(
@@ -196,54 +213,11 @@ class StaticProfile:
             compute_root=self.compute_root,
         )
 
-    # -- derived geometry -------------------------------------------------
-
-    def grid_geometry(self) -> tuple[int, int]:
-        """(grid blocks, threads per block) from the ``bind.*`` tags."""
-        grid = threads = 1
-        for l in self.loops:
-            if not l.thread_tag:
-                continue
-            if l.thread_tag.startswith("blockIdx"):
-                grid *= l.extent
-            else:  # threadIdx.* and vthread both occupy the block
-                threads *= l.extent
-        return grid, threads
-
-    def pow2_conflicts(self) -> int:
-        """Large power-of-two *middle* loop extents (the W301/simhw smell)."""
-        count = 0
-        for l in self.loops[1:-1]:
-            e = l.extent
-            if e >= POW2_CONFLICT_THRESHOLD and (e & (e - 1)) == 0:
-                count += 1
-        return count
-
     def outer_tile_points(self) -> int:
-        """Points one iteration of the outermost loop touches."""
+        """Points one iteration of the outermost loop touches (W304)."""
         if not self.loops:
             return 1
         return math.prod(l.extent for l in self.loops[1:])
-
-    def tile_points_per_level(self, cache_kb: Sequence[float]) -> tuple[float, ...]:
-        """Deepest loop-suffix tile (points) fitting each cache level,
-        the suffix-product walk of ``simhw.cache.tile_points``."""
-        suffix: list[float] = []
-        acc = 1.0
-        for l in reversed(self.loops):
-            acc *= l.extent
-            suffix.append(acc)
-        out: list[float] = []
-        for kb in cache_kb:
-            capacity_points = (kb * 1024.0 / BYTES_PER_POINT) ** (1.0 / REUSE_EXPONENT)
-            best = 1.0
-            for t in suffix:  # ascending toward the outermost suffix
-                if t <= capacity_points:
-                    best = t
-                else:
-                    break
-            out.append(max(best, 1.0))
-        return tuple(out)
 
     def unroll_step(self) -> int:
         step = 0
@@ -254,70 +228,129 @@ class StaticProfile:
         return step
 
     def features(self) -> np.ndarray:
-        """The fixed-width float32 feature row (``STATIC_FEATURE_NAMES``)."""
-        padded = float(self.padded_points())
-        parallel_extent = 1.0
-        parallel_depth = float(self.depth)
-        vector_extent = 1.0
-        unrolled_extent = 1.0
-        for level, l in enumerate(self.loops):
-            if l.kind is LoopKind.PARALLEL:
-                parallel_extent *= l.extent
-                parallel_depth = min(parallel_depth, float(level))
-            elif l.kind is LoopKind.VECTORIZED:
-                vector_extent *= l.extent
-            elif l.kind is LoopKind.UNROLLED:
-                unrolled_extent *= l.extent
-        grid, threads = self.grid_geometry()
-        ref = reference_platform(self.target)
-        tiles = self.tile_points_per_level(ref.cache_kb)
-        tile_cols = [math.log2(tiles[i]) if i < len(tiles) else 0.0 for i in range(3)]
-        row = (
-            float(self.depth),
-            math.log2(max(padded, 1.0)),
-            math.log2(max(float(self.domain_points), 1.0)),
-            self.padding_ratio(),
-            self.useful_points() / max(padded, 1.0),
+        """The fixed-width float32 feature row (``STATIC_FEATURE_NAMES``):
+        :func:`static_plane` over this profile's one-row planes."""
+        planes = loop_planes([self.loops], max(self.depth, 1))
+        return static_plane(
+            planes,
+            np.array([self.depth]),
+            np.array([float(self.unroll_step())]),
+            np.array([self.n_steps]),
+            np.array([[self.cache_write, bool(self.compute_at_axis), self.compute_root,
+                       self.inlined, any(l.rfactored for l in self.loops)]]),
+            self.domain_points,
             self.flops_per_point,
-            float(self.n_steps),
-            parallel_extent,
-            parallel_depth,
-            vector_extent,
-            1.0 if self.loops and self.loops[-1].kind is LoopKind.VECTORIZED else 0.0,
-            unrolled_extent,
-            float(self.unroll_step()),
-            float(grid),
-            float(threads),
-            float(self.pow2_conflicts()),
-            math.log2(max(working_set_bytes(self.outer_tile_points()), 1.0)),
-            *tile_cols,
-            1.0 if self.cache_write else 0.0,
-            1.0 if self.compute_at_axis else 0.0,
-            1.0 if self.compute_root else 0.0,
-            1.0 if self.inlined else 0.0,
-            1.0 if any(l.rfactored for l in self.loops) else 0.0,
-        )
-        return np.asarray(row, dtype=np.float32)
+            self.target,
+        )[0]
 
 
-def _split_lows(lo: int, extent: int, parts: tuple[int, ...], padded: int) -> tuple[int, ...]:
-    """Useful-iteration floors of the loops a split produces.
+def _map_distinct(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` (a ``math`` formula) applied once per distinct value.
 
-    Trip counts are exact (the parts themselves).  When the factors do
-    not divide the extent, the last outer iteration covers only the
-    remainder, so the first inner level's useful count drops — the
-    remainder is attributed there and deeper levels stay exact.
+    numpy's float64 ``log2`` and ``power`` are not libm's on every host,
+    so every transcendental of the plane goes through ``math`` — on
+    Python scalars, exactly as a one-profile loop would call it.
     """
+    flat = values.tolist()
+    memo = {v: fn(v) for v in dict.fromkeys(flat)}
+    return np.array([memo[v] for v in flat], dtype=np.float64)
+
+
+def _log2_at_least_1(v: float) -> float:
+    return math.log2(max(float(v), 1.0))
+
+
+def _log2_tile_bytes(points: int) -> float:
+    return math.log2(max(working_set_bytes(points), 1.0))
+
+
+def static_plane(
+    planes: LoopPlanes,
+    depth: np.ndarray,
+    unroll_step: np.ndarray,
+    n_steps: np.ndarray,
+    flags: np.ndarray,
+    domain_points: int,
+    flops_per_point: float,
+    target: str,
+) -> np.ndarray:
+    """The float32 ``[N, len(STATIC_FEATURE_NAMES)]`` static-feature plane:
+    the one statement of the 25 formulas.
+
+    ``planes`` are the nests' right-aligned loop planes (pad columns are
+    extent-1 serial loops, which change no formula), ``depth`` and
+    ``n_steps`` int ``[N]``, ``unroll_step`` the float64 ``[N]`` largest
+    ``auto_unroll_max_step`` value (``int`` of each, at least 0), and
+    ``flags`` bool ``[N, 5]``: cache write, compute-at, compute-root,
+    inlined, rfactored.  Trip counts are exact integers below 2**53, so
+    the int64 products here, converted once, give the bits a one-profile
+    float loop gives, in any order.
+    """
+    ext, lows, kinds, tags = planes.extents, planes.lows, planes.kinds, planes.tags
+    n, width = ext.shape
+    cols = np.arange(width)
+    first = width - depth  # first real column of each row
+    padded = ext.prod(axis=1)
+    padded_f = padded.astype(np.float64)
+    parallel = kinds == K_PARALLEL
+    suffix = np.cumprod(ext[:, ::-1], axis=1)[:, ::-1].astype(np.float64)
+    middle = (cols > first[:, None]) & (cols < width - 1)
+    pow2 = middle & (ext >= POW2_CONFLICT_THRESHOLD) & ((ext & (ext - 1)) == 0)
+
+    def product_where(mask: np.ndarray) -> np.ndarray:
+        return np.where(mask, ext, 1).prod(axis=1).astype(np.float64)
+
+    out = np.zeros((n, len(STATIC_FEATURE_NAMES)), dtype=np.float64)
+    out[:, 0] = depth
+    out[:, 1] = _map_distinct(_log2_at_least_1, padded)
+    out[:, 2] = _log2_at_least_1(domain_points)
+    out[:, 3] = padded_f / domain_points if domain_points > 0 else math.inf
+    out[:, 4] = lows.prod(axis=1).astype(np.float64) / np.maximum(padded_f, 1.0)
+    out[:, 5] = flops_per_point
+    out[:, 6] = n_steps
+    out[:, 7] = product_where(parallel)
+    out[:, 8] = np.where(parallel.any(axis=1), parallel.argmax(axis=1) - first, depth)
+    out[:, 9] = product_where(kinds == K_VECTORIZED)
+    out[:, 10] = (kinds[:, -1] == K_VECTORIZED) & (depth > 0)
+    out[:, 11] = product_where(kinds == K_UNROLLED)
+    out[:, 12] = unroll_step
+    out[:, 13] = product_where(tags == TAG_BLOCK)
+    out[:, 14] = product_where((tags == TAG_THREAD) | (tags == TAG_VTHREAD))
+    out[:, 15] = pow2.sum(axis=1)
+    out[:, 16] = _map_distinct(_log2_tile_bytes, np.where(cols > first[:, None], ext, 1).prod(axis=1))
+    # Deepest loop-suffix tile fitting each reference cache level (the
+    # simhw.cache.tile_points walk; suffix products ascend outward).
+    for level, kb in enumerate(reference_platform(target).cache_kb[:3]):
+        capacity_points = (kb * 1024.0 / BYTES_PER_POINT) ** (1.0 / REUSE_EXPONENT)
+        tile = np.where(suffix <= capacity_points, suffix, 1.0).max(axis=1)
+        out[:, 17 + level] = _map_distinct(math.log2, np.maximum(tile, 1.0))
+    out[:, 20:25] = flags
+    return out.astype(np.float32)
+
+
+def first_inner_floor(extent, outer, inner, deeper):
+    """Useful-iteration floor of a split's first inner level.
+
+    Trip counts are exact (the split parts themselves).  The last outer
+    iteration covers only the remaining ``extent - (outer - 1) * inner``
+    points (all ``inner`` of them when the factors divide the extent), so
+    the remainder is attributed to the first inner level, spread over the
+    ``deeper`` levels, which stay exact.  On Python ints and int64 arrays
+    alike.
+    """
+    return ceil_div(extent - (outer - 1) * inner, deeper)
+
+
+def _split_lows(lo: int, extent: int, parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Useful-iteration floors of the loops a split produces."""
     if lo != extent:
         # Splitting an already widened interval: trip counts stay exact,
         # the useful floors collapse to 1 (sound but coarse).
         return (1,) * len(parts)
-    if padded == extent or len(parts) < 2:
-        return parts
     outer, first, *deeper = parts
-    remainder = extent - (outer - 1) * math.prod(parts[1:])
-    first_lo = min(first, max(1, math.ceil(remainder / math.prod(deeper))))
-    return (outer, first_lo, *deeper)
+    deeper_points = math.prod(deeper)
+    floor = first_inner_floor(extent, outer, first * deeper_points, deeper_points)
+    return (outer, floor, *deeper)
 
 
 class Interpreter:
@@ -344,10 +377,16 @@ class Interpreter:
 
     # -- the two modes ----------------------------------------------------
 
-    def profile(self, primitives: tuple[Primitive, ...]) -> StaticProfile:
+    def profile(self, primitives: tuple[Primitive, ...], ops: list | None = None) -> StaticProfile:
         """Raise mode: the run's :class:`StaticProfile`, or
-        :class:`AbsIntError` at the first invalid step."""
-        self._run(primitives, None, False)
+        :class:`AbsIntError` at the first invalid step.
+
+        ``ops``, if given, receives the run's integer dataflow in step
+        order — ``("split", step, factor_step, axis, part_names)``,
+        ``("fuse", axes, fused_name)`` and ``("pragma", step, axis, attr)``
+        — which the batch pass replays over integer columns.
+        """
+        self._run(primitives, None, False, ops)
         return self._freeze()
 
     def diagnose(
@@ -432,9 +471,11 @@ class Interpreter:
         primitives: tuple[Primitive, ...],
         diags: list[Diagnostic] | None,
         stop_on_error: bool,
+        ops: list | None = None,
     ) -> None:
         self.primitives = primitives
         self.diags = diags
+        self.ops = ops
         self.n_errors = 0
         # Live axis names, outermost first, and their loops.
         self.order = list(self._initial_order)
@@ -532,7 +573,7 @@ class Interpreter:
 
     # -- split family -----------------------------------------------------
 
-    def _split(self, prim: Primitive, index: int, factors: tuple[int, ...]) -> None:
+    def _split(self, prim: Primitive, index: int, factors: tuple[int, ...], source: int) -> None:
         axis = prim.axes[0]
         loop = self._resolve(axis, index)
         if loop is None:
@@ -547,7 +588,7 @@ class Interpreter:
             )
         parts = split_parts(extent, factors)
         padded = math.prod(parts)
-        if padded > extent * (1.0 + PAD_ALLOWANCE):
+        if pads_beyond_allowance(padded, extent):
             self._error(
                 "E103",
                 index,
@@ -576,11 +617,14 @@ class Interpreter:
         del self.order[at]
         self._consume(axis, index)
         is_reduction = loop.is_reduction
-        lows = _split_lows(loop.lo, extent, parts, padded)
-        for offset, name in enumerate(split_names(axis, len(parts))):
+        lows = _split_lows(loop.lo, extent, parts)
+        names = split_names(axis, len(parts))
+        for offset, name in enumerate(names):
             self._define(
                 Loop(name, parts[offset], lows[offset], is_reduction), at + offset, index
             )
+        if self.ops is not None:
+            self.ops.append(("split", index, source, axis, names))
 
     def _visit_sp(self, prim: Primitive, index: int) -> None:
         factors = prim.ints[1:]
@@ -589,7 +633,7 @@ class Interpreter:
             axis = prim.axes[0]
             self._error("E102", index, f"split of {axis!r} has non-positive factors {bad}", axis)
             return
-        self._split(prim, index, factors)
+        self._split(prim, index, factors, index)
 
     def _visit_fsp(self, prim: Primitive, index: int) -> None:
         axis = prim.axes[0]
@@ -618,7 +662,7 @@ class Interpreter:
         if any(not isinstance(f, int) or f < 1 for f in factors):
             self._error("E102", index, f"followed split has non-positive factors {factors}", axis)
             return
-        self._split(prim, index, factors)
+        self._split(prim, index, factors, src_step)
 
     # -- order primitives -------------------------------------------------
 
@@ -669,6 +713,8 @@ class Interpreter:
             any(l.is_reduction for l in loops),
         )
         self._define(fused, at, index)
+        if self.ops is not None:
+            self.ops.append(("fuse", tuple(named), fused.name))
 
     # -- annotation primitives --------------------------------------------
 
@@ -735,6 +781,8 @@ class Interpreter:
             (*loop.pragmas, (attr, value)),
             loop.rfactored,
         )
+        if self.ops is not None:
+            self.ops.append(("pragma", index, axis, attr))
 
     # -- stage primitives -------------------------------------------------
 
@@ -804,19 +852,11 @@ def profile_many(
     target: str = "cpu",
 ) -> np.ndarray:
     """Static-feature plane (float32 ``[N, len(STATIC_FEATURE_NAMES)]``)
-    for a batch of already-valid sequences against one subgraph."""
-    interp = Interpreter(subgraph, target)
-    plane = np.empty((len(sequences), len(STATIC_FEATURE_NAMES)), dtype=np.float32)
-    for i, seq in enumerate(sequences):
-        plane[i] = interp.profile(_primitives_of(seq)).features()
-    return plane
+    for a batch against one subgraph (``repro.analysis.batch``'s batch
+    pass); raises the :class:`AbsIntError` of the first invalid sequence."""
+    from repro.analysis.batch import BatchProfile  # the batch pass builds on this module
 
-
-def nest_features(
-    subgraph: Subgraph, profiles: Sequence[StaticProfile]
-) -> NestFeatures:
-    """``simhw.cache.NestFeatures`` built from static profiles alone."""
-    return NestFeatures.from_nests(subgraph, [p.to_nest() for p in profiles])
+    return BatchProfile(subgraph, sequences, target).static_plane()
 
 
 def draft_scores(
@@ -829,14 +869,15 @@ def draft_scores(
     Costs each static profile on the target's reference platform with the
     analytical ``simhw`` model — no quirk term, no learned model — and
     normalizes to ``min_latency / latency`` like the TLP training label.
+    The batch pass is the fail-closed gate: an invalid sequence raises its
+    :class:`AbsIntError`.
     """
+    from repro.analysis.batch import BatchProfile  # the batch pass builds on this module
     from repro.simhw import cpu_model, gpu_model  # local: keep verifier import light
 
     if not sequences:
         return np.empty(0, dtype=np.float32)
-    interp = Interpreter(subgraph, target)
-    profiles = [interp.profile(_primitives_of(seq)) for seq in sequences]
-    feats = nest_features(subgraph, profiles)
+    feats = BatchProfile(subgraph, sequences, target).nest_features()
     model = gpu_model if target == "gpu" else cpu_model
     seconds, _ = model.latency_seconds(feats, reference_platform(target))
     floor = np.maximum(seconds, np.float32(1e-30))
@@ -864,7 +905,7 @@ __all__ = [
     "STATIC_FEATURE_NAMES",
     "StaticProfile",
     "draft_scores",
-    "nest_features",
+    "first_inner_floor",
     "profile",
     "profile_many",
     "reference_llc_kb",
@@ -872,5 +913,6 @@ __all__ = [
     "reference_platform",
     "reference_unroll_budget",
     "smell_diagnostics",
+    "static_plane",
     "working_set_bytes",
 ]

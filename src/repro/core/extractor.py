@@ -36,7 +36,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from repro.core.abstract_primitive import N_KINDS, abstract
+from repro.analysis.batch import CandidateGroups
+from repro.core.abstract_primitive import N_KINDS, abstract, char_params
 from repro.core.postprocess import PostprocessConfig
 from repro.tensorir.primitives import Primitive
 from repro.tensorir.schedule import Schedule
@@ -49,6 +50,12 @@ _FIRST_CHAR_ID = 2
 
 #: One featurizable sequence: a schedule or a bare primitive tuple.
 SequenceLike = Union[Schedule, Sequence[Primitive]]
+
+
+def _numeric_start(prim: Primitive) -> int:
+    """Where a primitive's ints start in its feature row: after the
+    one-hot kind and one slot per character parameter."""
+    return N_KINDS + len(char_params(prim))
 
 
 def _primitives_of(seq: SequenceLike) -> tuple[Primitive, ...]:
@@ -161,7 +168,7 @@ class TLPFeaturizer:
 
     def transform_into(
         self,
-        sequences: Sequence[SequenceLike],
+        sequences: "Sequence[SequenceLike] | CandidateGroups",
         X: np.ndarray,
         mask: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -169,10 +176,14 @@ class TLPFeaturizer:
 
         The buffer-donation path for long-running generators (the dataset
         shard writer): the same two tensors are rewritten batch after
-        batch, so steady state performs zero tensor allocations — the
-        only writes are memoized 22-float row copies.  The sequence LRU
-        is bypassed (shard batches are fresh by construction; caching
-        them would only grow the memo), so ``cache_info`` hit/miss
+        batch.  The batch is encoded by structural group
+        (``repro.analysis.batch.CandidateGroups``; pass the grouping the
+        static pass already made, or sequences to group here): each
+        group's rows are written once, from the row memo, then gathered
+        into every member's slot, and the members' ints — all that differs
+        inside a group — are scattered into their numeric slots.  The
+        sequence LRU is bypassed (shard batches are fresh by construction;
+        caching them would only grow the memo), so ``cache_info`` hit/miss
         counters are untouched.  Output is bit-identical to
         :meth:`transform` over the same sequences.
 
@@ -196,11 +207,43 @@ class TLPFeaturizer:
             raise ValueError(
                 f"buffers must be float32, got X={X.dtype}, mask={mask.dtype}"
             )
-        for i in range(n):
-            length = self._encode_into(X[i], _primitives_of(sequences[i]))
-            X[i, length:] = 0.0
-            mask[i, :length] = 1.0
-            mask[i, length:] = 0.0
+        groups = CandidateGroups.of(sequences)
+        seq_len, emb = cfg.seq_len, cfg.emb
+        n_groups = len(groups.first)
+        templates = np.zeros((n_groups, seq_len, emb), dtype=np.float32)
+        lengths = np.empty(n_groups, dtype=np.intp)
+        slot_cols: list[list[int]] = []
+        slot_at: list[list[int]] = []
+        for g, first in enumerate(groups.first):
+            prims = groups.sequences[first]
+            lengths[g] = self._encode_into(templates[g], prims)
+            cols, at = [], []
+            col = 0
+            for j, prim in enumerate(prims[: lengths[g]]):
+                start = _numeric_start(prim)
+                for t in range(min(len(prim.ints), emb - start)):
+                    cols.append(col + t)
+                    at.append(j * emb + start + t)
+                col += len(prim.ints)
+            slot_cols.append(cols)
+            slot_at.append(at)
+        gof = groups.group_of
+        np.take(templates, gof, axis=0, out=X[:n])
+        np.less(np.arange(seq_len), lengths[gof][:, None], out=mask[:n], casting="unsafe")
+        # Every member's ints into its numeric slots, in one scatter.
+        width = max(map(len, slot_cols), default=0)
+        cols_table = np.zeros((n_groups, width), dtype=np.intp)
+        at_table = np.zeros((n_groups, width), dtype=np.intp)
+        for g in range(n_groups):
+            cols_table[g, : len(slot_cols[g])] = slot_cols[g]
+            at_table[g, : len(slot_at[g])] = slot_at[g]
+        counts = np.asarray(list(map(len, slot_cols)), dtype=np.intp)[gof]
+        member = np.repeat(np.arange(n), counts)
+        k = np.arange(len(member)) - np.repeat(np.cumsum(counts) - counts, counts)
+        gm = gof[member]
+        at = at_table[gm, k]
+        values = np.array(groups.values, dtype=np.float32)
+        X[member, at // emb, at % emb] = values[groups.offsets[member] + cols_table[gm, k]]
         return X[:n], mask[:n]
 
     def _encode(self, prims: tuple[Primitive, ...]) -> tuple[np.ndarray, int]:
@@ -221,7 +264,9 @@ class TLPFeaturizer:
         return length
 
     def _encode_row(self, prim: Primitive) -> np.ndarray:
-        """One primitive's feature row, crop fused in (width = ``emb``)."""
+        """One primitive's feature row, crop fused in (width = ``emb``):
+        the one-hot kind, the char tokens, then the ints from
+        :func:`_numeric_start` on."""
         emb = self.config.emb
         vocab = self.vocab_
         self._rows_encoded += 1
@@ -229,17 +274,11 @@ class TLPFeaturizer:
         ap = abstract(prim)
         if ap.kind_index < emb:
             row[ap.kind_index] = 1.0
-        pos = N_KINDS
-        for ch in ap.chars:
-            if pos >= emb:
-                return row
+        for pos, ch in enumerate(ap.chars[: max(emb - N_KINDS, 0)], start=N_KINDS):
             row[pos] = vocab.get(ch, UNK_ID)
-            pos += 1
-        for value in ap.numerics:
-            if pos >= emb:
-                return row
+        start = _numeric_start(prim)
+        for pos, value in enumerate(ap.numerics[: max(emb - start, 0)], start=start):
             row[pos] = value
-            pos += 1
         return row
 
     # -- cache introspection --------------------------------------------

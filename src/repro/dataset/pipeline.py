@@ -7,23 +7,25 @@ pipeline spreads over a measurement farm:
    samples the task's candidate schedules from a batch-private named rng
    stream (``spec.candidate_stream``).  The verifier pass is skipped
    because step 2 is the gate.
-2. **Profile (the fail-closed gate)** — ``repro.analysis.absint.profile``
-   abstractly interprets each sequence *once*, yielding both the static
-   feature plane and the concrete loop nest (``StaticProfile.to_nest()``),
-   so schedules are never applied a second time for measurement.  The
-   verifier is the same interpreter in collect mode, so ``profile``
-   raises ``AbsIntError`` on exactly the sequences the verifier rejects
-   and one pass both checks and profiles: an invalid candidate becomes a
-   :class:`DatasetError` naming the task, target, candidate index and
-   step, before any row of its batch reaches the :class:`ShardWriter`.
-   Only the featurizer-fit corpus (``fit_featurizer``) still runs the
-   verifier.
+2. **Profile (the fail-closed gate)** — ``repro.analysis.batch.BatchProfile``
+   groups the batch by structural key, abstractly interprets one
+   sequence per key and the rest as integer columns, and yields both the
+   static feature plane and the nest features the cost models price
+   (``NestFeatures``), with no schedule applied and no per-candidate
+   profile or loop nest built.  The verifier is the same interpreter in
+   collect mode, so the pass rejects exactly the sequences the verifier
+   rejects and one pass both checks and profiles: on a rejection the
+   batch is re-run through ``profile`` one candidate at a time, and the
+   first invalid candidate becomes a :class:`DatasetError` naming the
+   task, target, candidate index and step, before any row of its batch
+   reaches the :class:`ShardWriter`.
 3. **Featurize** — ``TLPFeaturizer.transform_into`` writes the
    ``[C, seq_len, emb]`` TLP planes straight into one preallocated batch
-   buffer (zero steady-state tensor allocations; the featurizer's memo
-   is cleared between batches so memory stays flat).
-4. **Measure** — the nests are flattened once (``NestFeatures``) and
-   priced on *every* spec platform of the batch's target with the
+   buffer, on the static pass's grouping: each group's rows once, then
+   every member's ints into its numeric slots (the featurizer's memo is
+   cleared between batches so memory stays flat).
+4. **Measure** — the nest features are priced on *every* spec platform
+   of the batch's target with the
    vectorized ``simhw`` cost models + deterministic quirk streams —
    bit-identical to ``measure_many``, but the generation/profiling/
    featurization cost is amortized across all same-target platforms.
@@ -49,6 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis.absint import STATIC_FEATURE_NAMES, AbsIntError, profile
+from repro.analysis.batch import BatchProfile
 from repro.core.extractor import TLPFeaturizer
 from repro.core.postprocess import PostprocessConfig
 from repro.dataset.manifest import (
@@ -76,7 +79,6 @@ from repro.dataset.spec import (
     total_records,
 )
 from repro.simhw import cpu_model, gpu_model
-from repro.simhw.cache import NestFeatures
 from repro.simhw.measure import labels_from_latencies, quirk_multipliers
 from repro.simhw.platform import get_platform
 from repro.tensorir.sketch import SketchConfig, SketchGenerator, TARGETS
@@ -109,6 +111,7 @@ def fit_featurizer(spec: DatasetSpec) -> TLPFeaturizer:
     ``manifest.vocab_digest`` pins that."""
     generators = _generators(spec)
     corpus = []
+    plans: dict = {}  # the gate's per-key runs, shared by the corpus's small batches
     for task in enumerate_tasks(spec):
         for target in sorted(generators):
             corpus.extend(
@@ -116,6 +119,7 @@ def fit_featurizer(spec: DatasetSpec) -> TLPFeaturizer:
                     task.subgraph,
                     FIT_SAMPLE_PER_TASK,
                     stream(fit_stream(spec, task, target), spec.root_seed),
+                    plans=plans,
                 )
             )
     featurizer = TLPFeaturizer(cache_size=0)
@@ -332,24 +336,24 @@ def _emit_batch(
         task.subgraph, C, stream(stream_name, spec.root_seed), verify=False
     )
 
-    # One abstract interpretation per candidate yields the static plane
-    # AND the concrete nest — the schedule is never applied again.  An
-    # AbsIntError stops the build before any row of this batch is written.
-    nests = []
-    for i, schedule in enumerate(schedules):
-        try:
-            prof = profile(task.subgraph, schedule, plan.target)
-        except AbsIntError as err:
-            raise DatasetError(
-                f"task {task.task_id} ({task.network}/{task.subgraph.name}), "
-                f"target {plan.target}: candidate {i} rejected by abstract "
-                f"interpretation at {err}"
-            ) from err
-        static_buf[i] = prof.features()
-        nests.append(prof.to_nest())
-    feats = NestFeatures.from_nests(task.subgraph, nests)
+    # One batch pass yields the static plane AND the nest features, with
+    # no schedule applied and no per-candidate profile built.  An invalid
+    # candidate stops the build before any row of this batch is written.
+    def recheck() -> None:
+        for i, schedule in enumerate(schedules):
+            try:
+                profile(task.subgraph, schedule, plan.target)
+            except AbsIntError as err:
+                raise DatasetError(
+                    f"task {task.task_id} ({task.network}/{task.subgraph.name}), "
+                    f"target {plan.target}: candidate {i} rejected by abstract "
+                    f"interpretation at {err}"
+                ) from err
 
-    featurizer.transform_into(schedules, X_buf, mask_buf)
+    batch = BatchProfile(task.subgraph, schedules, plan.target, recheck)
+    static_buf[:C] = batch.static_plane()
+    feats = batch.nest_features()
+    featurizer.transform_into(batch.groups, X_buf, mask_buf)
 
     stats = _length_stats([len(s.primitives) for s in schedules])
     previous = manifest.batch_stats.get(plan.key)

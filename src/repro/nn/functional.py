@@ -55,8 +55,9 @@ byte.  Measured with this BLAS (scipy-openblas, one thread):
 **Bounded scratch.**  Under an arena every packed buffer is sized by
 the chunk capacity ``n * L`` and sliced to ``R``, and every
 span-trimmed attention buffer is a view of one sized by the full
-``L x L`` block, so the arena holds one buffer per call site and chunk
-geometry whatever the masks are.  Single-column GEMMs (the score head)
+``L x L`` block; the arena holds one buffer per call site, grown to the
+largest request, so its size is bounded by the largest chunk and batch
+whatever the masks and batch sizes are.  Single-column GEMMs (the score head)
 are erratic across small row counts on this BLAS, so ``predict`` runs
 the head once over the whole batch, at the row count ``forward`` uses.
 """
@@ -83,43 +84,41 @@ TRIM_BELOW_LENGTH = 32
 
 
 class ScratchArena:
-    """A pool of preallocated float32 buffers keyed by (name, shape).
+    """A pool of preallocated float32 buffers, one per call-site name.
 
-    ``take(name, shape)`` returns the pooled buffer for that key,
-    allocating only on first use — callers with a fixed batch geometry
-    (``TLPModel.predict``) hit the pool on every call after the first.
-    A call site whose shape varies from call to call passes the largest
-    shape it will ask for as ``capacity``: the buffer is pooled by that,
-    and ``take`` returns a view of its first elements (packed rows,
-    :meth:`PackedRows.take`, and the span-trimmed attention block), so
-    the pool stays warm whatever the masks.  Keys include the call-site
-    name so two live buffers of equal shape never alias.  Contents are
-    undefined on ``take``; every kernel fully overwrites what it takes.
-    ``reuse`` lets a kernel consume an input in place.
+    ``take(name, shape)`` returns a ``shape`` view of that name's buffer,
+    allocating only when the name is new or the buffer is too small for
+    the request; a buffer only grows, so callers hit the pool on every
+    call after their largest one, whatever the batch size
+    (``TLPModel.predict``).  A call site whose shape varies with the
+    masks passes the largest shape it will ask for as ``capacity``, and
+    the buffer is sized by that (packed rows, :meth:`PackedRows.take`,
+    and the span-trimmed attention block).  Names are per call site, and
+    no call site holds one name at two live shapes, so two live buffers
+    never alias.  Contents are undefined on ``take``; every kernel fully
+    overwrites what it takes.  ``reuse`` lets a kernel consume an input
+    in place.
 
     ``hits`` / ``misses`` count pool probes and back the no-allocation
     acceptance test: a steady-state ``predict`` call must be all hits.
     """
 
     def __init__(self) -> None:
-        self._buffers: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
+        self._buffers: dict[str, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
 
     def take(self, name: str, shape: tuple[int, ...],
              capacity: tuple[int, ...] | None = None) -> np.ndarray:
-        pooled = shape if capacity is None else capacity
-        key = (name, pooled)
-        buf = self._buffers.get(key)
-        if buf is None:
+        used = math.prod(shape)
+        size = used if capacity is None else max(used, math.prod(capacity))
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape[0] < size:
             self.misses += 1
-            buf = np.empty(pooled, dtype=np.float32)
-            self._buffers[key] = buf
+            buf = self._buffers[name] = np.empty(size, dtype=np.float32)
         else:
             self.hits += 1
-        if capacity is None:
-            return buf
-        return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
+        return buf[:used].reshape(shape)
 
     def reuse(self, name: str, x: np.ndarray) -> np.ndarray:
         """Where an in-place step on ``x`` writes: ``x`` itself (serving

@@ -22,12 +22,12 @@ factors alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.simhw.platform import Platform
-from repro.tensorir.loops import LoopKind, LoopNest
+from repro.tensorir.loops import Loop, LoopKind, LoopNest
 from repro.tensorir.subgraph import Subgraph
 
 #: Loop-kind codes in the ``kinds`` feature plane (pad columns are SERIAL
@@ -70,14 +70,65 @@ def _tag_code(thread_tag: str) -> int:
     return TAG_VTHREAD
 
 
+class LoopPlanes(NamedTuple):
+    """Loop nests as right-aligned ``[N, D]`` planes: column ``D-1`` is
+    each nest's innermost loop, and the left padding holds extent-1
+    serial loops with no tag, so suffix products and "distance from
+    innermost" are uniform array expressions."""
+
+    extents: np.ndarray       # int64 — padded trip counts
+    lows: np.ndarray          # int64 — useful-iteration floors
+    kinds: np.ndarray         # int8 — K_* codes
+    is_reduction: np.ndarray  # bool
+    tags: np.ndarray          # int8 — TAG_* codes
+
+
+def loop_codes(loop: Loop) -> tuple[int, bool, int]:
+    """A loop's ``kinds``, ``is_reduction`` and ``tags`` plane entries."""
+    return _KIND_CODE[loop.kind], loop.is_reduction, _tag_code(loop.thread_tag)
+
+
+def loop_planes(nests: Sequence[Sequence[Loop]], width: int) -> LoopPlanes:
+    """Right-align each nest's loops (outermost first) into ``width`` columns."""
+    n = len(nests)
+    extents = np.ones((n, width), dtype=np.int64)
+    lows = np.ones((n, width), dtype=np.int64)
+    kinds = np.zeros((n, width), dtype=np.int8)
+    is_red = np.zeros((n, width), dtype=bool)
+    tags = np.zeros((n, width), dtype=np.int8)
+    for i, loops in enumerate(nests):
+        for j, loop in enumerate(loops, start=width - len(loops)):
+            extents[i, j] = loop.extent
+            lows[i, j] = loop.lo
+            kinds[i, j], is_red[i, j], tags[i, j] = loop_codes(loop)
+    return LoopPlanes(extents, lows, kinds, is_red, tags)
+
+
+def nest_signature(
+    subgraph_name: str, kinds: np.ndarray, cache_write: bool, rfactored: bool, inlined: bool
+) -> str:
+    """Program-shape signature of one nest (the quirk key): its depth,
+    loop-kind codes outermost first, and stage flags.
+
+    Coarse on purpose (DESIGN.md §6): near-top candidates of one subgraph
+    usually share it, so the quirk terms keyed on it cancel within a task
+    and act across platforms instead.
+    """
+    codes = "".join(str(int(k)) for k in kinds)
+    return (
+        f"{subgraph_name}/{len(kinds)}/{codes}"
+        f"/cw{int(cache_write)}rf{int(rfactored)}ci{int(inlined)}"
+    )
+
+
 @dataclass
 class NestFeatures:
     """A batch of applied loop nests, flattened for vectorized costing.
 
-    Loop planes (``extents``/``kinds``/``is_reduction``/``tags``) are
-    right-aligned: column ``D-1`` is each nest's innermost loop and the
-    left padding holds extent-1 serial loops, so suffix products and
-    "distance from innermost" are uniform array expressions.
+    ``extents``/``kinds``/``is_reduction``/``tags`` are the nests'
+    :class:`LoopPlanes` (``extents`` as float32).  :meth:`from_nests`
+    flattens concrete nests; ``repro.analysis.absint``'s batch pass calls
+    :meth:`from_planes` with planes it derived without building any nest.
     """
 
     n: int
@@ -101,66 +152,66 @@ class NestFeatures:
         cls, subgraph: Subgraph, nests: Sequence[LoopNest]
     ) -> "NestFeatures":
         n = len(nests)
-        depth_list = [nest.depth for nest in nests]
-        d = max(depth_list, default=1)
-        d = max(d, 1)
-
-        extents = np.ones((n, d), dtype=np.float32)
-        kinds = np.zeros((n, d), dtype=np.int8)
-        is_red = np.zeros((n, d), dtype=bool)
-        tags = np.zeros((n, d), dtype=np.int8)
+        depth = np.asarray([nest.depth for nest in nests], dtype=np.int32)
+        d = max(int(depth.max(initial=0)), 1)
+        planes = loop_planes([nest.loops for nest in nests], d)
         unroll = np.zeros(n, dtype=np.float32)
-        cache_write = np.zeros(n, dtype=bool)
-        compute_at = np.zeros(n, dtype=bool)
-        inlined = np.zeros(n, dtype=bool)
-        rfactored = np.zeros(n, dtype=bool)
-        signatures: list[str] = []
-
         for i, nest in enumerate(nests):
-            start = d - nest.depth  # right-align: innermost in column d-1
-            sig_kinds: list[str] = []
-            for j, loop in enumerate(nest.loops, start=start):
-                extents[i, j] = loop.extent
-                code = _KIND_CODE[loop.kind]
-                kinds[i, j] = code
-                is_red[i, j] = loop.is_reduction
-                tags[i, j] = _tag_code(loop.thread_tag)
-                sig_kinds.append(str(code))
-                if loop.rfactored:
-                    rfactored[i] = True
+            for loop in nest.loops:
                 for name, value in loop.pragmas:
                     if name == "auto_unroll_max_step":
                         unroll[i] = max(unroll[i], float(value))
-            cache_write[i] = nest.cache_write
-            compute_at[i] = bool(nest.compute_at_axis)
-            inlined[i] = nest.inlined
-            # Program-shape signature: coarse on purpose (DESIGN.md §6) —
-            # near-top candidates of one subgraph usually share it, so the
-            # quirk terms keyed on it cancel within a task and act across
-            # platforms instead.
-            signatures.append(
-                f"{subgraph.name}/{nest.depth}/{''.join(sig_kinds)}"
-                f"/cw{int(nest.cache_write)}rf{int(rfactored[i])}ci{int(nest.inlined)}"
-            )
+        rfactored = np.asarray([any(l.rfactored for l in nest.loops) for nest in nests], dtype=bool)
+        inlined = np.asarray([nest.inlined for nest in nests], dtype=bool)
+        signatures = tuple(
+            nest_signature(subgraph.name, planes.kinds[i, d - nest.depth :],
+                           nest.cache_write, bool(rfactored[i]), nest.inlined)
+            for i, nest in enumerate(nests)
+        )
+        return cls.from_planes(
+            subgraph,
+            depth,
+            planes,
+            unroll,
+            np.asarray([nest.cache_write for nest in nests], dtype=bool),
+            np.asarray([bool(nest.compute_at_axis) for nest in nests], dtype=bool),
+            inlined,
+            rfactored,
+            signatures,
+        )
 
-        domain = np.full(n, float(subgraph.total_points), dtype=np.float32)
-        flops = np.full(n, float(subgraph.flops_per_point), dtype=np.float32)
+    @classmethod
+    def from_planes(
+        cls,
+        subgraph: Subgraph,
+        depth: np.ndarray,
+        planes: LoopPlanes,
+        unroll_step: np.ndarray,
+        cache_write: np.ndarray,
+        compute_at: np.ndarray,
+        inlined: np.ndarray,
+        rfactored: np.ndarray,
+        signatures: tuple[str, ...],
+    ) -> "NestFeatures":
+        """The batch from its loop planes and per-nest columns."""
+        n = len(depth)
+        extents = planes.extents.astype(np.float32)
         return cls(
             n=n,
-            depth=np.asarray(depth_list, dtype=np.int32),
+            depth=np.asarray(depth, dtype=np.int32),
             extents=extents,
-            kinds=kinds,
-            is_reduction=is_red,
-            tags=tags,
+            kinds=planes.kinds,
+            is_reduction=planes.is_reduction,
+            tags=planes.tags,
             padded_points=extents.prod(axis=1, dtype=np.float32),
-            domain_points=domain,
-            flops_per_point=flops,
-            unroll_step=unroll,
+            domain_points=np.full(n, float(subgraph.total_points), dtype=np.float32),
+            flops_per_point=np.full(n, float(subgraph.flops_per_point), dtype=np.float32),
+            unroll_step=unroll_step,
             cache_write=cache_write,
             compute_at=compute_at,
             inlined=inlined,
             rfactored=rfactored,
-            signatures=tuple(signatures),
+            signatures=signatures,
         )
 
     def suffix_products(self) -> np.ndarray:
@@ -240,6 +291,7 @@ __all__ = [
     "K_SERIAL",
     "K_UNROLLED",
     "K_VECTORIZED",
+    "LoopPlanes",
     "NestFeatures",
     "POW2_CONFLICT_THRESHOLD",
     "REUSE_EXPONENT",
@@ -248,6 +300,9 @@ __all__ = [
     "TAG_THREAD",
     "TAG_VTHREAD",
     "conflict_counts",
+    "loop_codes",
+    "loop_planes",
     "memory_cycles",
+    "nest_signature",
     "tile_points",
 ]

@@ -83,14 +83,17 @@ def quirk_multipliers(
     candidates of one task share a multiplier and intra-task rankings
     stay clean.
     """
-    out = np.empty(len(signatures), dtype=np.float32)
-    for i, sig in enumerate(signatures):
+    # Signatures are per program shape, so a batch holds few distinct ones:
+    # price each once, in first-seen order, and broadcast.
+    distinct = {sig: k for k, sig in enumerate(dict.fromkeys(signatures))}
+    priced = np.empty(len(distinct), dtype=np.float32)
+    for sig, k in distinct.items():
         u_isa = _quirk_unit(f"simhw.quirk.isa.{platform.isa}.{sig}", root_seed)
         u_plat = _quirk_unit(f"simhw.quirk.platform.{platform.name}.{sig}", root_seed)
-        out[i] = math.exp(
+        priced[k] = math.exp(
             platform.quirk_isa_scale * u_isa + platform.quirk_platform_scale * u_plat
         )
-    return out
+    return priced[np.fromiter(map(distinct.__getitem__, signatures), np.intp, len(signatures))]
 
 
 def _coerce_schedule(

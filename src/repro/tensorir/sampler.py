@@ -17,13 +17,14 @@ levels bound to blockIdx/threadIdx.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from repro.tensorir import primitives as P
 from repro.tensorir.primitives import Primitive
-from repro.tensorir.schedule import PAD_ALLOWANCE, Schedule, split_parts
+from repro.tensorir.schedule import Schedule, pads_beyond_allowance, split_parts
 from repro.tensorir.sketch import SketchConfig
 from repro.tensorir.subgraph import Subgraph
 
@@ -85,8 +86,8 @@ class ScheduleSampler:
             bump = int(rng.integers(0, len(factors)))
             padded_factors = list(factors)
             padded_factors[bump] += 1
-            padded = int(np.prod(split_parts(extent, tuple(padded_factors)), dtype=np.int64))
-            if padded <= extent * (1.0 + PAD_ALLOWANCE):
+            padded = math.prod(split_parts(extent, tuple(padded_factors)))
+            if not pads_beyond_allowance(padded, extent):
                 factors = padded_factors
         return tuple(factors)
 

@@ -29,18 +29,30 @@ class ScheduleError(Exception):
 PAD_ALLOWANCE: float = 0.25
 
 
+def ceil_div(a, b):
+    """``ceil(a / b)`` for positive integers, exactly, on Python ints and
+    int64 arrays alike.  Equal to ``math.ceil(a / b)`` whenever
+    ``a < 2**53``: a float quotient can then round onto an integer only
+    when it is one."""
+    return -(-a // b)
+
+
 def split_parts(extent: int, factors: tuple[int, ...]) -> tuple[int, ...]:
     """Extents of the loops produced by splitting ``extent`` by ``factors``.
 
     Factors are the inner-loop extents (innermost last); the outer loop
     absorbs the remainder with ceil-division, padding the domain when the
-    factors do not divide the extent.
+    factors do not divide the extent.  Extents and factors are >= 1, so
+    the outer loop is too.
     """
-    inner = 1
-    for f in factors:
-        inner *= f
-    outer = max(1, math.ceil(extent / inner))
-    return (outer, *factors)
+    return (ceil_div(extent, math.prod(factors)), *factors)
+
+
+def pads_beyond_allowance(padded, extent):
+    """The E103 rule: a split may pad ``extent`` to at most
+    ``(1 + PAD_ALLOWANCE) * extent`` iterations.  On Python ints and
+    int64 arrays alike (exact while ``padded < 2**53``)."""
+    return padded > extent * (1.0 + PAD_ALLOWANCE)
 
 
 @dataclass
@@ -65,4 +77,11 @@ class Schedule:
         return len(self.primitives)
 
 
-__all__ = ["PAD_ALLOWANCE", "Schedule", "ScheduleError", "split_parts"]
+__all__ = [
+    "PAD_ALLOWANCE",
+    "Schedule",
+    "ScheduleError",
+    "ceil_div",
+    "pads_beyond_allowance",
+    "split_parts",
+]

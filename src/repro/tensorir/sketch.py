@@ -4,9 +4,10 @@ A *sketch* (Ansor terminology) is the structural skeleton of a schedule —
 how many tile levels each axis gets, whether a write-cache stage is added,
 which loops are annotated — with the free parameters (split factors,
 unroll steps) filled in by random sampling.  :class:`SketchGenerator`
-composes the two and runs the static verifier on every generated sequence
-fail-closed: an invalid sequence is a bug, not a sample.  The one
-exception is a caller that abstractly interprets every sample itself
+composes the two and checks every generated sequence fail-closed with the
+abstract interpreter's batch pass, the verifier's rules in raise mode: an
+invalid sequence is a bug, not a sample.  The one exception is a caller
+that abstractly interprets every sample itself
 (``generate_many(..., verify=False)``), which gates on that pass instead.
 """
 
@@ -70,35 +71,44 @@ class SketchGenerator:
         rng: np.random.Generator,
         *,
         verify: bool = True,
+        plans: "dict | None" = None,
     ) -> list[Schedule]:
         """Sample ``n`` schedules, verified fail-closed in one batch pass.
 
         The sampler constructs sequences that are valid by definition of
         its own bookkeeping, so verification is a guard against sampler
-        bugs, not a filter: it runs once over the whole batch
-        (``repro.analysis.assert_valid_many`` sets the interpreter up once
-        and early-exits each sequence).  Equivalent to ``n``
-        :meth:`generate` calls on the same ``rng`` stream, just cheaper.
+        bugs, not a filter: the batch goes through the abstract
+        interpreter's batch pass (``repro.analysis.batch.BatchProfile``),
+        which interprets one sequence per structural key and checks the
+        rest as integer columns; a caller checking many small batches
+        passes one ``plans`` dict to all of them, so a key met again is not
+        interpreted again (the output is the same either way).  Should it flag anything, the batch is
+        re-checked with ``repro.analysis.assert_valid_many``, so the
+        error is the verifier's ``InvalidScheduleError``.  Equivalent to
+        ``n`` :meth:`generate` calls on the same ``rng`` stream, just
+        cheaper.
 
         ``verify=False`` skips that pass and returns the raw samples (the
         rng draws are the same either way).  Only a caller that abstractly
         interprets *every* returned schedule before using it may pass it,
-        and it must then run ``repro.analysis.absint.profile`` on each one
-        and treat an ``AbsIntError`` as fatal: the verifier is the same
-        interpreter in collect mode, so that pass is the same gate.
-        The dataset build (``repro.dataset.pipeline``) and the drafted
-        ``CandidateScorer.propose_topk`` (``absint.draft_scores``) are
-        those callers; everything else keeps the default.
+        and it must then treat an ``AbsIntError`` as fatal: the verifier
+        is the same interpreter in collect mode, so that pass is the same
+        gate.  The dataset build (``repro.dataset.pipeline``, through
+        ``BatchProfile``) and the drafted ``CandidateScorer.propose_topk``
+        (``absint.draft_scores``) are those callers; everything else keeps
+        the default.
         """
         # Imported lazily: repro.analysis imports repro.tensorir submodules,
         # so a module-level import here would be circular during package init.
-        from repro.analysis.verifier import assert_valid_many
+        from repro.analysis import verifier
+        from repro.analysis.batch import BatchProfile
         from repro.tensorir.sampler import ScheduleSampler
 
         sampler = ScheduleSampler(self.config)
         schedules = [sampler.sample(subgraph, rng) for _ in range(n)]
         if verify:
-            assert_valid_many(schedules)
+            BatchProfile(subgraph, schedules, self.config.target,
+                         lambda: verifier.assert_valid_many(schedules), plans)
         return schedules
 
 

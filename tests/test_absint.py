@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from corruptions import CORRUPTIONS
 from repro.analysis import absint, has_errors, verify_schedule, verify_sequence
 from repro.analysis.absint import AbsIntError, Interval, StaticProfile
+from repro.analysis.batch import BatchProfile
 from repro.simhw.platform import ALL_PLATFORMS
 from repro.tensorir import (
     Primitive,
@@ -68,7 +69,8 @@ def test_padded_split_attributes_remainder_to_first_inner_level():
     assert prof.extents() == (3, 4)
     assert [l.trip for l in prof.loops] == [Interval(3, 3), Interval(2, 4)]
     assert prof.padded_points() == 12 and prof.useful_points() == 6
-    assert prof.padding_ratio() == pytest.approx(1.2)
+    row = prof.features()
+    assert row[absint.STATIC_FEATURE_NAMES.index("padding_ratio")] == pytest.approx(1.2)
 
 
 def test_exact_split_keeps_exact_intervals():
@@ -131,8 +133,7 @@ def test_nest_features_bit_identical_to_applied_path():
     sg = matmul_subgraph()
     gen = SketchGenerator(SketchConfig("cpu"))
     batch = gen.generate_many(sg, 48, stream("absint.nestfeat"))
-    profiles = [absint.profile(sg, s) for s in batch]
-    static = absint.nest_features(sg, profiles)
+    static = BatchProfile(sg, batch).nest_features()
     applied = NestFeatures.from_nests(sg, [s.apply() for s in batch])
     for field in ("depth", "extents", "kinds", "is_reduction", "tags",
                   "padded_points", "domain_points", "flops_per_point",
@@ -165,7 +166,6 @@ def test_gpu_grid_geometry_from_bind_tags():
         P.annotate("i.1", "bind.threadIdx.x"),
     )
     prof = absint.profile(sg, seq, "gpu")
-    assert prof.grid_geometry() == (8, 16)
     row = prof.features()
     names = absint.STATIC_FEATURE_NAMES
     assert row[names.index("grid_blocks")] == 8.0

@@ -2,7 +2,7 @@
 
 The heavy contracts: the single-pass pipeline's columns are
 bit-identical to the compose-by-hand path (``generate_many`` ->
-``measure_many`` / ``profile_many`` / ``transform``), labels normalize
+``measure_many`` / per-candidate ``profile`` rows / ``transform``), labels normalize
 per (task, platform), the store is a pure function of (spec, root
 seed), and the manifest journals exactly what is on disk.
 """
@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corruptions import CORRUPTIONS, dead_axis
-from repro.analysis.absint import AbsIntError, profile_many
+from batch_reference import reference_profiles
+from repro.analysis.absint import AbsIntError
 from repro.dataset import (
     DatasetSpec,
     Manifest,
@@ -107,7 +108,7 @@ def test_columns_bit_identical_to_manual_composition(store):
             stream(candidate_stream(spec, task, plan.target), spec.root_seed),
         )
         X_ref, mask_ref = featurizer.transform(schedules)
-        static_ref = profile_many(task.subgraph, schedules, plan.target)
+        static_ref, _ = reference_profiles(task.subgraph, schedules, plan.target)
         for pi, platform_idx in enumerate(plan.platform_ids):
             rows = np.arange(plan.row_start + pi * plan.n_candidates,
                              plan.row_start + (pi + 1) * plan.n_candidates)

@@ -34,19 +34,23 @@ def _x(*shape):
 # -- ScratchArena ------------------------------------------------------
 
 
-def test_arena_pools_by_name_and_shape():
+def test_arena_pools_by_name_and_grows():
     arena = ScratchArena()
     a = arena.take("a", (4, 3))
     assert arena.misses == 1 and arena.hits == 0
-    assert arena.take("a", (4, 3)) is a  # same key -> pooled buffer
+    assert np.shares_memory(arena.take("a", (4, 3)), a)  # same site -> pooled buffer
     assert arena.hits == 1
     b = arena.take("b", (4, 3))  # same shape, different site -> no alias
-    assert b is not a
-    c = arena.take("a", (2, 3))  # same site, different shape -> new buffer
-    assert c is not a
+    assert not np.shares_memory(a, b)
+    c = arena.take("a", (2, 3))  # same site, smaller -> a view of its buffer
+    assert c.shape == (2, 3) and np.shares_memory(a, c)
+    assert arena.misses == 2 and arena.nbytes == (12 + 12) * 4
+    d = arena.take("a", (5, 3))  # same site, larger -> the buffer grows
+    assert d.shape == (5, 3) and arena.misses == 3
+    assert arena.take("a", (2, 2), capacity=(4, 3)).shape == (2, 2)  # fits: a hit
     assert arena.misses == 3
-    assert arena.n_buffers == 3
-    assert arena.nbytes == (12 + 12 + 6) * 4
+    assert arena.n_buffers == 2
+    assert arena.nbytes == (15 + 12) * 4
 
 
 def test_arena_reset_and_clear():
@@ -276,7 +280,7 @@ def test_packed_rows_row_rules():
     rows = F.PackedRows(prefix)
     assert rows.bounds == [0, 4, 6, 6] and rows.blocks == (2, 4)
     buf = rows.take(arena, "buf", 5)
-    assert buf.shape == (6, 5) and buf.base.shape == (12, 5)
+    assert buf.shape == (6, 5) and buf.base.size == 12 * 5
 
 
 def test_packed_rows_span_and_key_width():

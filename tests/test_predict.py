@@ -316,6 +316,46 @@ def test_predict_scratch_is_sized_by_chunk_capacity():
         assert np.array_equal(fast, model(X, mask).data)
 
 
+def test_predict_scratch_is_bounded_across_batch_sizes():
+    """Every call site keeps one buffer, grown to its largest request, so
+    a sweep of batch sizes leaves as many buffers as the first call, and
+    a warm call at any size already seen allocates nothing."""
+    cfg = _CONFIGS[1]
+    model = TLPModel(cfg).eval()
+    X, mask = _batch(cfg, 333, 6)
+    model.predict(X[:40], mask[:40], max_chunk=128)
+    buffers = model.scratch_info()["buffers"]
+    for n in (41, 57, 63, 200, 201, 333):
+        fast = model.predict(X[:n], mask[:n], max_chunk=128)
+        assert model.scratch_info()["buffers"] == buffers, n
+        assert np.array_equal(fast, model(X[:n], mask[:n]).data), n
+    nbytes = model.scratch_info()["nbytes"]
+    for n in (40, 201, 333):
+        model._arena.reset_counters()
+        model.predict(X[:n], mask[:n], max_chunk=128)
+        info = model.scratch_info()
+        assert info["misses"] == 0 and info["nbytes"] == nbytes, (n, info)
+
+
+def test_predict_takes_each_scratch_name_at_one_size():
+    """Pooling by name is sound only if no call site holds one name at
+    two live sizes: within one chunk's pass and the head, every name is
+    asked for one pooled size."""
+    cfg = _CONFIGS[3]
+    model = TLPModel(cfg).eval()
+    X, mask = _batch(cfg, 24, 25)
+    sizes: dict[str, set[int]] = {}
+    take = type(model._arena).take
+
+    def recording(arena, name, shape, capacity=None):
+        sizes.setdefault(name, set()).add(int(np.prod(capacity or shape)))
+        return take(arena, name, shape, capacity)
+
+    model._arena.take = recording.__get__(model._arena)
+    model.predict(X, mask, max_chunk=24)
+    assert sizes and all(len(v) == 1 for v in sizes.values()), sizes
+
+
 def test_predict_geometry_validation():
     cfg = _CONFIGS[0]
     model = _MODELS[cfg]
