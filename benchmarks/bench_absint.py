@@ -147,9 +147,10 @@ def test_draft_then_verify_speedup_floor(benchmark, subgraph, scorer):
     t_full, t_draft = benchmark.pedantic(measure, rounds=1, iterations=1)
     speedup = t_full / t_draft
     # At hidden=256 on a shared 2-vCPU x86 host, three best-of-3 runs
-    # read 300-321 ms full and 255-274 ms drafted, 1.10-1.26x (the drafted
-    # round interprets each candidate once: the draft is its gate); the
-    # floor is wide to stay robust to load.
+    # read 179-212 ms full and 120-138 ms drafted, 1.45-1.53x (the drafted
+    # round interprets each candidate once: the draft is its gate; both
+    # rounds sample the same 1,024 candidates, so cheaper sampling raises
+    # the ratio); the floor is wide to stay robust to load.
     assert speedup > 1.05, (
         f"draft-then-verify no faster than full predict: "
         f"{t_full * 1e3:.0f} ms vs {t_draft * 1e3:.0f} ms ({speedup:.2f}x)")

@@ -69,7 +69,6 @@ from repro.tensorir import (
     SketchConfig,
     SketchGenerator,
     Subgraph,
-    sample_schedule,
 )
 
 __all__ = [
@@ -107,7 +106,6 @@ __all__ = [
     "labels_from_latencies",
     "measure",
     "measure_many",
-    "sample_schedule",
     "verify_many",
     "verify_schedule",
     "verify_sequence",

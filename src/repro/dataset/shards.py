@@ -98,7 +98,8 @@ def clean_tmp_dirs(store_dir: Path) -> int:
 def _column_digest(columns: Mapping[str, np.ndarray], n: int) -> str:
     digest = hashlib.sha256()
     for name in COLUMN_NAMES:
-        digest.update(np.ascontiguousarray(columns[name][:n]).tobytes())
+        # hashlib reads the contiguous column's buffer: no bytes copy.
+        digest.update(np.ascontiguousarray(columns[name][:n]))
     return digest.hexdigest()
 
 

@@ -24,7 +24,7 @@ from repro.tensorir.primitives import (
     Primitive,
     PrimitiveKind,
 )
-from repro.tensorir.sampler import ScheduleSampler, divisors, sample_schedule
+from repro.tensorir.sampler import ScheduleSampler, divisors
 from repro.tensorir.schedule import PAD_ALLOWANCE, Schedule, ScheduleError, split_parts
 from repro.tensorir.sketch import SketchConfig, SketchGenerator
 from repro.tensorir.subgraph import (
@@ -63,7 +63,6 @@ __all__ = [
     "network_names",
     "network_pool",
     "reduce_subgraph",
-    "sample_schedule",
     "sample_subgraph_pool",
     "split_parts",
 ]

@@ -1,4 +1,4 @@
-"""Random schedule sampling.
+"""Random schedule sampling: one sketch plan per subgraph, draws per candidate.
 
 Fills a sketch's free parameters with draws from a caller-supplied
 ``np.random.Generator`` (seeded via ``repro.utils.rng`` — this module
@@ -13,12 +13,36 @@ levels and two reduction levels in S..S R S R S order, the outer spatial
 tiles fused and parallelized, the innermost vectorized, plus optional
 write-cache, rfactor, and unroll pragmas.  GPU sketches use three spatial
 levels bound to blockIdx/threadIdx.
+
+Only the draws differ between candidates, so a :class:`SketchPlan` fixes
+the rest once per (config, subgraph): tile levels per axis, the tile
+order, FSP sources, fuse and bind names, and every primitive no draw
+decides.  :meth:`ScheduleSampler.sample` then makes, per candidate:
+
+1. the inline coin, if the subgraph has no reduction axis;
+2. the cache-write coin (cpu only);
+3. per split axis, in subgraph order: the FSP coin (0.3) if an earlier
+   spatial axis has the same extent (its first SP is the source), else
+   one ``integers`` per tile level over the divisors of what remains
+   that are <= ``max_innermost_factor``, the padding coin and the bump
+   index;
+4. cpu: the fuse coin (>= 2 outer loops), the vectorize coin (innermost
+   loop not annotated), the compute-at coin (cache-write, >= 2 loops),
+   then the unroll coin and step index; gpu: the vectorize coin, then the
+   unroll coin and step index;
+5. the rfactor coin, if there is a reduction axis.
+
+A choice among one option draws nothing: numpy's ``integers(0, 1)``
+returns without advancing the bit generator, so those calls are skipped.
+``tests/sampler_reference.py`` keeps the per-candidate sampler this
+replaced as the oracle of that stream.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +55,8 @@ from repro.tensorir.subgraph import Subgraph
 
 @lru_cache(maxsize=4096)
 def _divisors(n: int) -> tuple[int, ...]:
-    # Memoized as a tuple: the sampler asks for the same few extents'
-    # divisors ~100K times per five-pool build, and a shared tuple cannot
-    # be mutated by one caller under another.
+    # Memoized as a tuple: a shared tuple cannot be mutated by one caller
+    # under another.
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -50,195 +73,171 @@ def divisors(n: int) -> list[int]:
     return list(_divisors(n))
 
 
-def _choice(rng: np.random.Generator, items: list[int]) -> int:
-    return int(items[int(rng.integers(0, len(items)))])
+def _pick(rng: np.random.Generator, options):
+    """``options[rng.integers(0, len(options))]``, skipping the call for a
+    single option, which ``integers(0, 1)`` answers without a draw."""
+    return options[rng.integers(0, len(options))] if len(options) != 1 else options[0]
+
+
+class _Split(NamedTuple):
+    """One split axis of a plan; ``follow`` holds its FSP step (source
+    index without and with the leading CHW) when the FSP coin applies."""
+
+    name: str
+    extent: int
+    levels: int
+    follow: "tuple[Primitive, Primitive] | None"
+    interned: "dict[tuple[int, ...], Primitive]"  # factors -> SP step
+
+
+class SketchPlan:
+    """Everything one (config, subgraph) fixes for all of its candidates.
+
+    ``annotations`` holds one (head, vectorize, compute-at, unroll
+    pragmas) entry per outcome of the cpu fuse coin (one entry on gpu).
+    """
+
+    def __init__(self, config: SketchConfig, subgraph: Subgraph):
+        self.cpu = config.target == "cpu"
+        self.inline = None if subgraph.reduction_axes else (P.compute_inline(),)
+        self.cache_write = P.cache_write()
+        self.splits: list[_Split] = []
+        spatial: list[tuple[str, ...]] = []
+        reduction: list[tuple[str, ...]] = []
+        first_sp: dict[int, int] = {}  # extent -> split index of its first spatial SP
+        for axis in subgraph.axes:
+            e = axis.extent
+            n = (3 if self.cpu else 2) if e >= 32 else 2 if e >= 8 else int(e >= 2)
+            if axis.is_reduction:
+                n = min(n, 1)
+            parts = P.split_names(axis.name, n + 1) if n else (axis.name,)
+            (reduction if axis.is_reduction else spatial).append(parts)
+            if n:
+                i = len(self.splits)
+                src = i if axis.is_reduction else first_sp.setdefault(e, i)
+                follow = None if src == i else (P.follow_split(axis.name, e, src),
+                                                P.follow_split(axis.name, e, src + 1))
+                self.splits.append(_Split(axis.name, e, n, follow, {}))
+
+        def level(parts: list[tuple[str, ...]], i: int) -> list[str]:
+            return [p[i] for p in parts if len(p) > i]
+
+        order = level(spatial, 0) + level(spatial, 1) + level(reduction, 0)
+        order += level(spatial, 2) + level(reduction, 1) + level(spatial, 3)
+        self.reorder = P.reorder(order)
+        self.fusable = self.cpu and len(spatial) >= 2
+        if self.cpu:
+            groups = [[(order[:1], "parallel")], [(level(spatial, 0), "parallel")]]
+        else:
+            groups = [[(level(spatial, 0), "bind.blockIdx.x"),
+                       (level(spatial, 1), "bind.threadIdx.x")]]
+        self.annotations = [self._annotate(config, order, g) for g in groups[: 1 + self.fusable]]
+        self.p_vectorize, self.p_unroll = (0.7, 0.6) if self.cpu else (0.5, 0.5)
+        self.has_reduction = bool(reduction)
+        split_reductions = [p for p in reduction if len(p) > 1]
+        self.rfactor = P.rfactor(split_reductions[0][0]) if split_reductions else None
+
+    def _annotate(self, config: SketchConfig, order: list[str], groups) -> tuple:
+        """Fuse each group of >= 2 names in place (group k lands at slot k:
+        the groups before it have each collapsed to one loop), annotate it
+        with its tag, then derive what the later coins may add."""
+        order = list(order)
+        head: list[Primitive] = []
+        annotated: set[str] = set()
+        for at, (names, tag) in enumerate(groups):
+            if not names:
+                continue
+            target = names[0]
+            if len(names) >= 2:
+                target = P.fused_name(tuple(names))
+                head.append(P.fuse(names))
+                order[at : at + len(names)] = [target]
+            head.append(P.annotate(target, tag))
+            annotated.add(target)
+        innermost = order[-1] if order else ""
+        vectorize = (P.annotate(innermost, "vectorize")
+                     if innermost and innermost not in annotated else None)
+        compute_at = P.compute_at(order[1]) if self.cpu and len(order) > 1 else None
+        unroll = (tuple(P.pragma(order[0], "auto_unroll_max_step", s) for s in config.unroll_steps)
+                  if order else None)
+        return tuple(head), vectorize, compute_at, unroll
 
 
 class ScheduleSampler:
-    """Samples one primitive sequence per call; stateless across calls."""
+    """Samples one primitive sequence per call.
+
+    Holds the plans and interned SP steps of the subgraphs it has sampled
+    — one ``generate_many`` batch, which creates a sampler per call — so
+    nothing outlives the batch.
+    """
 
     def __init__(self, config: SketchConfig):
         self.config = config
+        self._plans: dict[Subgraph, SketchPlan] = {}
+        self._last: tuple[Subgraph, SketchPlan] | None = None
+        self._options: dict[int, tuple[int, ...]] = {}  # remaining extent -> factor options
 
-    # -- factor sampling ------------------------------------------------
-
-    def _n_inner(self, extent: int) -> int:
-        levels = 3 if self.config.target == "cpu" else 2
-        if extent >= 32:
-            return levels
-        if extent >= 8:
-            return min(2, levels)
-        if extent >= 2:
-            return 1
-        return 0
-
-    def _sample_factors(self, extent: int, n_inner: int, rng: np.random.Generator) -> tuple[int, ...]:
-        """A chain of inner factors whose product divides ``extent``, with
-        an occasional bounded-padding perturbation (DESIGN.md §6)."""
-        factors: list[int] = []
-        remaining = extent
-        for _ in range(n_inner):
-            options = [d for d in _divisors(remaining) if d <= self.config.max_innermost_factor]
-            f = _choice(rng, options)
-            factors.append(f)
-            remaining //= f
-        if factors and rng.random() < self.config.padding_prob:
-            bump = int(rng.integers(0, len(factors)))
-            padded_factors = list(factors)
-            padded_factors[bump] += 1
-            padded = math.prod(split_parts(extent, tuple(padded_factors)))
-            if not pads_beyond_allowance(padded, extent):
-                factors = padded_factors
-        return tuple(factors)
-
-    # -- sketch construction --------------------------------------------
+    def _plan(self, subgraph: Subgraph) -> SketchPlan:
+        """The subgraph's plan, keyed by its (frozen) content.  The held
+        last subgraph lets a batch of one object skip the ~1.5 µs hash."""
+        if self._last is None or self._last[0] is not subgraph:
+            plan = self._plans.get(subgraph)
+            if plan is None:
+                plan = self._plans[subgraph] = SketchPlan(self.config, subgraph)
+            self._last = (subgraph, plan)
+        return self._last[1]
 
     def sample(self, subgraph: Subgraph, rng: np.random.Generator) -> Schedule:
         cfg = self.config
-        if not subgraph.reduction_axes and rng.random() < cfg.inline_prob:
-            return Schedule(subgraph, (P.compute_inline(),), target=cfg.target)
-
-        prims: list[Primitive] = []
-        cache_write = cfg.target == "cpu" and rng.random() < cfg.cache_write_prob
-        if cache_write:
-            prims.append(P.cache_write())
-
-        # Split every axis, tracking the resulting tile-part names.  A
-        # spatial axis whose extent matches an earlier split is sometimes
-        # split with FSP to exercise the follow-split dataflow.
-        spatial_parts: list[list[str]] = []
-        reduction_parts: list[list[str]] = []
-        sp_steps: dict[int, int] = {}  # extent -> index of an SP step in prims
-        for axis in subgraph.axes:
-            n_inner = self._n_inner(axis.extent)
-            if axis.is_reduction:
-                n_inner = min(n_inner, 1)
-            if n_inner == 0:
-                parts = [axis.name]
-            else:
-                src_step = sp_steps.get(axis.extent)
-                if (
-                    not axis.is_reduction
-                    and src_step is not None
-                    and len(prims[src_step].ints) - 1 == n_inner
-                    and rng.random() < 0.3
-                ):
-                    prims.append(P.follow_split(axis.name, axis.extent, src_step))
-                    factors = tuple(prims[src_step].ints[1:])
-                else:
-                    factors = self._sample_factors(axis.extent, n_inner, rng)
-                    prims.append(P.split(axis.name, axis.extent, factors))
-                    if not axis.is_reduction:
-                        sp_steps.setdefault(axis.extent, len(prims) - 1)
-                parts = list(P.split_names(axis.name, len(factors) + 1))
-            (reduction_parts if axis.is_reduction else spatial_parts).append(parts)
-
-        order = self._tile_order(spatial_parts, reduction_parts)
-        prims.append(P.reorder(order))
-
-        if cfg.target == "gpu":
-            self._emit_gpu_annotations(prims, order, spatial_parts, rng)
-        else:
-            self._emit_cpu_annotations(prims, order, spatial_parts, cache_write, rng)
-
-        if reduction_parts and rng.random() < cfg.rfactor_prob:
-            split_reductions = [p for p in reduction_parts if len(p) > 1]
-            if split_reductions:
-                prims.append(P.rfactor(split_reductions[0][0]))
-
+        plan = self._plan(subgraph)
+        random = rng.random
+        if plan.inline is not None and random() < cfg.inline_prob:
+            return Schedule(subgraph, plan.inline, target=cfg.target)
+        cache_write = plan.cpu and random() < cfg.cache_write_prob
+        prims = [plan.cache_write] if cache_write else []
+        for split in plan.splits:
+            if split.follow is not None and random() < 0.3:
+                prims.append(split.follow[cache_write])
+                continue
+            prims.append(self._split(split, rng))
+        prims.append(plan.reorder)
+        head, vectorize, compute_at, unroll = plan.annotations[plan.fusable and random() < 0.7]
+        prims += head
+        if vectorize is not None and random() < plan.p_vectorize:
+            prims.append(vectorize)
+        if cache_write and compute_at is not None and random() < 0.5:
+            prims.append(compute_at)
+        if unroll is not None and random() < plan.p_unroll:
+            prims.append(_pick(rng, unroll))
+        if plan.has_reduction and random() < cfg.rfactor_prob and plan.rfactor is not None:
+            prims.append(plan.rfactor)
         return Schedule(subgraph, tuple(prims), target=cfg.target)
 
-    def _tile_order(
-        self, spatial_parts: list[list[str]], reduction_parts: list[list[str]]
-    ) -> list[str]:
-        """Interleave spatial and reduction tile levels, outermost first:
-        S0.. S1.. R0.. S2.. R1.. S3.. — every part exactly once."""
-
-        def level(parts: list[list[str]], i: int) -> list[str]:
-            return [p[i] for p in parts if len(p) > i]
-
-        order = level(spatial_parts, 0) + level(spatial_parts, 1) + level(reduction_parts, 0)
-        order += level(spatial_parts, 2) + level(reduction_parts, 1) + level(spatial_parts, 3)
-        return order
-
-    # -- annotation emission --------------------------------------------
-
-    def _emit_cpu_annotations(
-        self,
-        prims: list[Primitive],
-        order: list[str],
-        spatial_parts: list[list[str]],
-        cache_write: bool,
-        rng: np.random.Generator,
-    ) -> None:
-        annotated: set[str] = set()
-        outer = [p[0] for p in spatial_parts]
-        if len(outer) >= 2 and rng.random() < 0.7:
-            prims.append(P.fuse(outer))
-            fused = P.fused_name(tuple(outer))
-            order[: len(outer)] = [fused]
-            outer_axis = fused
-        else:
-            outer_axis = order[0] if order else ""
-        if outer_axis:
-            prims.append(P.annotate(outer_axis, "parallel"))
-            annotated.add(outer_axis)
-        innermost = order[-1] if order else ""
-        if innermost and innermost not in annotated and rng.random() < 0.7:
-            prims.append(P.annotate(innermost, "vectorize"))
-            annotated.add(innermost)
-        if cache_write and len(order) > 1 and rng.random() < 0.5:
-            prims.append(P.compute_at(order[1]))
-        if outer_axis and rng.random() < 0.6:
-            step = _choice(rng, list(self.config.unroll_steps))
-            prims.append(P.pragma(outer_axis, "auto_unroll_max_step", step))
-
-    def _emit_gpu_annotations(
-        self,
-        prims: list[Primitive],
-        order: list[str],
-        spatial_parts: list[list[str]],
-        rng: np.random.Generator,
-    ) -> None:
-        annotated: set[str] = set()
-
-        def bind_level(parts_index: int, tag: str, at: int) -> None:
-            names = [p[parts_index] for p in spatial_parts if len(p) > parts_index]
-            if not names:
-                return
-            if len(names) >= 2:
-                prims.append(P.fuse(names))
-                fused = P.fused_name(tuple(names))
-                order[at : at + len(names)] = [fused]
-                target = fused
-            else:
-                target = names[0]
-            prims.append(P.annotate(target, f"bind.{tag}"))
-            annotated.add(target)
-
-        bind_level(0, "blockIdx.x", 0)
-        # The block level always collapses to one slot (every spatial axis
-        # has a level-0 part, and >=2 of them get fused), so the thread
-        # level starts right after it.
-        bind_level(1, "threadIdx.x", 1)
-        innermost = order[-1] if order else ""
-        if innermost and innermost not in annotated and rng.random() < 0.5:
-            prims.append(P.annotate(innermost, "vectorize"))
-        if order and rng.random() < 0.5:
-            step = _choice(rng, list(self.config.unroll_steps))
-            prims.append(P.pragma(order[0], "auto_unroll_max_step", step))
+    def _split(self, split: _Split, rng: np.random.Generator) -> Primitive:
+        """The batch's SP step for a chain of inner factors whose product
+        divides the extent, with an occasional bounded-padding perturbation
+        (DESIGN.md §6)."""
+        factors: list[int] = []
+        remaining = extent = split.extent
+        for _ in range(split.levels):
+            options = self._options.get(remaining)
+            if options is None:
+                cap = self.config.max_innermost_factor
+                options = tuple(d for d in _divisors(remaining) if d <= cap)
+                self._options[remaining] = options
+            f = _pick(rng, options)
+            factors.append(f)
+            remaining //= f
+        if rng.random() < self.config.padding_prob:
+            padded = list(factors)
+            padded[_pick(rng, range(split.levels))] += 1
+            if not pads_beyond_allowance(math.prod(split_parts(extent, tuple(padded))), extent):
+                factors = padded
+        key = tuple(factors)
+        prim = split.interned.get(key)
+        if prim is None:
+            prim = split.interned[key] = P.split(split.name, extent, key)
+        return prim
 
 
-def sample_schedule(
-    subgraph: Subgraph, target: str = "cpu", rng: np.random.Generator | None = None
-) -> Schedule:
-    """Convenience wrapper: one verified random schedule for ``subgraph``."""
-    from repro.tensorir.sketch import SketchGenerator
-    from repro.utils.rng import stream
-
-    if rng is None:
-        rng = stream(f"sampler.{subgraph.name}.{target}")
-    return SketchGenerator(SketchConfig(target=target)).generate(subgraph, rng)
-
-
-__all__ = ["ScheduleSampler", "divisors", "sample_schedule"]
+__all__ = ["ScheduleSampler", "SketchPlan", "divisors"]

@@ -75,17 +75,21 @@ class SketchGenerator:
     ) -> list[Schedule]:
         """Sample ``n`` schedules, verified fail-closed in one batch pass.
 
-        The sampler constructs sequences that are valid by definition of
-        its own bookkeeping, so verification is a guard against sampler
-        bugs, not a filter: the batch goes through the abstract
-        interpreter's batch pass (``repro.analysis.batch.BatchProfile``),
-        which interprets one sequence per structural key and checks the
-        rest as integer columns; a caller checking many small batches
-        passes one ``plans`` dict to all of them, so a key met again is not
-        interpreted again (the output is the same either way).  Should it flag anything, the batch is
-        re-checked with ``repro.analysis.assert_valid_many``, so the
-        error is the verifier's ``InvalidScheduleError``.  Equivalent to
-        ``n`` :meth:`generate` calls on the same ``rng`` stream, just
+        Each call makes its own ``ScheduleSampler``, which fixes the
+        subgraph's sketch plan once and interns its SP steps, so the
+        batch's schedules share primitive objects and nothing is kept
+        after the call.  The sampler constructs sequences that are valid
+        by definition of its own bookkeeping, so verification is a guard
+        against sampler bugs, not a filter: the batch goes through the
+        abstract interpreter's batch pass
+        (``repro.analysis.batch.BatchProfile``), which interprets one
+        sequence per structural key and checks the rest as integer
+        columns; a caller checking many small batches passes one ``plans``
+        dict to all of them, so a key met again is not interpreted again
+        (the output is the same either way).  Should it flag anything, the
+        batch is re-checked with ``repro.analysis.assert_valid_many``, so
+        the error is the verifier's ``InvalidScheduleError``.  Equivalent
+        to ``n`` :meth:`generate` calls on the same ``rng`` stream, just
         cheaper.
 
         ``verify=False`` skips that pass and returns the raw samples (the
