@@ -9,7 +9,9 @@ Rules (stable ids, never renumbered):
 * ``SC100`` — file does not parse (reported under its own id, not SC101).
 * ``SC101`` — ``np.random`` / ``numpy.random`` access outside
   ``repro/utils/rng.py``: randomness must flow through named seeded
-  streams or a caller-supplied ``Generator``.
+  streams or a caller-supplied ``Generator``.  In ``repro`` paths it also
+  flags ``.bit_generator`` access, so only that module knows PCG64's word
+  layout (tests may still read ``bit_generator.state`` to compare streams).
 * ``SC102`` — mutable default arguments.
 * ``SC103`` — float64 literals in NN compute paths (``nn``/``core``/
   ``simhw``): the substrate is pure float32.
@@ -150,12 +152,18 @@ class ParseErrorRule(LintRule):
 
 class NoGlobalNumpyRandom(LintRule):
     id = "SC101"
-    description = "np.random access outside repro.utils.rng (use named seeded streams)"
+    description = ("np.random access outside repro.utils.rng (use named seeded streams), "
+                   "or bit_generator access in repro")
     scope = PathScope(skip_suffix=RNG_MODULE_SUFFIX)
-    node_types = (ast.Import, ast.ImportFrom, ast.Call)
+    node_types = (ast.Import, ast.ImportFrom, ast.Call, ast.Attribute)
+
+    _REPRO = PathScope(any_parts=frozenset({"repro"}))
 
     def check(self, node, ctx):
-        if isinstance(node, ast.Import):
+        if isinstance(node, ast.Attribute):
+            if node.attr == "bit_generator" and self._REPRO.matches(ctx.path):
+                yield node, "bit_generator access (draw through repro.utils.rng)"
+        elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.startswith("numpy.random"):
                     yield node, f"import of {alias.name}"

@@ -14,13 +14,20 @@ that abstractly interprets every sample itself
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
 from repro.tensorir.schedule import Schedule
 from repro.tensorir.subgraph import Subgraph
+from repro.utils.rng import Replay
 
 TARGETS = ("cpu", "gpu")
+PROBABILITIES = ("padding_prob", "cache_write_prob", "rfactor_prob", "inline_prob")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -44,8 +51,23 @@ class SketchConfig:
     unroll_steps: tuple[int, ...] = (0, 16, 64, 512)
 
     def __post_init__(self) -> None:
+        """Reject a config the sampler cannot draw from, naming the field,
+        before any sample: an empty or non-int option list would otherwise
+        fail at the first draw, and a probability outside [0, 1] (NaN
+        included) would be sampled silently."""
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}, expected one of {TARGETS}")
+        if not (_is_int(self.max_innermost_factor) and self.max_innermost_factor >= 1):
+            raise ValueError("SketchConfig.max_innermost_factor must be an int >= 1, "
+                             f"got {self.max_innermost_factor!r}")
+        steps = self.unroll_steps
+        if not steps or not all(_is_int(s) and s >= 0 for s in steps):
+            raise ValueError("SketchConfig.unroll_steps must be a non-empty sequence of "
+                             f"ints >= 0, got {steps!r}")
+        for name in PROBABILITIES:
+            p = getattr(self, name)
+            if not (isinstance(p, Real) and 0 <= p <= 1):  # NaN compares False
+                raise ValueError(f"SketchConfig.{name} must be a probability in [0, 1], got {p!r}")
 
 
 class SketchGenerator:
@@ -92,6 +114,14 @@ class SketchGenerator:
         to ``n`` :meth:`generate` calls on the same ``rng`` stream, just
         cheaper.
 
+        Every batch draws through a ``repro.utils.rng.Replay`` of ``rng``:
+        the sampler reads its ``random()`` and ``integers()`` values from
+        PCG64 words taken in bulk, and ``rng`` ends where the scalar numpy
+        calls would have left it, also when sampling raises.  ``rng`` must
+        therefore be a PCG64 Generator (``TypeError`` otherwise), as every
+        ``repro.utils.rng.stream`` is.  ``n`` must be >= 0; ``n == 0``
+        returns ``[]``.
+
         ``verify=False`` skips that pass and returns the raw samples (the
         rng draws are the same either way).  Only a caller that abstractly
         interprets *every* returned schedule before using it may pass it,
@@ -106,14 +136,17 @@ class SketchGenerator:
         # so a module-level import here would be circular during package init.
         from repro.analysis import verifier
         from repro.analysis.batch import BatchProfile
-        from repro.tensorir.sampler import ScheduleSampler
+        from repro.tensorir.sampler import WORDS_PER_CANDIDATE, ScheduleSampler
 
+        if n < 0:
+            raise ValueError(f"generate_many needs n >= 0, got {n}")
         sampler = ScheduleSampler(self.config)
-        schedules = [sampler.sample(subgraph, rng) for _ in range(n)]
+        with Replay(rng, WORDS_PER_CANDIDATE * n) as draws:
+            schedules = [sampler.sample(subgraph, draws) for _ in range(n)]
         if verify:
             BatchProfile(subgraph, schedules, self.config.target,
                          lambda: verifier.assert_valid_many(schedules), plans)
         return schedules
 
 
-__all__ = ["SketchConfig", "SketchGenerator", "TARGETS"]
+__all__ = ["PROBABILITIES", "SketchConfig", "SketchGenerator", "TARGETS"]

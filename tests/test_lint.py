@@ -3,7 +3,8 @@
 The original rule behaviors (SC101–SC104) are covered by
 ``test_selfcheck.py``; this module covers
 the framework itself (registry, path scoping, rule-scoped suppressions,
-unused-suppression detection, JSON output) and the new rules SC105–SC107.
+unused-suppression detection, JSON output), SC101's ``bit_generator``
+clause and the new rules SC105–SC107.
 """
 
 from __future__ import annotations
@@ -46,6 +47,19 @@ def test_path_scope_matching():
     exempt = lint.PathScope(skip_suffix="repro/utils/rng.py")
     assert not exempt.matches("src/repro/utils/rng.py")
     assert exempt.matches("src/repro/tensorir/sketch.py")
+
+
+# -- SC101: bit_generator access --------------------------------------------
+
+
+def test_sc101_flags_bit_generator_access_in_repro_only():
+    src = "def f(rng):\n    return rng.bit_generator.random_raw(4)\n"
+    found = lint.check_source(src, "src/repro/tensorir/foo.py")
+    assert rules(found) == {"SC101"} and "bit_generator" in found[0].message
+    assert lint.check_source(src, "src/repro/utils/rng.py") == []
+    state = "def same(a, b):\n    return a.bit_generator.state == b.bit_generator.state\n"
+    assert lint.check_source(state, "tests/test_sampler_plan.py") == []
+    assert lint.check_source(state, "benchmarks/bench_simhw.py") == []
 
 
 # -- SC105: set iteration ----------------------------------------------------

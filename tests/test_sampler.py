@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -90,3 +92,29 @@ def test_generate_is_fail_closed(monkeypatch, matmul):
 def test_bad_target_rejected():
     with pytest.raises(ValueError):
         SketchConfig(target="tpu")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_innermost_factor", 0),
+    ("max_innermost_factor", 2.5),
+    ("unroll_steps", ()),
+    ("unroll_steps", (-1,)),
+    ("unroll_steps", (16, 2.0)),
+    ("padding_prob", 7.0),
+    ("padding_prob", math.nan),
+    ("cache_write_prob", -0.1),
+    ("rfactor_prob", 1.5),
+    ("inline_prob", math.nan),
+])
+def test_bad_config_rejected_at_construction(field, value):
+    """Each bad field fails when the config is built, by name — not at the
+    first sample with numpy's bare ``high <= 0``, and not silently."""
+    with pytest.raises(ValueError, match=f"SketchConfig.{field}"):
+        SketchConfig(**{field: value})
+
+
+def test_generate_many_rejects_a_negative_count(matmul):
+    gen = SketchGenerator(SketchConfig())
+    with pytest.raises(ValueError, match="n >= 0"):
+        gen.generate_many(matmul, -3, stream("test.count"))
+    assert gen.generate_many(matmul, 0, stream("test.count")) == []

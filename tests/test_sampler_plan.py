@@ -1,11 +1,14 @@
-"""Sketch plans against the per-candidate sampler they replaced.
+"""Sketch plans and replayed draws against the per-candidate sampler they
+replaced.
 
 ``ScheduleSampler`` fixes each subgraph's structure once (``SketchPlan``)
 and only draws per candidate; ``tests/sampler_reference.py`` rebuilds the
-structure for every candidate, as the sampler used to.  Both must emit
-the same sequences and leave the ``np.random.Generator`` in the same
-state, for any subgraph and any ``SketchConfig`` — every store, digest
-and pick downstream rests on that stream.
+structure for every candidate, as the sampler used to.  Here the sampler
+draws through a ``repro.utils.rng.Replay``, as ``generate_many`` runs it,
+while the oracle draws from the raw ``np.random.Generator``: both must
+emit the same sequences and leave the Generator in the same state, for
+any subgraph and any ``SketchConfig`` — every store, digest and pick
+downstream rests on that stream.
 """
 
 from __future__ import annotations
@@ -24,23 +27,25 @@ from repro.tensorir import (
     matmul_subgraph,
 )
 from repro.tensorir.networks import NETWORK_POOLS
-from repro.tensorir.sketch import TARGETS
-from repro.utils.rng import stream
+from repro.tensorir.sampler import WORDS_PER_CANDIDATE
+from repro.tensorir.sketch import PROBABILITIES, TARGETS
+from repro.utils.rng import Replay, stream
 from sampler_reference import ReferenceSampler
 
 EXTENTS = (1, 2, 3, 7, 8, 31, 32, 33, 64, 96, 1000, 2048, 200704)
-PROBABILITIES = ("padding_prob", "cache_write_prob", "rfactor_prob", "inline_prob")
 POOL_SUBGRAPHS = tuple(
     dict.fromkeys(sg for pool in NETWORK_POOLS.values() for sg in pool.subgraphs)
 )
 
 #: SHA-256 of every pool subgraph's 64 default-config samples on cpu and
 #: gpu, with the Generator state after each batch (``_stream_digest``).
-#: Recorded before sketch plans existed.  It rests on numpy's PCG64
-#: ``random()``, on the bounded-integer method behind ``integers()``, and
-#: on ``integers(0, 1)`` drawing nothing; a numpy release that changes any
-#: of those fails this test by name, ahead of the store and semantics
-#: digests built on the same stream.
+#: Recorded on the raw Generator before sketch plans existed, and now
+#: computed through the replay, so it pins the replay to numpy's stream:
+#: PCG64 ``random()``, the 32-bit Lemire method behind ``integers()``
+#: over buffered half-words, and ``integers(0, 1)`` drawing nothing.  A
+#: numpy release that changes any of those fails this test by name (and
+#: ``tests/test_rng.py``'s twin-Generator property), ahead of the store and
+#: semantics digests built on the same stream.
 STREAM_DIGEST = "8b08c058a87d75849a8212c04c5b15a8b72c4313a40f39d10638515619d2854a"
 
 
@@ -50,12 +55,14 @@ def _sequence(schedule) -> list[tuple]:
 
 def _assert_same_stream(config: SketchConfig, batches, seed: int) -> None:
     """Feed ``(subgraph, n)`` batches, in turn, to one sampler of each
-    kind, each on its own Generator in the same state."""
+    kind, each on its own Generator in the same state: the oracle draws
+    from it directly, the sampler through one replay per batch."""
     ref_rng, new_rng = stream("test.sampler_plan", seed), stream("test.sampler_plan", seed)
     ref, new = ReferenceSampler(config), ScheduleSampler(config)
     for sg, n in batches:
         want = [ref.sample(sg, ref_rng) for _ in range(n)]
-        got = [new.sample(sg, new_rng) for _ in range(n)]
+        with Replay(new_rng, WORDS_PER_CANDIDATE * n) as draws:
+            got = [new.sample(sg, draws) for _ in range(n)]
         assert [_sequence(s) for s in got] == [_sequence(s) for s in want], sg
         assert all(s.subgraph == sg and s.target == config.target for s in got)
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state, sg
@@ -125,8 +132,9 @@ def _stream_digest(sampler_cls) -> str:
         sampler = sampler_cls(SketchConfig(target))
         for i, sg in enumerate(POOL_SUBGRAPHS):
             rng = stream(f"test.sampler_plan.{i}")
-            for _ in range(64):
-                digest.update(repr(_sequence(sampler.sample(sg, rng))).encode())
+            with Replay(rng, WORDS_PER_CANDIDATE * 64) as draws:
+                for _ in range(64):
+                    digest.update(repr(_sequence(sampler.sample(sg, draws))).encode())
             digest.update(repr(rng.bit_generator.state).encode())
     return digest.hexdigest()
 
