@@ -9,7 +9,9 @@ benchmark module whose tier-1 tests check the same paths, so its inputs
 are built in one place.  It returns every field of the one schema but
 ``scenario``:
 
-* ``config`` — the inputs: sizes, streams, model and train configs;
+* ``config`` — the inputs: sizes, streams, model and train configs,
+  and ``openblas_core``, the OpenBLAS kernel the run's GEMMs used (its
+  digests and bit checks hold on that kernel; see ``repro.utils.blas``);
 * ``stages`` — wall seconds per timed path: the best of the scenario's
   repeats, the median for a cold start (``nn_inference``'s
   ``predict_cold``, each repeat on an emptied arena), or one run for a
@@ -66,7 +68,10 @@ def check_report(report: dict) -> None:
 
 
 def run(name: str) -> dict:
+    from repro.utils.blas import openblas_core
+
     report = {"scenario": name, **importlib.import_module(SCENARIOS[name]).scenario()}
+    report["config"]["openblas_core"] = openblas_core()
     report["stages"] = {k: round(v, 6) for k, v in report["stages"].items()}
     report["throughput"] = {k: round(v, 1) for k, v in report["throughput"].items()}
     check_report(report)

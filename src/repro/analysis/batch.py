@@ -235,9 +235,9 @@ class BatchProfile:
     so the caller sees exactly the error that loop raises; should it
     raise nothing, construction raises ``RuntimeError`` rather than
     return.  ``plans``, a dict a caller passes to every batch it checks,
-    keeps each key's run for later batches (the featurizer-fit corpus's
-    16-candidate batches share one, since most of their candidates are
-    the first of their key).
+    keeps each key's run for later batches: ``build_dataset`` shares one
+    across the featurizer-fit corpus's 16-candidate batches, most of
+    whose candidates are the first of their key, and every store batch.
     """
 
     def __init__(self, subgraph: Subgraph, sequences, target: str = "cpu",

@@ -104,14 +104,17 @@ def _generators(spec: DatasetSpec) -> dict[str, SketchGenerator]:
     }
 
 
-def fit_featurizer(spec: DatasetSpec) -> TLPFeaturizer:
+def fit_featurizer(spec: DatasetSpec, plans: "dict | None" = None) -> TLPFeaturizer:
     """The store's featurizer: fitted on a deterministic calibration
     sample (``FIT_SAMPLE_PER_TASK`` sequences per task x target, from
     dedicated rng streams), so a resume re-derives it exactly —
-    ``manifest.vocab_digest`` pins that."""
+    ``manifest.vocab_digest`` pins that.  ``plans`` keeps the gate's
+    per-key interpreter runs (``BatchProfile``), shared by the corpus's
+    small batches; :func:`build_dataset` passes the dict its own batches
+    then share."""
     generators = _generators(spec)
     corpus = []
-    plans: dict = {}  # the gate's per-key runs, shared by the corpus's small batches
+    plans = {} if plans is None else plans
     for task in enumerate_tasks(spec):
         for target in sorted(generators):
             corpus.extend(
@@ -225,7 +228,11 @@ def build_dataset(
     schema = ShardSchema(
         seq_len=cfg.seq_len, emb=cfg.emb, static_width=len(STATIC_FEATURE_NAMES)
     )
-    featurizer = fit_featurizer(spec)
+    # One plan table for the whole build: a structural key the fit corpus,
+    # or an earlier batch with the same axis names, already interpreted
+    # is not interpreted again.
+    plans: dict = {}
+    featurizer = fit_featurizer(spec, plans)
     vocab = dict(featurizer.vocab_)
 
     clean_tmp_dirs(store_dir)
@@ -262,7 +269,7 @@ def build_dataset(
         on_shard=on_shard,
     )
     try:
-        _run_plans(spec, featurizer, writer, manifest, resume_row)
+        _run_plans(spec, featurizer, writer, manifest, resume_row, plans)
         writer.finalize()
     except _BuildStopped:
         return manifest  # journaled up to a shard boundary; resumable
@@ -282,8 +289,10 @@ def _run_plans(
     writer: ShardWriter,
     manifest: Manifest,
     resume_row: int,
+    plans: dict,
 ) -> None:
-    """Iterate the row plan, recomputing only batches past the resume row."""
+    """Iterate the row plan, recomputing only batches past the resume row;
+    ``plans`` is the build's plan table (:func:`build_dataset`)."""
     generators = _generators(spec)
     schema = manifest.schema
     C = spec.candidates_per_task
@@ -304,7 +313,7 @@ def _run_plans(
             spec, plan, generators[plan.target], featurizer, writer, manifest,
             resume_row,
             X_buf, mask_buf, static_buf, task_buf, platform_buf, seed_buf,
-            candidate_col,
+            candidate_col, plans,
         )
         # Keep long runs flat: the featurizer's per-primitive row memo is
         # unbounded by design (hot for re-queries, cold across tasks).
@@ -326,6 +335,7 @@ def _emit_batch(
     platform_buf: np.ndarray,
     seed_buf: np.ndarray,
     candidate_col: np.ndarray,
+    plans: dict,
 ) -> None:
     task: Task = plan.task
     C = plan.n_candidates
@@ -350,7 +360,7 @@ def _emit_batch(
                     f"interpretation at {err}"
                 ) from err
 
-    batch = BatchProfile(task.subgraph, schedules, plan.target, recheck)
+    batch = BatchProfile(task.subgraph, schedules, plan.target, recheck, plans)
     static_buf[:C] = batch.static_plane()
     feats = batch.nest_features()
     featurizer.transform_into(batch.groups, X_buf, mask_buf)

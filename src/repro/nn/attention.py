@@ -13,7 +13,11 @@ One forward: :func:`repro.nn.functional.attention` over the packed rows
 :class:`~repro.nn.functional.PackedRows` keeps, scoring only the
 kept-row span, in training and in ``TLPModel.predict`` alike; with
 grad enabled it records one tape node whose backward is
-:func:`repro.nn.functional.attention_backward`.
+:func:`repro.nn.functional.attention_backward`.  The kernel takes the
+q, k and v projections' rows: :meth:`MultiHeadSelfAttention.project`
+computes them, which ``TLPModel`` runs once per distinct feature row
+(:class:`~repro.nn.functional.DistinctRows`) before the rest of the
+layer.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.functional import MaskBiasCache, PackedRows, ScratchArena
+from repro.nn.functional import DistinctRows, MaskBiasCache, PackedRows, ScratchArena
 from repro.nn.layers import Linear, scratch_for
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor, track_layer
@@ -51,15 +55,31 @@ class MultiHeadSelfAttention(Module):
         layer's held buffer (overwritten by the next call)."""
         return self._mask_cache.get(mask)
 
+    def project(self, x: np.ndarray, rows: DistinctRows, scratch: F.Scratch,
+                name: str = "attn") -> list[np.ndarray]:
+        """The q, k and v tables of the distinct rows ``x`` of the layer's
+        input (``rows.values`` through the layers before it), one linear
+        kernel each: the ``qkv`` that :meth:`forward` takes."""
+        return [F.linear(scratch, f"{name}.{part}_proj", x, p.weight.data, p.bias.data,
+                         rows=rows)
+                for part, p in zip("qkv", (self.q_proj, self.k_proj, self.v_proj))]
+
     def forward(self, x: Tensor, rows: PackedRows, arena: ScratchArena | None = None,
-                name: str = "attn") -> Tensor:
+                name: str = "attn", qkv: list[np.ndarray] | None = None,
+                source: np.ndarray | None = None) -> Tensor:
         """``x + attention(x)`` over the packed rows ``x`` of ``rows``'
-        samples.  ``rows.span`` queries score ``rows.key_width`` keys, and
-        the mask bias gives the zero keys of skipped rows exactly zero
-        weight."""
+        samples.  ``qkv`` holds the projections' tables and ``source``
+        each packed row's row in them (default: :meth:`project` of ``x``'s
+        distinct rows).  ``rows.span`` queries score ``rows.key_width``
+        keys, and the mask bias gives the keys of skipped rows exactly
+        zero weight."""
         scratch = scratch_for(arena)
+        if qkv is None:
+            distinct = DistinctRows(scratch, x.data, rows.n * rows.length)
+            qkv, source = self.project(distinct.values, distinct, scratch, name), distinct.inverse
         projs = (self.q_proj, self.k_proj, self.v_proj, self.out_proj)
-        out = F.attention(scratch, name, x.data, [(p.weight.data, p.bias.data) for p in projs],
+        out = F.attention(scratch, name, x.data, qkv, source,
+                          (self.out_proj.weight.data, self.out_proj.bias.data),
                           self.n_heads, rows, self.mask_bias(rows.mask))
 
         def grads(g: np.ndarray):

@@ -18,14 +18,22 @@ the masked softmax gives its key exactly zero weight next to any real
 key, and the masked pool drops its output.  :class:`PackedRows` gathers
 the rows of a ``[n, L]`` mask whose value is non-zero once, and every
 row-wise layer runs as one GEMM or ufunc pass over those ``R`` rows.
+The trunk's row-wise prefix — ``up1``, ``up2`` and the attention's q, k
+and v projections — reads nothing but a row's features, and a batch's
+candidates share most of their primitives, so it runs once per
+byte-distinct feature row (:class:`DistinctRows`, ``U`` rows: ~3% of
+a search batch's kept rows) and its results are gathered back to the
+packed rows, the residual join's input, and into the attention block.
 The attention block (``q @ kᵀ``, softmax, ``attn @ v``) scores only the
 kept-row span, ``span`` queries by ``key_width`` keys, zeros on the
 skipped rows.  The pool adds each sample's kept rows, times their mask
 values, in row order; a sample with no kept row pools to zeros.  Two
-row rules keep the dense layout's BLAS call shapes: a mask with fewer
-than 2 kept rows runs all its rows (a 1-row GEMM falls to a gemv kernel
-with other accumulation bits), and at ``L == 1`` packed activations
-keep a ``[R, 1, width]`` shape, each row its own gemv.
+row rules keep the dense layout's BLAS call shapes: no GEMM over
+``L``-row sequences has 1 row (a 1-row GEMM falls to a gemv kernel with
+other accumulation bits) — a mask with fewer than 2 kept rows runs all
+its rows, and the prefix's tables carry a spare row besides the
+distinct ones — and at ``L == 1`` packed activations and prefix tables
+keep a ``[rows, 1, width]`` shape, each row its own gemv.
 
 **The backward rules.**  Every backward kernel runs the float32 ops of
 the layer's op-by-op chain (``x @ W + b``, the LayerNorm chain, the
@@ -33,9 +41,12 @@ masked softmax, the dense pool), in tape order, on the rows it keeps;
 ``tests/test_packed_trunk.py`` holds the trunk to that chain byte for
 byte.  Measured with this BLAS (scipy-openblas, one thread):
 
-* Forward GEMMs run flat over the ``R`` packed rows: with at least 2
-  rows they give the dense per-sample GEMM's bytes on every weight
-  shape of the repo's model configs.
+* Forward GEMMs run flat over the ``R`` packed rows, or over the ``U``
+  distinct ones and the spare: with at least 2 rows a row's bytes
+  depend neither on how many rows the call has nor on where the row
+  sits, so they are the dense per-sample GEMM's bytes on every weight
+  shape of the repo's model configs (``tests/test_blas_rows.py`` states
+  this rule and names the OpenBLAS kernel it was measured on).
 * Input-gradient GEMMs run over the rows zero-padded into whole
   ``L``-row blocks (``PackedRows.blocks``), the dense call shape; one
   flat 2-D GEMM is not bit-equal (hidden 48: 0 of 10 trials).
@@ -53,23 +64,27 @@ byte.  Measured with this BLAS (scipy-openblas, one thread):
   Every gradient returned is a fresh C-contiguous float32 array.
 
 **Bounded scratch.**  Under an arena every packed buffer is sized by
-the chunk capacity ``n * L`` and sliced to ``R``, and every
-span-trimmed attention buffer is a view of one sized by the full
-``L x L`` block; the arena holds one buffer per call site, grown to the
-largest request, so its size is bounded by the largest chunk and batch
-whatever the masks and batch sizes are.  Single-column GEMMs (the score head)
+the chunk capacity ``n * L`` and sliced to ``R``, every prefix table by
+the batch capacity ``N * L`` (plus the spare row) and sliced to
+``U + 1``, and every span-trimmed attention buffer is a view of one
+sized by the full ``L x L`` block; the arena holds one buffer per call
+site, grown to the largest request, so its size is bounded by the
+largest chunk and batch whatever the masks and batch sizes are.  Single-column GEMMs (the score head)
 are erratic across small row counts on this BLAS, so ``predict`` runs
 the head once over the whole batch, at the row count ``forward`` uses.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import mmap
 from typing import Sequence
 
 import numpy as np
 
 from repro.nn.tensor import _flush_subnormals
+from repro.utils.rng import stream
 
 _F32_ZERO = np.float32(0.0)
 
@@ -83,6 +98,14 @@ MASK_PENALTY = np.float32(1e9)
 TRIM_BELOW_LENGTH = 32
 
 
+def _mapped(size: int) -> np.ndarray:
+    """``size`` float32s on fresh anonymous pages, never huge pages."""
+    pages = mmap.mmap(-1, max(size, 1) * 4)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        pages.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(pages, dtype=np.float32, count=size)
+
+
 class ScratchArena:
     """A pool of preallocated float32 buffers, one per call-site name.
 
@@ -93,11 +116,17 @@ class ScratchArena:
     (``TLPModel.predict``).  A call site whose shape varies with the
     masks passes the largest shape it will ask for as ``capacity``, and
     the buffer is sized by that (packed rows, :meth:`PackedRows.take`,
-    and the span-trimmed attention block).  Names are per call site, and
+    prefix tables, :meth:`DistinctRows.take`, and the span-trimmed
+    attention block).  Names are per call site, and
     no call site holds one name at two live shapes, so two live buffers
     never alias.  Contents are undefined on ``take``; every kernel fully
     overwrites what it takes.  ``reuse`` lets a kernel consume an input
     in place.
+
+    Buffers are sized by capacity but only partly written (a prefix
+    table by the batch's rows, filled to its distinct ones), so each is
+    an anonymous mapping kept out of transparent huge pages: only the
+    4 KB pages a call writes cost memory, not a 2 MB page per touch.
 
     ``hits`` / ``misses`` count pool probes and back the no-allocation
     acceptance test: a steady-state ``predict`` call must be all hits.
@@ -115,7 +144,7 @@ class ScratchArena:
         buf = self._buffers.get(name)
         if buf is None or buf.shape[0] < size:
             self.misses += 1
-            buf = self._buffers[name] = np.empty(size, dtype=np.float32)
+            buf = self._buffers[name] = _mapped(size)
         else:
             self.hits += 1
         return buf[:used].reshape(shape)
@@ -278,20 +307,86 @@ class PackedRows:
     def gather(self, arena: Scratch, name: str, x: np.ndarray,
                index: np.ndarray | None = None) -> np.ndarray:
         """Rows ``index`` (default: the kept rows) of a dense
-        ``[..., width]`` array, packed."""
-        width = x.shape[-1]
-        out = self.take(arena, name, width)
-        # mode="clip" writes straight into ``out`` (the default "raise"
-        # buffers); the index never leaves the array.
-        np.take(x.reshape(-1, width), self.index if index is None else index, axis=0,
-                out=out.reshape(-1, width), mode="clip")
-        return out
+        ``[..., width]`` array, or of a table, packed."""
+        return gather_rows(arena, name, x, self.index if index is None else index,
+                           self.length, self.n * self.length)
+
+
+@functools.lru_cache(maxsize=None)
+def _row_hash(width: int) -> np.ndarray:
+    """Odd 64-bit multipliers, one per uint32 word of a row: a row's
+    hash is its words' dot product with them, modulo 2**64."""
+    draw = stream("nn.functional.row_hash").integers(0, 2**64, size=width, dtype=np.uint64)
+    return draw | np.uint64(1)
+
+
+def _distinct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` of the distinct rows of a uint32 ``[R, K]``
+    matrix: ``words[first[inverse]] == words``.  Rows are grouped by a
+    64-bit hash, and the grouping is checked against the bytes; should two
+    unequal rows share a hash, the rows themselves are sorted instead."""
+    hashes = words @ _row_hash(words.shape[1])
+    _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
+    if not np.array_equal(words[first[inverse]], words):
+        rows = words.view(np.dtype((np.void, words.shape[1] * words.itemsize)))
+        _, first, inverse = np.unique(rows.reshape(-1), return_index=True,
+                                      return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
+class DistinctRows:
+    """Which packed rows are distinct, and tables of one row per distinct row.
+
+    The trunk's prefix runs once per distinct row of the packed rows ``x``
+    (``lead + (K,)``): ``values`` holds the ``count`` distinct rows, then
+    one spare row of zeros, and ``inverse`` each packed row's place among
+    them.  Distinct means unequal bytes, so ``-0.0`` and ``0.0`` rows
+    stay apart.  A table computed from ``values`` (:meth:`take`) has the
+    same ``count + 1`` rows: the spare row gives every prefix GEMM at
+    least 2 rows (row rule 1: a 1-row GEMM is a gemv), and it is the row
+    the attention block's skipped positions read (:func:`attention`).
+    Tables keep the packed lead, ``(count + 1, 1)`` at ``L == 1`` (row
+    rule 2), and under an arena are sized by ``capacity`` packed rows.
+    """
+
+    __slots__ = ("values", "count", "inverse", "lead", "capacity")
+
+    def __init__(self, arena: Scratch, x: np.ndarray, capacity: int):
+        kept, width = x.shape[0], x.shape[-1]
+        rows = x.reshape(kept, width)
+        first, self.inverse = _distinct(rows.view(np.uint32))
+        self.count, self.capacity = first.shape[0], capacity
+        self.lead = (self.count + 1,) + x.shape[1:-1]
+        self.values = self.take(arena, "x.distinct", width)
+        values = self.values.reshape(-1, width)
+        np.take(rows, first, axis=0, out=values[:-1], mode="clip")
+        values[-1] = _F32_ZERO
+
+    def take(self, arena: Scratch, name: str, width: int) -> np.ndarray:
+        """Table scratch, ``width`` columns: one row per distinct row and
+        the spare row."""
+        return arena.take(name, self.lead + (width,), capacity=(self.capacity + 1, width))
+
+
+def gather_rows(arena: Scratch, name: str, x: np.ndarray, index: np.ndarray,
+                length: int, capacity: int) -> np.ndarray:
+    """Rows ``index`` of a ``[..., width]`` array, packed for sequences of
+    ``length`` rows (lead ``(R,)``, or ``(R, 1)`` at ``L == 1``), in
+    scratch sized by ``capacity`` rows."""
+    width, kept = x.shape[-1], index.shape[0]
+    lead = (kept, 1) if length == 1 else (kept,)
+    out = arena.take(name, lead + (width,), capacity=(capacity, width))
+    # mode="clip" writes straight into ``out`` (the default "raise"
+    # buffers); the index never leaves the array.
+    np.take(x.reshape(-1, width), index, axis=0, out=out.reshape(-1, width), mode="clip")
+    return out
 
 
 def _take(arena: Scratch, name: str, x: np.ndarray, width: int,
-          rows: PackedRows | None) -> np.ndarray:
+          rows: PackedRows | DistinctRows | None) -> np.ndarray:
     """Scratch for a row-wise result of ``x``: packed rows are sized by
-    the chunk capacity, plain rows (the score head) by ``x``'s shape."""
+    the chunk capacity, distinct rows by the batch capacity, plain rows
+    (the score head) by ``x``'s shape."""
     if rows is None:
         return arena.take(name, x.shape[:-1] + (width,))
     return rows.take(arena, name, width)
@@ -312,7 +407,8 @@ def linear(arena: Scratch, name: str, x: np.ndarray,
            weight: np.ndarray, bias: np.ndarray | None,
            relu: bool = False, rows: PackedRows | None = None) -> np.ndarray:
     """``relu(x @ W + b)``: one GEMM into scratch, bias add and ReLU in
-    place.  Packed rows run one flat GEMM over the ``R`` kept rows."""
+    place.  Packed rows run one flat GEMM over the ``R`` kept rows,
+    distinct rows one over a table's rows."""
     out = _take(arena, name, x, weight.shape[1], rows)
     np.matmul(x, weight, out=out)
     if bias is not None:
@@ -500,17 +596,28 @@ def _heads(flat: np.ndarray, n: int, n_heads: int) -> np.ndarray:
     return flat.reshape(n, -1, n_heads, dim // n_heads).transpose(0, 2, 1, 3)
 
 
-def attention(arena: Scratch, name: str, x: np.ndarray,
-              projections: Sequence[tuple[np.ndarray, np.ndarray]],
+def _table_rows(slots: int, index: np.ndarray, source: np.ndarray, spare: int) -> np.ndarray:
+    """The table row each of ``slots`` block rows reads: ``source`` at the
+    packed rows' places ``index``, the spare row everywhere else."""
+    where = np.full(slots, spare)
+    where[index] = source
+    return where
+
+
+def attention(arena: Scratch, name: str, x: np.ndarray, qkv: Sequence[np.ndarray],
+              source: np.ndarray, out_proj: tuple[np.ndarray, np.ndarray],
               n_heads: int, rows: PackedRows, mask_bias: np.ndarray) -> np.ndarray:
     """``x + MHSA(x)`` over packed rows: self-attention and its residual join.
 
-    ``projections`` holds the q, k, v and output ``(weight, bias)``
-    pairs.  The score block covers only the kept-row span: q is
-    scattered into ``[n, span, H, hd]`` and k/v into
-    ``[n, key_width, H, hd]`` scratch (contiguous: matmul bits depend on
-    operand layout), zeros on the skipped rows, whose keys the additive
-    ``[n, 1, 1, L]`` ``mask_bias`` gives exactly zero weight.
+    ``qkv`` holds the q, k and v projections of ``x``'s distinct rows,
+    tables with a spare last row (:class:`DistinctRows`), and ``source``
+    each packed row's row in them; ``out_proj`` is the output
+    ``(weight, bias)``.  The score block covers only the kept-row span:
+    each table's rows are gathered into ``[n, span, H, hd]`` (q) and
+    ``[n, key_width, H, hd]`` (k, v) scratch (contiguous: matmul bits
+    depend on operand layout), the skipped rows reading the spare row,
+    which the kernel zeroes; the additive ``[n, 1, 1, L]``
+    ``mask_bias`` gives their keys exactly zero weight.
     """
     dim = x.shape[-1]
     if dim % n_heads:
@@ -519,14 +626,15 @@ def attention(arena: Scratch, name: str, x: np.ndarray,
     head_dim = dim // n_heads
     scale = np.float32(1.0 / math.sqrt(head_dim))
 
+    tables = [table.reshape(-1, dim) for table in qkv]
+    spare = tables[0].shape[0] - 1
+    query_rows = _table_rows(n * span, rows.query_index, source, spare)
+    key_rows = _table_rows(n * key_width, rows.key_index, source, spare)
     heads = []
-    for part, size, index, (weight, bias) in zip(
-            "qkv", (span, key_width, key_width),
-            (rows.query_index, rows.key_index, rows.key_index), projections):
-        packed = linear(arena, f"{name}.{part}_proj", x, weight, bias, rows=rows)
-        h = arena.take(f"{name}.{part}", (n * size, dim), capacity=(n * length, dim))
-        h.fill(_F32_ZERO)
-        h[index] = packed.reshape(-1, dim)
+    for part, where, table in zip("qkv", (query_rows, key_rows, key_rows), tables):
+        table[spare] = _F32_ZERO
+        h = arena.take(f"{name}.{part}", (where.shape[0], dim), capacity=(n * length, dim))
+        np.take(table, where, axis=0, out=h, mode="clip")
         heads.append(_heads(h, n, n_heads))
     q, k, v = heads  # [n, H, size, hd] views
 
@@ -544,7 +652,7 @@ def attention(arena: Scratch, name: str, x: np.ndarray,
     mixed = arena.take(f"{name}.mixed", (n, span, dim), capacity=(n, length, dim))
     np.copyto(mixed.reshape(n, span, n_heads, head_dim), mixed_h.transpose(0, 2, 1, 3))
     packed = rows.gather(arena, f"{name}.mixed_rows", mixed, rows.query_index)
-    out = linear(arena, f"{name}.out", packed, *projections[3], rows=rows)
+    out = linear(arena, f"{name}.out", packed, *out_proj, rows=rows)
     np.add(x, out, out=out)  # the residual join, `x + attention` order
     return out
 
@@ -646,6 +754,7 @@ def masked_sum_pool_backward(g: np.ndarray, rows: PackedRows) -> np.ndarray:
 
 __all__ = [
     "MASK_PENALTY",
+    "DistinctRows",
     "MaskBiasCache",
     "PackedRows",
     "ScratchArena",
@@ -653,6 +762,7 @@ __all__ = [
     "additive_mask_bias",
     "attention",
     "attention_backward",
+    "gather_rows",
     "layer_norm",
     "layer_norm_backward",
     "linear",

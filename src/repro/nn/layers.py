@@ -58,9 +58,16 @@ class Linear(Module):
 
     def forward(self, x: Tensor, rows: PackedRows | None = None, relu: bool = False,
                 arena: ScratchArena | None = None, name: str = "linear") -> Tensor:
+        bias = None if self.bias is None else self.bias.data
+        out = F.linear(scratch_for(arena), name, x.data, self.weight.data, bias,
+                       relu=relu, rows=rows)
+        return self.track(x, out, rows, relu)
+
+    def track(self, x: Tensor, out: np.ndarray, rows: PackedRows | None = None,
+              relu: bool = False) -> Tensor:
+        """The layer's tape node: ``out`` is its forward of ``x``'s rows,
+        which ``TLPModel`` computes once per distinct row and gathers."""
         weight, bias = self.weight, self.bias
-        out = F.linear(scratch_for(arena), name, x.data, weight.data,
-                       None if bias is None else bias.data, relu=relu, rows=rows)
 
         def grads(g: np.ndarray):
             return F.linear_backward(g, x.data, weight.data, rows,

@@ -8,6 +8,8 @@ chain, the max-shifted softmax with the additive mask, the whole
 The kernels run only the kept rows and the kept-row span, with a
 hand-written backward; ``tests/test_packed_trunk.py`` and
 ``tests/test_nn_functional.py`` hold them to these chains byte for byte.
+:func:`pooled_rows` draws the repeating feature rows those tests feed
+the trunk's once-per-distinct-row prefix.
 """
 
 from __future__ import annotations
@@ -100,3 +102,20 @@ def dense_forward(model, X: np.ndarray, mask: np.ndarray,
             masked = linear(pooled, head).reshape(n) * sel.astype(np.float32)
             scores = masked if scores is None else scores + masked
     return scores
+
+
+def pooled_rows(rng, n, length, emb, pool, twin="none"):
+    """``[n, length, emb]`` features whose rows are drawn from ``pool``
+    distinct rows, as a batch's candidates share their primitives.  With
+    ``twin`` the last pool row is a near copy of the first: one ulp apart
+    in one feature ("ulp"), or equal but for the sign of its zeros
+    ("signed_zero"); either way a row of its own."""
+    rows = rng.standard_normal((pool, emb)).astype(np.float32)
+    if pool > 1 and twin == "ulp":
+        rows[-1] = rows[0]
+        rows[-1, 0] = np.nextafter(rows[0, 0], np.float32(np.inf))
+    if pool > 1 and twin == "signed_zero":
+        rows[0, ::2] = 0.0
+        rows[-1] = rows[0]
+        rows[-1, ::2] = -0.0
+    return rows[rng.integers(0, pool, size=(n, length))]

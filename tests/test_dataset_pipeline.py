@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from corruptions import CORRUPTIONS, dead_axis
 from batch_reference import reference_profiles
+from repro.analysis import batch as batch_module
 from repro.analysis.absint import AbsIntError
 from repro.dataset import (
     DatasetSpec,
@@ -206,6 +207,40 @@ def test_fit_featurizer_is_deterministic():
     a, b = fit_featurizer(spec), fit_featurizer(spec)
     assert a.vocab_ == b.vocab_
     assert a.raw_width_ == b.raw_width_
+
+
+def test_build_shares_one_plan_table(tmp_path, monkeypatch):
+    """Every batch profile of a build, the featurizer-fit corpus's and
+    the store's, shares one plan table, so no structural key is
+    interpreted twice; the store's bytes are those of a build whose
+    batches each keep their own table."""
+    spec = small_spec(name="t-plans", networks=("bert_tiny", "resnet18"),
+                      candidates_per_task=8)
+    tables, runs = [], []
+    init, profile = batch_module.BatchProfile.__init__, batch_module.Interpreter.profile
+
+    def recording_init(self, subgraph, sequences, target="cpu", recheck=None, plans=None):
+        tables.append(plans)
+        init(self, subgraph, sequences, target, recheck, plans)
+
+    def counting_profile(self, prims, log=None):
+        runs.append(log is not None)
+        return profile(self, prims, log)
+
+    monkeypatch.setattr(batch_module.BatchProfile, "__init__", recording_init)
+    monkeypatch.setattr(batch_module.Interpreter, "profile", counting_profile)
+    shared = build_dataset(spec, tmp_path / "shared")
+    assert tables and all(t is tables[0] for t in tables)
+    assert sum(runs) == len(tables[0]) < batch_module.PLANS_HELD
+
+    def own_table(self, subgraph, sequences, target="cpu", recheck=None, plans=None):
+        init(self, subgraph, sequences, target, recheck, {})
+
+    monkeypatch.setattr(batch_module.BatchProfile, "__init__", own_table)
+    runs.clear()
+    separate = build_dataset(spec, tmp_path / "separate")
+    assert sum(runs) > len(tables[0])
+    assert shared.store_digest() == separate.store_digest()
 
 
 def test_tasks_table_matches_enumeration(store):

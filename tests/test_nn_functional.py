@@ -228,7 +228,11 @@ def _check_attention_kernel(length):
     xt = Tensor(x)
     taped = (xt + ref.attention(att, xt, mask)).data
     for scratch in (ScratchArena(), F.TapeScratch()):
-        fused = F.attention(scratch, "mha", rows.gather(scratch, "x", x), _projections(att),
+        packed = rows.gather(scratch, "x", x)
+        distinct = F.DistinctRows(scratch, packed, x.shape[0] * length)
+        qkv = [F.linear(scratch, f"mha.{part}_proj", distinct.values, w, b, rows=distinct)
+               for part, (w, b) in zip("qkv", _projections(att))]
+        fused = F.attention(scratch, "mha", packed, qkv, distinct.inverse, _projections(att)[3],
                             att.n_heads, rows, mask_bias=F.additive_mask_bias(mask))
         assert fused.shape == rows.lead + (16,)
         assert np.array_equal(fused.reshape(-1, 16), _kept(taped, rows))
@@ -237,8 +241,9 @@ def _check_attention_kernel(length):
 def test_attention_kernel_rejects_bad_heads():
     rows = F.PackedRows(np.ones((1, 2), dtype=np.float32))
     with pytest.raises(ValueError):
-        F.attention(ScratchArena(), "bad", _x(2, 6), [(_x(6, 6), _x(6))] * 4,
-                    n_heads=4, rows=rows, mask_bias=F.additive_mask_bias(rows.mask))
+        F.attention(ScratchArena(), "bad", _x(2, 6), [_x(3, 6)] * 3, np.arange(2),
+                    (_x(6, 6), _x(6)), n_heads=4, rows=rows,
+                    mask_bias=F.additive_mask_bias(rows.mask))
 
 
 def test_masked_sum_pool_matches_taped_pool():
@@ -281,6 +286,60 @@ def test_packed_rows_row_rules():
     assert rows.bounds == [0, 4, 6, 6] and rows.blocks == (2, 4)
     buf = rows.take(arena, "buf", 5)
     assert buf.shape == (6, 5) and buf.base.size == 12 * 5
+
+
+def test_distinct_rows_are_byte_distinct():
+    """Rows are one distinct row only when their bytes are equal: a row
+    one ulp away, or equal but for the sign of a zero, is a row of its
+    own.  ``values`` holds the distinct rows, then a zero spare row."""
+    a = _x(5)
+    a[1] = 0.0
+    ulp, signed = a.copy(), a.copy()
+    ulp[0] = np.nextafter(a[0], np.float32(np.inf))
+    signed[1] = -0.0
+    b = _x(5)
+    x = np.stack([a, b, a, ulp, signed, b, a])
+    for lead in ((7,), (7, 1)):
+        distinct = F.DistinctRows(ScratchArena(), x.reshape(lead + (5,)), 8)
+        assert distinct.count == 4 and distinct.lead == (5,) + lead[1:]
+        values = distinct.values.reshape(-1, 5)
+        assert values[distinct.inverse].tobytes() == x.tobytes()
+        assert not values[-1].any()
+        assert len(set(distinct.inverse[[0, 2, 6]])) == 1
+        assert len(set(distinct.inverse[[0, 1, 3, 4]])) == 4
+
+
+def test_distinct_rows_survive_hash_collisions(monkeypatch):
+    """Rows are grouped by a 64-bit hash and the grouping is checked
+    against the bytes: with every hash equal, the rows are sorted
+    instead, and the result is the same partition."""
+    x = np.repeat(_x(6, 4), [3, 1, 2, 1, 4, 1], axis=0)
+    expected = F.DistinctRows(ScratchArena(), x, 12)
+    monkeypatch.setattr(F, "_row_hash", lambda width: np.zeros(width, dtype=np.uint64))
+    collided = F.DistinctRows(ScratchArena(), x, 12)
+    assert collided.count == expected.count == 6
+    assert collided.values.reshape(-1, 4)[collided.inverse].tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("length", [1, 4])
+def test_linear_over_distinct_rows_matches_the_packed_rows(length):
+    """The linear kernel over a table of distinct rows gives each packed
+    row the bytes of the packed rows' own GEMM, also with one distinct
+    row: the spare row keeps that GEMM at 2 rows, where a 1-row gemv
+    rounds differently (at 4 -> 8 on random rows, for most rows)."""
+    rng = stream(f"test.nn.functional.distinct.{length}")
+    weight = rng.standard_normal((4, 8)).astype(np.float32)
+    bias = rng.standard_normal(8).astype(np.float32)
+    rows = F.PackedRows(np.ones((6, length), dtype=np.float32))
+    for pool in (1, 2, 6):
+        x = rng.standard_normal((pool, 4)).astype(np.float32)[rng.integers(0, pool, (6, length))]
+        arena = ScratchArena()
+        packed = rows.gather(arena, "x", x)
+        distinct = F.DistinctRows(arena, packed, rows.n * length)
+        table = F.linear(arena, "table", distinct.values, weight, bias, rows=distinct)
+        want = F.linear(arena, "want", packed, weight, bias, rows=rows)
+        got = table.reshape(-1, 8)[distinct.inverse]
+        assert got.tobytes() == want.reshape(-1, 8).tobytes(), pool
 
 
 def test_packed_rows_span_and_key_width():

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
-from nn_reference import dense_forward
+from nn_reference import dense_forward, pooled_rows
 
 from repro.core import MTLTLPModel, TLPModel, TLPModelConfig
 from repro.nn import Adam, lambda_rank_loss_grouped
@@ -63,10 +63,14 @@ def _mask(kind, n, length, density, rng, span=None):
     return mask
 
 
-def _batch(model, n, length, kind, density, seed, span=None):
+def _batch(model, n, length, kind, density, seed, span=None, pool=None, twin="none"):
+    """A training batch; with ``pool`` its feature rows repeat (``pooled_rows``)."""
     rng = stream(f"test.packed_trunk.batch.{seed}")
     emb = model.config.emb
-    X = rng.standard_normal((n, length, emb)).astype(np.float32)
+    if pool is None:
+        X = rng.standard_normal((n, length, emb)).astype(np.float32)
+    else:
+        X = pooled_rows(rng, n, length, emb, pool, twin)
     mask = _mask(kind, n, length, density, rng, span)
     labels = rng.uniform(0.1, 1.0, size=n).astype(np.float32)
     gids = np.sort(rng.integers(0, 3, size=n))
@@ -147,6 +151,39 @@ def test_packed_trunk_bit_identical_to_dense_property(model_i, n, length, kind,
     _assert_same_bytes(packed, dense)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    model_i=st.integers(0, len(_MODELS) - 1),
+    n=st.integers(1, 6),
+    length=st.sampled_from((1, 2, 3, 7, 25, 33)),
+    kind=st.sampled_from(_MASK_KINDS),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+    pool=st.integers(1, 6),
+    twin=st.sampled_from(("none", "ulp", "signed_zero")),
+)
+# One and two distinct rows (the prefix's GEMMs at their fewest rows),
+# L == 1 (each row its own gemv), an empty sample, and MTL.
+@example(model_i=0, n=4, length=3, kind="bernoulli", density=0.7, seed=0, pool=1, twin="none")
+@example(model_i=0, n=4, length=3, kind="bernoulli", density=0.7, seed=1, pool=2, twin="ulp")
+@example(model_i=1, n=6, length=1, kind="bernoulli", density=0.5, seed=2, pool=1, twin="none")
+@example(model_i=1, n=6, length=1, kind="bernoulli", density=0.5, seed=3, pool=3, twin="ulp")
+@example(model_i=2, n=4, length=7, kind="empty_sample", density=0.6, seed=4, pool=2,
+         twin="signed_zero")
+@example(model_i=4, n=4, length=25, kind="prefix", density=0.0, seed=5, pool=4, twin="ulp")
+@example(model_i=5, n=5, length=7, kind="prefix", density=0.0, seed=6, pool=1, twin="none")
+def test_packed_trunk_bit_identical_to_dense_on_repeated_rows(model_i, n, length, kind,
+                                                             density, seed, pool, twin):
+    """Feature rows drawn from a few distinct rows, as in a candidate
+    batch: the prefix runs once per distinct row, and the step still has
+    the dense oracle's scores, loss and gradients, byte for byte."""
+    model = _MODELS[model_i]
+    batch = _batch(model, n, length, kind, density, seed, pool=pool, twin=twin)
+    packed = _step(model, *batch)
+    dense = _step(model, *batch, dense=True)
+    _assert_same_bytes(packed, dense)
+
+
 def test_dropout_step_bit_identical_to_dense():
     """Dropout draws its keep-mask at the dense shape and gathers the
     kept rows, so packed and dense training give the same bits, step
@@ -188,5 +225,33 @@ def test_mtl_predict_bit_identical_to_eval_forward(n, length, kind, density, see
         model.trunk._arena.reset_counters()  # warm: every scratch probe hits
         assert model.predict(X, mask, pids).tobytes() == expected.tobytes()
         assert model.trunk.scratch_info()["misses"] == 0
+    finally:
+        model.train()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    length=st.sampled_from((1, 2, 3, 7, 25)),
+    kind=st.sampled_from(_MASK_KINDS),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+    pool=st.integers(1, 6),
+)
+@example(n=9, length=25, kind="prefix", density=0.0, seed=0, pool=1)
+@example(n=5, length=1, kind="empty_sample", density=0.6, seed=1, pool=2)
+def test_mtl_predict_bit_identical_to_eval_forward_on_repeated_rows(n, length, kind,
+                                                                    density, seed, pool):
+    """The MTL trunk's whole-batch prefix over a few distinct rows, in
+    chunks of several sizes, gives the eval-mode forward's bytes."""
+    model = _MODELS[-1]
+    X, mask, _, _, pids = _batch(model, n, length, kind, density, seed, pool=pool)
+    model.eval()
+    try:
+        expected = model(X, mask, pids).data
+        for max_chunk in (1, 2, n):
+            pooled = model.trunk.pool_chunks(X, mask, max_chunk)
+            assert pooled.tobytes() == model.trunk.pool_features(X, mask).data.tobytes()
+        assert model.predict(X, mask, pids).tobytes() == expected.tobytes()
     finally:
         model.train()

@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from nn_reference import pooled_rows
 
 import repro.nn as nn
 from repro.core import CheckpointError, TLPModel, TLPModelConfig
@@ -205,6 +206,124 @@ def test_predict_bit_identical_property(cfg, n, length, max_chunk, kind,
     fast = model.predict(X, mask, max_chunk=max_chunk)
     assert fast.dtype == np.float32 and fast.shape == (n,)
     assert np.array_equal(fast, taped)
+
+
+# -- the prefix over distinct rows ---------------------------------------
+#
+# A search batch's candidates share most of their primitives, so most of
+# its feature rows repeat: up1, up2 and the q/k/v projections run once
+# per distinct row of the whole batch, before the trunk is chunked.
+
+
+def _pooled_batch(cfg, n, length, pool, seed, twin="none"):
+    """Features drawn from ``pool`` distinct rows (``pooled_rows``)."""
+    return pooled_rows(stream(f"test.predict.pooled.{seed}"), n, length, cfg.emb, pool, twin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cfg=st.sampled_from(_CONFIGS),
+    n=st.integers(1, 9),
+    length=st.sampled_from((1, 2, 3, 6, 7, 25)),
+    kind=st.sampled_from(_MASK_KINDS),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+    pool=st.integers(1, 6),
+    twin=st.sampled_from(("none", "ulp", "signed_zero")),
+)
+@example(cfg=_CONFIGS[0], n=6, length=4, kind="bernoulli", density=0.8, seed=0, pool=1,
+         twin="none")
+@example(cfg=_CONFIGS[0], n=6, length=4, kind="bernoulli", density=0.8, seed=1, pool=2,
+         twin="ulp")
+@example(cfg=_CONFIGS[0], n=7, length=1, kind="bernoulli", density=0.6, seed=2, pool=1,
+         twin="none")
+@example(cfg=_CONFIGS[2], n=5, length=6, kind="prefix", density=0.0, seed=3, pool=3,
+         twin="signed_zero")
+@example(cfg=_CONFIGS[4], n=6, length=25, kind="prefix", density=0.0, seed=4, pool=6,
+         twin="ulp")
+def test_predict_bit_identical_on_repeated_rows_property(cfg, n, length, kind, density,
+                                                        seed, pool, twin):
+    """``predict`` at several chunk sizes gives eval ``forward``'s bytes
+    when rows repeat: one and two distinct rows, near twins kept apart,
+    ``L == 1`` and samples with no kept row included."""
+    model = _MODELS[cfg]
+    X = _pooled_batch(cfg, n, length, pool, seed, twin)
+    mask = _mask(kind, n, length, density, seed)
+    taped = model(X, mask).data
+    for max_chunk in (1, 2, 5, n):
+        assert np.array_equal(model.predict(X, mask, max_chunk=max_chunk), taped), max_chunk
+
+
+def test_prefix_gemms_run_once_per_distinct_row(monkeypatch):
+    """up1, up2 and the q/k/v projections see the batch's distinct kept
+    rows and one spare row, never the kept rows: once per ``predict``
+    call whatever the chunk size, and once per ``forward``."""
+    from repro.nn import functional as F
+
+    cfg = _CONFIGS[2]
+    model = _MODELS[cfg]
+    X = _pooled_batch(cfg, 24, 6, 5, seed=5)
+    mask = (np.arange(6) < np.arange(24)[:, None] % 5 + 2).astype(np.float32)
+    kept = X.reshape(-1, cfg.emb)[mask.reshape(-1) != 0]
+    distinct = np.unique(kept.view(np.dtype((np.void, cfg.emb * 4))).reshape(-1)).shape[0]
+    assert distinct <= 5 < kept.shape[0]
+    calls: list[tuple[str, int]] = []
+    linear = F.linear
+
+    def recording(arena, name, x, *args, **kwargs):
+        calls.append((name, x.shape[0]))
+        return linear(arena, name, x, *args, **kwargs)
+
+    monkeypatch.setattr(F, "linear", recording)
+    prefix = ("up1", "up2", "attn.q_proj", "attn.k_proj", "attn.v_proj")
+    for run in (lambda: model.predict(X, mask, max_chunk=8), lambda: model(X, mask)):
+        calls.clear()
+        run()
+        assert [c for c in calls if c[0] in prefix] == [(p, distinct + 1) for p in prefix]
+
+
+@pytest.mark.parametrize("length", [1, 4])
+@pytest.mark.parametrize("pool", [1, 2, 6])
+def test_prefix_tables_hold_the_kept_rows_gemm_bytes(pool, length):
+    """Each table row the prefix computes once per distinct row has the
+    bytes the kept rows' own GEMMs give it, through up1, up2 and the
+    q/k/v projections: with one distinct row too, and at ``L == 1``
+    (each row its own gemv)."""
+    from repro.nn import functional as F
+
+    cfg = _CONFIGS[0]
+    model = _MODELS[cfg]
+    X = _pooled_batch(cfg, 6, length, pool, seed=pool)
+    rows = F.PackedRows(np.ones((6, length), dtype=np.float32))
+    scratch = F.TapeScratch()
+    x = rows.gather(scratch, "x", X)
+    distinct = F.DistinctRows(scratch, x, rows.n * rows.length)
+    assert distinct.count == len(np.unique(X.reshape(-1, cfg.emb), axis=0))
+    h1 = F.linear(scratch, "up1", x, model.up1.weight.data, model.up1.bias.data,
+                  relu=True, rows=rows)
+    h2 = F.linear(scratch, "up2", h1, model.up2.weight.data, model.up2.bias.data,
+                  relu=True, rows=rows)
+    expected = [h1, h2, *[F.linear(scratch, "p", h2, p.weight.data, p.bias.data, rows=rows)
+                          for p in (model.attention.q_proj, model.attention.k_proj,
+                                    model.attention.v_proj)]]
+    for table, want in zip(model._prefix(distinct, scratch), expected):
+        width = want.shape[-1]
+        assert table.shape == distinct.lead + (width,)
+        got = table.reshape(-1, width)[distinct.inverse]
+        assert got.tobytes() == want.reshape(-1, width).tobytes()
+
+
+def test_prefix_keeps_the_gemv_shape_with_one_distinct_row():
+    """A batch whose kept rows are all one row: the prefix GEMMs still run
+    2 rows (the row and the spare), not the 1-row gemv, whose bits differ
+    on ``_CONFIGS[0]``'s up2 shape."""
+    cfg = _CONFIGS[0]
+    model = _MODELS[cfg]
+    X = np.broadcast_to(_batch(cfg, 1, 1)[0], (6, 4, cfg.emb)).copy()
+    mask = (np.arange(4) < np.array([[4], [2], [0], [3], [1], [4]])).astype(np.float32)
+    for max_chunk in (1, 3, 6):
+        assert np.array_equal(model.predict(X, mask, max_chunk=max_chunk),
+                              model(X, mask).data)
 
 
 # -- the packed path's row rules ---------------------------------------
