@@ -2,9 +2,12 @@
 
 The acceptance claim: ``measure_many`` labels 10,000 verified schedules
 on one platform in under 10 s on a single core.  In practice the batch
-costing is two orders of magnitude inside that budget — the vectorized
-``NestFeatures`` planes mean the per-schedule cost is ``Schedule.apply``
-plus a constant share of a handful of ``[N, D]`` array expressions.
+costing is well over an order of magnitude inside that budget: no
+schedule is applied — ``extract_features`` reads the ``NestFeatures``
+planes off one abstract-interpreter batch pass (one interpreter run per
+structural key, the rest as integer columns) — so the per-schedule cost
+is its share of the grouping, the column replay and a handful of
+``[N, D]`` array expressions.
 :func:`scenario` records the exact numbers into ``BENCH_simhw.json``
 (``python benchmarks/save.py simhw``).
 ``test_perf_claims`` asserts that the batch labels every schedule and
@@ -56,7 +59,7 @@ def test_measure_many_gpu(benchmark, gpu_corpus):
 
 
 def test_feature_extraction_only(benchmark, corpus):
-    """Schedule.apply + plane flattening — the non-vectorizable share."""
+    """The batch pass that stands in for ``Schedule.apply`` + plane flattening."""
     features = benchmark(extract_features, _SUB, corpus, _INTEL)
     assert features.n == BATCH
 

@@ -39,8 +39,10 @@ run logs (``Interpreter.profile(..., ops)``) with the rules
   (``STATIC_FEATURE_NAMES`` columns) for screening models;
 * :func:`draft_scores` — Pruner-style draft score: the static profile is
   costed on the target's *reference* ``simhw`` platform, no TLP model
-  involved.  ``CandidateScorer.propose_topk(draft_keep=...)`` uses it to
-  run ``TLPModel.predict`` on the top slice only.
+  involved (``repro.analysis.batch.BatchProfile.draft_scores``).
+  ``CandidateScorer.propose_topk(draft_keep=...)`` takes it from the
+  round's own batch pass to run ``TLPModel.predict`` on the top slice
+  only.
 
 :func:`smell_diagnostics` reads one profile's W304–W306 facts (footprint
 vs last-level cache, under-parallelization, unroll bodies past the
@@ -873,15 +875,8 @@ def draft_scores(
     :class:`AbsIntError`.
     """
     from repro.analysis.batch import BatchProfile  # the batch pass builds on this module
-    from repro.simhw import cpu_model, gpu_model  # local: keep verifier import light
 
-    if not sequences:
-        return np.empty(0, dtype=np.float32)
-    feats = BatchProfile(subgraph, sequences, target).nest_features()
-    model = gpu_model if target == "gpu" else cpu_model
-    seconds, _ = model.latency_seconds(feats, reference_platform(target))
-    floor = np.maximum(seconds, np.float32(1e-30))
-    return (floor.min() / floor).astype(np.float32)
+    return BatchProfile(subgraph, sequences, target).draft_scores()
 
 
 def smell_diagnostics(

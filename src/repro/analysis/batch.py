@@ -21,7 +21,8 @@ one profile per candidate (``tests/batch_reference.py``).
 Construction is a fail-closed gate that raises what a per-candidate
 loop raises: should a key's run raise or the columns flag a member, the
 batch is re-run one candidate at a time.  The dataset build, the
-``SketchGenerator.generate_many`` gate, ``absint.profile_many`` and
+``SketchGenerator.generate_many`` gate, ``CandidateScorer.propose_topk``,
+``simhw.measure_many``, ``absint.profile_many`` and
 ``absint.draft_scores`` run through it, and
 ``TLPFeaturizer.transform_into`` encodes on its grouping.
 """
@@ -41,14 +42,17 @@ from repro.analysis.absint import (
     StaticProfile,
     _primitives_of,
     first_inner_floor,
+    reference_platform,
     static_plane,
 )
+from repro.simhw import cpu_model, gpu_model
 from repro.simhw.cache import LoopPlanes, NestFeatures, loop_codes, nest_signature
-from repro.tensorir.primitives import Primitive, PrimitiveKind
+from repro.tensorir.primitives import Primitive, structural_shape
 from repro.tensorir.schedule import PAD_ALLOWANCE, ceil_div, pads_beyond_allowance
 from repro.tensorir.subgraph import Subgraph
 
-_FIELDS = operator.attrgetter("kind", "axes", "attr", "ints")
+_SHAPE = operator.attrgetter("_shape")
+_INTS = operator.attrgetter("ints")
 _INT64 = np.iinfo(np.int64)
 #: Trip counts a batch may reach: past 2**53 an int64 product no longer
 #: converts to the float a one-profile loop computes.  A sampled batch
@@ -60,14 +64,18 @@ _SPLIT, _FUSE = 1, 2
 class CandidateGroups:
     """A batch of primitive sequences, grouped by structural key.
 
-    Two sequences share a key when every primitive agrees on kind (a raw
-    kind string and its enum member are equal, as in ``KIND_BY_VALUE``),
-    axes, attr and number of ints, and every FSP on its source step: the
+    Two sequences share a key when their primitives' structural shapes
+    (``repro.tensorir.primitives.structural_shape``: kind, with a raw
+    kind string equal to its enum member, axes, attr, number of ints, and
+    an FSP's source step with its type) agree position by position: the
     interpreter then takes the same path through both, and they differ
     only in their integer *columns* — every int of every primitive, in
-    sequence order (SP extents and factors, FSP extents, PR values).
-    Computed once per batch: the static pass (:class:`BatchProfile`) and
-    ``TLPFeaturizer.transform_into`` share it.
+    sequence order (SP extents and factors, FSP extents, PR values).  A
+    ``Primitive`` caches its shape at construction, so a candidate's key
+    is one attribute map; one with no cached shape (a malformed field, or
+    another object with the four fields) is derived here, raising what
+    that derivation raises.  Computed once per batch: the static pass
+    (:class:`BatchProfile`) and ``TLPFeaturizer.transform_into`` share it.
     """
 
     def __init__(self, sequences: "Sequence[Sequence[Primitive] | object]"):
@@ -80,22 +88,19 @@ class CandidateGroups:
         self.n_columns: list[int] = []
         #: Every candidate's ints, concatenated in candidate order.
         self.values: list = []
-        fsp = PrimitiveKind.FSP
         for i, prims in enumerate(self.sequences):
-            kinds, axes, attrs, ints = zip(*map(_FIELDS, prims)) if prims else ((),) * 4
-            lens = tuple(map(len, ints))
-            sources = tuple(
-                [(v[1], type(v[1])) for k, v in zip(kinds, ints) if k == fsp and len(v) > 1]
-            )
-            key = (kinds, axes, attrs, lens, sources)
+            try:
+                key = tuple(map(_SHAPE, prims))
+            except AttributeError:  # a primitive with no cached shape
+                key = tuple(map(structural_shape, prims))
             g = index.get(key)
             if g is None:
                 g = index[key] = len(self.first)
                 self.first.append(i)
                 self.keys.append(key)
-                self.n_columns.append(sum(lens))
+                self.n_columns.append(sum(shape[3] for shape in key))
             group_of.append(g)
-            self.values.extend(chain.from_iterable(ints))
+            self.values.extend(chain.from_iterable(map(_INTS, prims)))
         self.group_of = np.asarray(group_of, dtype=np.intp)
         width = np.asarray(self.n_columns, dtype=np.intp)[self.group_of]
         self.offsets = np.cumsum(width) - width
@@ -437,6 +442,18 @@ class BatchProfile:
             float(self.subgraph.flops_per_point),
             self.target,
         )
+
+    def draft_scores(self) -> np.ndarray:
+        """``absint.draft_scores`` of the batch (float32 ``[N]``): its nest
+        features priced on the target's reference platform, no quirk term,
+        normalized to ``min_latency / latency``."""
+        if not len(self.groups):
+            return np.empty(0, dtype=np.float32)
+        model = gpu_model if self.target == "gpu" else cpu_model
+        seconds, _ = model.latency_seconds(self.nest_features(),
+                                           reference_platform(self.target))
+        floor = np.maximum(seconds, np.float32(1e-30))
+        return (floor.min() / floor).astype(np.float32)
 
     def nest_features(self) -> NestFeatures:
         """The batch's ``simhw`` :class:`NestFeatures`, bit-identical to

@@ -1,20 +1,27 @@
 """End-to-end candidate scoring: the search-side serving loop.
 
 :class:`CandidateScorer` pipes the pieces the evolutionary-search PRs
-will drive, in the exact order a tuning round needs them:
+will drive, in the exact order a tuning round needs them.  A proposal
+round (:meth:`CandidateScorer.propose_topk`) runs on one batch pass:
 
-    ``SketchGenerator.generate_many`` (propose, verified fail-closed)
-    → ``repro.analysis.verify_many`` (screen external candidates)
-    → ``TLPFeaturizer.transform`` (batch featurization, cached)
+    ``SketchGenerator.generate_many(..., verify=False)`` (propose)
+    → ``repro.analysis.batch.BatchProfile`` (the fail-closed gate: one
+      interpreter run per structural key, kept across the scorer's
+      rounds, the rest as integer columns; the draft scores, when
+      drafting)
+    → ``TLPFeaturizer.transform_into`` (encoded on the gate's grouping)
     → ``TLPModel.predict`` (tape-free fused inference)
     → top-k indices (highest predicted ``min_latency / latency`` first)
 
-Only *verified* candidates are ever scored: proposals from the sampler
-are verified fail-closed (by the draft's abstract interpretation, the
-verifier's interpreter in raise mode, when ``propose_topk`` drafts),
-and externally supplied candidates (e.g.
-mutation output) are screened with ``verify_many`` — invalid sequences
-are excluded from scoring and reported, never silently ranked.
+External candidates (e.g. mutation output, :meth:`CandidateScorer.score_topk`)
+go ``repro.analysis.verify_many`` → ``TLPFeaturizer.transform`` →
+``TLPModel.predict`` → top-k instead.
+
+Only *verified* candidates are ever scored: proposals pass the batch
+pass's raise mode — the verifier's interpreter — before anything is
+featurized, and externally supplied candidates are screened with
+``verify_many`` — invalid sequences are excluded from scoring and
+reported, never silently ranked.
 
 Throughput is the design axis (the paper's §6 observation: inference,
 not training, dominates search time); ``benchmarks/bench_inference.py``
@@ -26,11 +33,13 @@ whole loop (wired into ``make check``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
-from repro.analysis import absint
+from repro.analysis import verifier
+from repro.analysis.batch import BatchProfile
 from repro.analysis.diagnostics import errors
 from repro.analysis.verifier import verify_many
 from repro.core.extractor import SequenceLike, TLPFeaturizer, _primitives_of
@@ -70,10 +79,14 @@ class ScoredTopK:
 class CandidateScorer:
     """Scores schedule candidates with the TLP model, serving-style.
 
-    Owns no state beyond its collaborators: a *fitted*
-    :class:`TLPFeaturizer` (vocabulary must match the model's training
-    run) and a :class:`TLPModel`.  ``max_chunk`` bounds the inference
-    scratch footprint per ``TLPModel.predict``.
+    Its collaborators are a *fitted* :class:`TLPFeaturizer` (vocabulary
+    must match the model's training run) and a :class:`TLPModel`.
+    ``max_chunk``, an int >= 1, bounds the inference scratch footprint
+    per ``TLPModel.predict``.  Its one state is the gate's table of
+    per-key interpreter runs (``BatchProfile``'s ``plans``), which
+    :meth:`propose_topk` keeps across rounds: keyed by content (the
+    subgraph's axis names and reduction flags, the target and the
+    structural key), capped at ``repro.analysis.batch.PLANS_HELD``.
     """
 
     def __init__(self, model: TLPModel, featurizer: TLPFeaturizer,
@@ -83,10 +96,16 @@ class CandidateScorer:
             raise ValueError(
                 "CandidateScorer needs a fitted TLPFeaturizer — fit() it on "
                 "the training corpus (the vocabulary the model was trained on)")
+        if not (isinstance(max_chunk, Integral) and not isinstance(max_chunk, bool)
+                and max_chunk >= 1):
+            raise ValueError(
+                f"CandidateScorer.max_chunk must be an int >= 1, got {max_chunk!r}")
         self.model = model
         self.featurizer = featurizer
         self.generator = generator
         self.max_chunk = int(max_chunk)
+        self._plans: dict = {}
+        self._X = self._mask = np.empty(0, dtype=np.float32)
 
     # -- scoring ---------------------------------------------------------
 
@@ -132,30 +151,48 @@ class CandidateScorer:
 
     # -- propose-and-score (the search inner loop) -----------------------
 
+    def _buffers(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Grow-only ``X``/``mask`` buffers for :meth:`propose_topk`'s
+        ``transform_into``, rewritten round after round: a fresh ~2 MB
+        pair a round pays its page faults again, and read ~2 MB more
+        peak RSS in perfbench ``search`` (heap churn)."""
+        if self._X.shape[0] < n:
+            cfg = self.featurizer.config
+            self._X = np.empty((n, cfg.seq_len, cfg.emb), dtype=np.float32)
+            self._mask = np.empty((n, cfg.seq_len), dtype=np.float32)
+        return self._X, self._mask
+
     def propose_topk(self, subgraph: Subgraph, n: int, k: int,
                      rng: np.random.Generator, *,
                      draft_keep: float | None = None,
                      ) -> tuple[list[Schedule], ScoredTopK]:
         """Sample ``n`` fresh candidates and return them with their top-k.
 
-        Proposals come from ``SketchGenerator.generate_many`` and are
-        verified fail-closed before scoring; the returned ``ScoredTopK``
-        consequently has ``n_invalid == 0``.
+        One batch pass carries the round.  The generator's samples are
+        gated fail-closed by ``repro.analysis.batch.BatchProfile`` — one
+        interpreter run per structural key not met in an earlier round of
+        this scorer, the rest as integer columns — and featurized on its
+        grouping (``TLPFeaturizer.transform_into``); the profile is
+        released before ``TLPModel.predict``.  Scores, picks and errors
+        are those of verified ``generate_many`` → ``transform`` →
+        ``predict``: an invalid sample raises ``InvalidScheduleError``
+        (``verifier.assert_valid_many`` rechecks the batch) before
+        anything is scored, and the returned ``ScoredTopK`` has
+        ``n_invalid == 0``.
 
         ``draft_keep`` enables the Pruner-style draft-then-verify path:
-        every candidate gets a cheap static draft score from the abstract
-        interpreter (``repro.analysis.absint.draft_scores`` — the
-        analytical ``simhw`` cost of the abstract nest, no learned model),
-        and only the best ``ceil(draft_keep * n)`` reach
-        ``TLPModel.predict``.  The draft slice is scored in original
-        candidate order, so on the kept subset the ranking (including
-        stable tie-breaks) is exactly what the full path would produce;
-        ``draft_keep=1.0`` is bit-identical to the default path.
-        ``n_predicted`` records how many candidates the model actually saw.
-        The draft interprets every candidate in raise mode, so on this path
-        it is the fail-closed gate: the generator skips its verifier pass
-        (``generate_many(..., verify=False)``), and an invalid candidate
-        raises ``AbsIntError`` before anything is scored.
+        every candidate gets a cheap static draft score from the same
+        profile (``BatchProfile.draft_scores``, what
+        ``absint.draft_scores`` computes — the analytical ``simhw`` cost
+        of the abstract nest, no learned model), and only the best
+        ``ceil(draft_keep * n)`` reach ``TLPModel.predict``.  The draft
+        slice is scored in original candidate order, so on the kept
+        subset the ranking (including stable tie-breaks) is exactly what
+        the full path would produce; ``draft_keep=1.0`` is bit-identical
+        to the default path.  ``n_predicted`` records how many candidates
+        the model actually saw.  On this path the draft's raise-mode
+        interpretation is the gate, so an invalid candidate raises
+        ``AbsIntError``, as ``absint.draft_scores`` does.
         """
         if self.generator is None:
             raise ValueError("propose_topk needs a SketchGenerator at construction")
@@ -163,14 +200,18 @@ class CandidateScorer:
         k = _require_positive("k", k)
         if draft_keep is not None and not 0.0 < draft_keep <= 1.0:
             raise ValueError(f"draft_keep must be in (0, 1], got {draft_keep}")
-        if draft_keep is None:
-            schedules = self.generator.generate_many(subgraph, n, rng)
-            kept = np.arange(len(schedules), dtype=np.int64)
-        else:
-            schedules = self.generator.generate_many(subgraph, n, rng, verify=False)
-            draft = absint.draft_scores(
-                subgraph, [_primitives_of(s) for s in schedules],
-                self.generator.config.target)
+        # Unverified: the batch pass below is this round's gate.
+        schedules = self.generator.generate_many(subgraph, n, rng, verify=False)
+        # A flagged batch is rechecked one candidate at a time: by the
+        # verifier on the default path (its InvalidScheduleError, as the
+        # generate_many gate raised), by BatchProfile's own absint.profile
+        # loop when drafting (its AbsIntError, as draft_scores raised).
+        recheck = (lambda: verifier.assert_valid_many(schedules)) if draft_keep is None else None
+        batch = BatchProfile(subgraph, schedules, self.generator.config.target, recheck,
+                             self._plans)
+        kept = np.arange(len(schedules), dtype=np.int64)
+        if draft_keep is not None:
+            draft = batch.draft_scores()
             # Never keep fewer than k (or everything, when n < k): the
             # draft screens, it must not shrink the answer.
             n_keep = max(int(np.ceil(draft_keep * len(schedules))),
@@ -178,7 +219,11 @@ class CandidateScorer:
             # Ascending original order within the kept slice keeps the
             # model path's stable tie-break identical to the full path.
             kept = np.sort(np.argsort(-draft, kind="stable")[:n_keep])
-        scores = self.score([schedules[i] for i in kept])
+        X, mask = self.featurizer.transform_into(batch.groups, *self._buffers(len(schedules)))
+        del batch  # free its planes and columns before predict's peak
+        if len(kept) < len(schedules):
+            X, mask = X[kept], mask[kept]
+        scores = self.model.predict(X, mask, max_chunk=self.max_chunk)
         order = np.argsort(-scores, kind="stable")[:k]
         # n_candidates reports what the generator actually produced, not
         # the requested n — keeps n_scored honest if a generator ever

@@ -323,10 +323,19 @@ def _row_hash(width: int) -> np.ndarray:
 def _distinct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(first, inverse)`` of the distinct rows of a uint32 ``[R, K]``
     matrix: ``words[first[inverse]] == words``.  Rows are grouped by a
-    64-bit hash, and the grouping is checked against the bytes; should two
-    unequal rows share a hash, the rows themselves are sorted instead."""
+    64-bit hash, in hash order, any row of a group standing for it (so an
+    unstable sort and one run-length pass), and the grouping is checked
+    against the bytes; should two unequal rows share a hash, the rows
+    themselves are sorted instead."""
     hashes = words @ _row_hash(words.shape[1])
-    _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
+    order = np.argsort(hashes)
+    ranked = hashes[order]
+    head = np.empty(ranked.shape[0], dtype=bool)  # where each run of one hash starts
+    head[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+    first = order[head]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(head) - 1
     if not np.array_equal(words[first[inverse]], words):
         rows = words.view(np.dtype((np.void, words.shape[1] * words.itemsize)))
         _, first, inverse = np.unique(rows.reshape(-1), return_index=True,

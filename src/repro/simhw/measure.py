@@ -1,11 +1,15 @@
 """The public simulated-measurement API (the hardware substitute).
 
 ``measure(subgraph, schedule, platform)`` plays the role real hardware
-plays in the paper: it prices an applied schedule on one of the 7
+plays in the paper: it prices a schedule's loop nest on one of the 7
 simulated platforms and returns a :class:`LatencyRecord`.  The batched
-``measure_many`` is the dataset/trainer hot path — nest features are
-flattened once and every cost term is vectorized, so labelling ~10k
-schedules takes seconds on one core (``benchmarks/bench_simhw.py``).
+``measure_many`` prices a whole batch at once: its nest features come
+from one abstract-interpreter batch pass
+(``repro.analysis.batch.BatchProfile`` — one interpreter run per
+structural key, the rest as integer columns, no schedule applied and no
+nest built; the dataset build prices off the same pass), and every cost
+term is vectorized, so labelling ~10k schedules takes well under a
+second on one core (``benchmarks/bench_simhw.py``).
 
 Determinism contract: a measurement is a **pure function of
 (subgraph, primitive sequence, platform, root seed)**.  No wall clock
@@ -119,9 +123,22 @@ def extract_features(
     schedules: Sequence["Schedule | Sequence[Primitive]"],
     platform: Platform,
 ) -> NestFeatures:
-    """Apply every schedule and flatten the nests for vectorized costing."""
-    nests = [_coerce_schedule(subgraph, s, platform).apply() for s in schedules]
-    return NestFeatures.from_nests(subgraph, nests)
+    """The batch's flattened nests for vectorized costing, applying none.
+
+    Every schedule passes ``_coerce_schedule``'s subgraph and target checks
+    first; then one batch pass (``repro.analysis.batch.BatchProfile``)
+    interprets one schedule per structural key and reads the rest as
+    integer columns.  Its ``NestFeatures`` are bit-identical to
+    ``NestFeatures.from_nests`` over ``Schedule.apply()`` of each, and an
+    invalid schedule raises what its ``apply()`` raises (the first, in
+    batch order).
+    """
+    # Imported at call time: repro.analysis imports repro.simhw.
+    from repro.analysis.batch import BatchProfile
+
+    checked = [_coerce_schedule(subgraph, s, platform) for s in schedules]
+    return BatchProfile(subgraph, checked, platform.target,
+                        lambda: [s.apply() for s in checked]).nest_features()
 
 
 def _base_latencies(
@@ -142,7 +159,9 @@ def measure_many(
 
     Bit-identical to a loop of :func:`measure`: the single-schedule path
     runs through this exact function with a batch of one, and every cost
-    term is elementwise over the batch.
+    term is elementwise over the batch.  The nest features are
+    :func:`extract_features`' (its checks and errors included); an empty
+    batch gives an empty array.
     """
     platform = get_platform(platform)
     features = extract_features(subgraph, schedules, platform)

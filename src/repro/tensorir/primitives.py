@@ -108,6 +108,18 @@ class Primitive:
     ints: tuple[int, ...] = field(default=())
     attr: str = ""
 
+    def __post_init__(self) -> None:
+        # The structural shape is cached like the hash: the batch pass
+        # (repro.analysis.batch.CandidateGroups) keys every candidate by
+        # its primitives' shapes.  A field the shape cannot be read from
+        # leaves none, so construction raises nowhere it did not; the
+        # batch pass derives that primitive's shape again, and raises there.
+        try:
+            shape = structural_shape(self)
+        except Exception:  # any malformed field: the batch pass re-derives it
+            return
+        object.__setattr__(self, "_shape", shape)
+
     def __hash__(self) -> int:
         # Computed lazily and cached: primitives key the feature
         # extractor's row memo and sequence LRU (repro.core.extractor),
@@ -131,6 +143,24 @@ class Primitive:
         if self.attr:
             parts.append(self.attr)
         return "(" + "; ".join(parts) + ")"
+
+
+def structural_shape(prim) -> tuple:
+    """``(kind, axes, attr, len(ints), source)``: what the abstract
+    interpreter's path through a primitive depends on.
+
+    Two sequences whose primitives have equal shapes, position by
+    position, differ only in their ints (``repro.analysis.batch``).  A
+    known kind is its value string, so a raw kind string and its enum
+    member are one kind (and hash in C); ``source`` is an FSP's source
+    step with its type, ``(ints[1], type(ints[1]))`` (``True``, ``1`` and
+    ``1.0`` point the same way but are checked apart), else ``None``.
+    """
+    kind = KIND_BY_VALUE.get(prim.kind)
+    ints = prim.ints
+    n_ints = len(ints)
+    source = (ints[1], type(ints[1])) if kind is PrimitiveKind.FSP and n_ints > 1 else None
+    return (prim.kind if kind is None else kind.value, prim.axes, prim.attr, n_ints, source)
 
 
 @lru_cache(maxsize=4096)
@@ -217,4 +247,5 @@ __all__ = [
     "rfactor",
     "split",
     "split_names",
+    "structural_shape",
 ]

@@ -127,10 +127,9 @@ class SketchGenerator:
         interprets *every* returned schedule before using it may pass it,
         and it must then treat an ``AbsIntError`` as fatal: the verifier
         is the same interpreter in collect mode, so that pass is the same
-        gate.  The dataset build (``repro.dataset.pipeline``, through
-        ``BatchProfile``) and the drafted ``CandidateScorer.propose_topk``
-        (``absint.draft_scores``) are those callers; everything else keeps
-        the default.
+        gate.  The dataset build (``repro.dataset.pipeline``) and
+        ``CandidateScorer.propose_topk``, both through ``BatchProfile``,
+        are those callers; everything else keeps the default.
         """
         # Imported lazily: repro.analysis imports repro.tensorir submodules,
         # so a module-level import here would be circular during package init.

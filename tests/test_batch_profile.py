@@ -15,17 +15,23 @@ per-candidate run raises.
 from __future__ import annotations
 
 import math
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from batch_reference import assert_same_nest_features, first_failure, reference_profiles
+from batch_reference import (
+    assert_same_nest_features,
+    first_failure,
+    reference_groups,
+    reference_profiles,
+)
 from corruptions import CORRUPTIONS
 from repro.analysis import absint, assert_valid_many
 from repro.analysis import batch as batch_module
 from repro.analysis.absint import Interpreter
-from repro.analysis.batch import BatchProfile
+from repro.analysis.batch import BatchProfile, CandidateGroups
 from repro.analysis.diagnostics import InvalidScheduleError
 from repro.core.extractor import TLPFeaturizer
 from repro.tensorir import Primitive, Schedule, SketchConfig, SketchGenerator
@@ -126,6 +132,74 @@ def test_batch_pass_covers_every_hand_built_shape():
         seqs = _hand_built(sg, f, g, h, 64)
         assert all(_valid(sg, s, "cpu") for s in seqs), (f, g, h)
         _assert_batch_matches_oracle(sg, seqs * 2, "cpu", TLPFeaturizer().fit(seqs[:2]))
+
+
+# -- the structural key: each primitive's cached shape ------------------------
+
+
+class _Fields(typing.NamedTuple):
+    """Not a ``Primitive``: the four fields and no cached shape."""
+
+    kind: object
+    axes: tuple
+    ints: tuple
+    attr: str
+
+
+def _partition_cases(sg, target) -> list[tuple]:
+    """A sampled batch, its corruptions, raw-string kinds, fields-only
+    primitives, non-int ints and FSP sources that point the same way
+    through another type."""
+    base = [s.primitives for s in SketchGenerator(SketchConfig(target)).generate_many(
+        sg, 12, stream(f"test.batch_profile.partition.{sg.name}.{target}"), verify=False)]
+    seqs = list(base)
+    for _code, _name, mutator in CORRUPTIONS:
+        seqs += [m for m in (mutator(Schedule(sg, base[k], target)) for k in (0, 3))
+                 if m is not None]
+    for seq in base[:3]:
+        seqs.append(tuple(Primitive(p.kind.value, p.axes, p.ints, p.attr) for p in seq))
+        seqs.append(tuple(_Fields(p.kind, p.axes, p.ints, p.attr) for p in seq))
+        for i, p in enumerate(seq):
+            if p.kind is P.PrimitiveKind.SP:
+                seqs += [(*seq[:i], Primitive(p.kind, p.axes, (p.ints[0], v, *p.ints[2:])),
+                          *seq[i + 1:]) for v in (2.5, np.int64(4), True, 2**70)]
+                seqs.append((*seq[:i], Primitive(p.kind, p.axes, (*p.ints, 1)), *seq[i + 1:]))
+    a, b = sg.axes[0], sg.axes[-1]
+    for source in (0, 1, False, True, 0.0, np.int64(0), "0"):
+        for kind in (P.PrimitiveKind.FSP, "FSP"):
+            seqs.append((P.split(a.name, a.extent, (2,)), P.split(b.name, b.extent, (4,)),
+                         Primitive(kind, (b.name,), (b.extent, source))))
+    seqs.append((P.split(a.name, a.extent, (2,)), Primitive("FSP", (b.name,), (b.extent,))))
+    return seqs
+
+
+@pytest.mark.parametrize("pool,target", _POOL_TARGETS, ids=[f"{p}-{t}" for p, t in _POOL_TARGETS])
+def test_shape_keys_partition_every_batch_as_the_zipped_key_did(pool, target):
+    for sg in NETWORK_POOLS[pool].subgraphs:
+        seqs = _partition_cases(sg, target)
+        for order in (seqs, seqs[::-1]):
+            groups = CandidateGroups(order)
+            assert groups.group_of.tolist() == reference_groups(order)
+            assert groups.n_columns == [sum(map(len, (p.ints for p in order[i])))
+                                        for i in groups.first]
+
+
+def test_a_primitive_with_unreadable_fields_constructs_and_keys_as_before():
+    """A field the shape cannot be read from leaves no cached shape, never
+    a constructor error; the batch then derives the shape again, raising
+    what the zipped key raised, so no two such primitives share a group."""
+    malformed = [Primitive(P.PrimitiveKind.SP, ("i",), 5),
+                 Primitive(P.PrimitiveKind.FSP, ("i",), {1, 2}),
+                 Primitive(["SP"], ("i",), (128, 4))]
+    for prim in malformed:
+        assert "_shape" not in vars(prim)
+        for seqs in ([(prim,)], [(P.split("i", 128, (4,)),), (prim,)]):
+            with pytest.raises(TypeError) as want:
+                reference_groups(seqs)
+            with pytest.raises(TypeError) as got:
+                CandidateGroups(seqs)
+            assert type(got.value) is type(want.value)
+    assert vars(P.split("i", 128, (4,)))["_shape"] == ("SP", ("i",), "", 2, None)
 
 
 # -- errors: the same error where the per-candidate run raises one -------------

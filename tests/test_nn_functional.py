@@ -309,6 +309,23 @@ def test_distinct_rows_are_byte_distinct():
         assert len(set(distinct.inverse[[0, 1, 3, 4]])) == 4
 
 
+def test_distinct_rows_keep_the_hash_ordered_table():
+    """Any row may stand for its group, but the table is the one a stable
+    ``np.unique`` over the hashes gives: the same bytes in hash order, and
+    the same inverse."""
+    rng = stream("test.nn.functional.distinct.order")
+    for n_rows, n_distinct in ((0, 1), (1, 1), (9, 3), (500, 40), (3000, 2)):
+        pool = rng.integers(0, 2**32, size=(n_distinct, 6), dtype=np.uint32)
+        words = pool[rng.integers(0, n_distinct, size=n_rows)]
+        first, inverse = F._distinct(words)
+        hashes = words @ F._row_hash(6)
+        _, want_first, want_inverse = np.unique(hashes, return_index=True,
+                                                return_inverse=True)
+        assert words[first].tobytes() == words[want_first].tobytes()
+        assert np.array_equal(inverse, want_inverse.reshape(-1))
+        assert words[first[inverse]].tobytes() == words.tobytes()
+
+
 def test_distinct_rows_survive_hash_collisions(monkeypatch):
     """Rows are grouped by a 64-bit hash and the grouping is checked
     against the bytes: with every hash equal, the rows are sorted

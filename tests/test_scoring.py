@@ -15,8 +15,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from corruptions import zero_split_factor
-from repro.analysis.absint import AbsIntError
+from batch_reference import first_failure, reference_draft_scores
+from corruptions import CORRUPTIONS, zero_split_factor
+from repro.analysis import assert_valid_many
+from repro.analysis import batch as batch_module
+from repro.analysis.absint import AbsIntError, Interpreter
+from repro.analysis.diagnostics import InvalidScheduleError
 from repro.core import (
     CandidateScorer,
     PostprocessConfig,
@@ -26,6 +30,9 @@ from repro.core import (
     TLPModelConfig,
 )
 from repro.tensorir import Schedule, SketchConfig, SketchGenerator, matmul_subgraph
+from repro.tensorir import primitives as P
+from repro.tensorir.networks import NETWORK_POOLS
+from repro.tensorir.sampler import ScheduleSampler
 from repro.utils.rng import stream
 
 _N = 24
@@ -59,6 +66,22 @@ def scorer(featurizer):
 def test_rejects_unfitted_featurizer(scorer):
     with pytest.raises(ValueError, match="fitted"):
         CandidateScorer(scorer.model, TLPFeaturizer(PostprocessConfig()))
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.7, 1.0, True, False, "8", None])
+def test_max_chunk_is_checked_at_construction(scorer, bad):
+    """A bad ``max_chunk`` fails at the boundary, not inside ``predict``
+    after a whole batch was sampled and gated, and is never truncated."""
+    with pytest.raises(ValueError, match="max_chunk"):
+        CandidateScorer(scorer.model, scorer.featurizer, max_chunk=bad)
+
+
+def test_max_chunk_takes_any_int():
+    model = TLPModel(TLPModelConfig(hidden=8, n_heads=2, n_res_blocks=1))
+    featurizer = TLPFeaturizer().fit([(P.split("i", 8, (2,)),)])
+    for good in (1, 7, np.int64(3)):
+        chunk = CandidateScorer(model, featurizer, max_chunk=good).max_chunk
+        assert chunk == good and type(chunk) is int
 
 
 def test_score_matches_predict(scorer, corpus):
@@ -152,9 +175,10 @@ def test_propose_topk_counts_generator_output_not_request(scorer, subgraph):
     class ShortGenerator:
         def __init__(self, inner):
             self.inner = inner
+            self.config = inner.config
 
-        def generate_many(self, subgraph, n, rng):
-            return self.inner.generate_many(subgraph, n, rng)[: n - 2]
+        def generate_many(self, subgraph, n, rng, *, verify=True):
+            return self.inner.generate_many(subgraph, n, rng, verify=verify)[: n - 2]
 
     short = CandidateScorer(scorer.model, scorer.featurizer,
                             ShortGenerator(scorer.generator))
@@ -250,3 +274,145 @@ def test_n_predicted_tracks_valid_subset_in_score_topk(scorer, subgraph, corpus)
     mixed = [corrupted if corrupted is not None else corpus[0], *corpus[1:]]
     top = scorer.score_topk(subgraph, mixed, k=5)
     assert top.n_predicted == top.n_scored == _N - top.n_invalid
+
+
+# -- propose_topk on the batch pass --------------------------------------------
+
+
+def _reference_propose(scorer, subgraph, n, k, rng, draft_keep):
+    """``propose_topk`` as verified ``generate_many`` → ``transform`` →
+    ``predict`` composed it, the draft over applied nests."""
+    gen = scorer.generator
+    if draft_keep is None:
+        schedules = gen.generate_many(subgraph, n, rng)
+        kept = np.arange(len(schedules), dtype=np.int64)
+    else:
+        schedules = gen.generate_many(subgraph, n, rng, verify=False)
+        draft = reference_draft_scores(subgraph, schedules, gen.config.target)
+        n_keep = max(int(np.ceil(draft_keep * len(schedules))), min(k, len(schedules)))
+        kept = np.sort(np.argsort(-draft, kind="stable")[:n_keep])
+    X, mask = scorer.featurizer.transform([schedules[i] for i in kept])
+    scores = scorer.model.predict(X, mask, max_chunk=scorer.max_chunk)
+    order = np.argsort(-scores, kind="stable")[:k]
+    return schedules, ScoredTopK(kept[order], scores[order], len(schedules), 0, len(kept))
+
+
+_PROPOSE_SUBGRAPHS = {
+    "cpu": NETWORK_POOLS["resnet18"].subgraphs[1],
+    "gpu": NETWORK_POOLS["bert_tiny"].subgraphs[0],
+}
+
+
+@pytest.fixture(scope="module")
+def propose_scorers():
+    """One scorer per target, its featurizer fitted on both targets."""
+    corpus = [s for target, sg in _PROPOSE_SUBGRAPHS.items()
+              for s in SketchGenerator(SketchConfig(target)).generate_many(
+                  sg, 32, stream(f"test.scoring.batch.fit.{target}"))]
+    featurizer = TLPFeaturizer(PostprocessConfig()).fit(corpus)
+    model = TLPModel(TLPModelConfig(emb=featurizer.config.emb, hidden=16, n_heads=2,
+                                    n_res_blocks=1, stream_name="test.scoring.batch")).eval()
+    return {target: CandidateScorer(model, featurizer, SketchGenerator(SketchConfig(target)),
+                                    max_chunk=64)
+            for target in _PROPOSE_SUBGRAPHS}
+
+
+@pytest.mark.parametrize("draft_keep", [None, 0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 7, 300])
+@pytest.mark.parametrize("target", ["cpu", "gpu"])
+def test_propose_topk_is_the_verified_composition_byte_for_byte(
+        propose_scorers, target, n, draft_keep):
+    """Samples, picks, scores and counts equal the per-candidate
+    composition's, and the rng ends where it left it, round after round on
+    one scorer (the later rounds reuse the held interpreter runs)."""
+    scorer = propose_scorers[target]
+    subgraph = _PROPOSE_SUBGRAPHS[target]
+    for r in range(2):
+        name = f"test.scoring.batch.{target}.{n}.{draft_keep}.{r}"
+        rng, ref_rng = stream(name), stream(name)
+        schedules, top = scorer.propose_topk(subgraph, n, 5, rng, draft_keep=draft_keep)
+        ref_schedules, ref = _reference_propose(scorer, subgraph, n, 5, ref_rng, draft_keep)
+        assert [s.primitives for s in schedules] == [s.primitives for s in ref_schedules]
+        assert top.indices.dtype == ref.indices.dtype and top.scores.dtype == ref.scores.dtype
+        assert top.indices.tobytes() == ref.indices.tobytes()
+        assert top.scores.tobytes() == ref.scores.tobytes()
+        assert ((top.n_candidates, top.n_invalid, top.n_predicted)
+                == (ref.n_candidates, ref.n_invalid, ref.n_predicted))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("draft_keep", [None, 0.5])
+def test_propose_topk_gates_raise_what_the_composition_raised(
+        monkeypatch, scorer, subgraph, draft_keep):
+    """An invalid sample raises before ``predict``: on the default path the
+    verifier's ``InvalidScheduleError`` (what the ``generate_many`` gate
+    raised), on the drafted path the first invalid candidate's
+    ``AbsIntError`` (what ``absint.draft_scores`` raised)."""
+
+    class CountingModel:
+        def __init__(self, model):
+            self.calls = 0
+            self.model = model
+
+        def predict(self, *args, **kwargs):
+            self.calls += 1
+            return self.model.predict(*args, **kwargs)
+
+    model = CountingModel(scorer.model)
+    gated = CandidateScorer(model, scorer.featurizer, SketchGenerator(SketchConfig("cpu")))
+    base = gated.generator.generate_many(subgraph, 6, stream("test.scoring.gate.base"))
+    n_cases = 0
+    for _code, _name, mutator in CORRUPTIONS:
+        for k in (0, 3):
+            bad = mutator(base[k])
+            if bad is None:
+                continue
+            n_cases += 1
+            batch = [*base, base[k]]  # the clean one first of its key
+            batch[k] = batch[-1] = Schedule(subgraph, bad, "cpu")
+            if draft_keep is None:
+                with pytest.raises(InvalidScheduleError) as want:
+                    assert_valid_many(batch)
+            else:
+                want = pytest.raises(AbsIntError)
+                want.value = first_failure(subgraph, batch, "cpu")[1]
+            queue = iter(batch)
+            monkeypatch.setattr(ScheduleSampler, "sample", lambda self, sg, rng: next(queue))
+            with pytest.raises(type(want.value)) as got:
+                gated.propose_topk(subgraph, len(batch), 3, stream("test.scoring.gate"),
+                                   draft_keep=draft_keep)
+            monkeypatch.undo()
+            assert str(got.value) == str(want.value)
+            for field in ("diagnostics", "code", "step"):
+                assert getattr(got.value, field, None) == getattr(want.value, field, None)
+    assert n_cases >= 16 and model.calls == 0
+
+
+def test_a_repeated_proposal_interprets_no_key_again(monkeypatch, scorer, subgraph):
+    runs = []
+    profile = Interpreter.profile
+
+    def counting(self, primitives, ops=None):
+        runs.append(ops is not None)
+        return profile(self, primitives, ops)
+
+    monkeypatch.setattr(Interpreter, "profile", counting)
+    fresh = CandidateScorer(scorer.model, scorer.featurizer, scorer.generator)
+    first = fresh.propose_topk(subgraph, 64, 4, stream("test.scoring.held"))[1]
+    assert sum(runs) == len(fresh._plans) > 0
+    runs.clear()
+    again = fresh.propose_topk(subgraph, 64, 4, stream("test.scoring.held"))[1]
+    assert sum(runs) == 0
+    assert again.indices.tobytes() == first.indices.tobytes()
+    assert again.scores.tobytes() == first.scores.tobytes()
+
+
+def test_a_scorer_keeps_at_most_plans_held(monkeypatch, scorer):
+    monkeypatch.setattr(batch_module, "PLANS_HELD", 6)
+    fresh = CandidateScorer(scorer.model, scorer.featurizer, scorer.generator)
+    sizes = []
+    for sg in NETWORK_POOLS["resnet18"].subgraphs[:5]:
+        fresh.propose_topk(sg, 48, 3, stream(f"test.scoring.held.{sg.name}"),
+                           draft_keep=0.5)
+        sizes.append(len(fresh._plans))
+    assert max(sizes) == 6

@@ -45,11 +45,14 @@ from repro.simhw import (
     measure_labels,
     measure_many,
 )
+from batch_reference import assert_same_nest_features, reference_latencies
+from corruptions import CORRUPTIONS
 from repro.simhw.cache import NestFeatures, conflict_counts
 from repro.simhw.gpu_model import occupancy_efficiency
-from repro.simhw.measure import _quirk_unit
+from repro.simhw.measure import _quirk_unit, extract_features
 from repro.tensorir import Schedule, SketchConfig, SketchGenerator, matmul_subgraph
 from repro.tensorir import primitives as P
+from repro.tensorir.networks import NETWORK_POOLS
 from repro.utils.rng import stream
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -254,6 +257,73 @@ def test_measure_many_matches_a_loop_of_measure(cpu_corpus):
         [measure(_SUB, s, _INTEL).latency for s in cpu_corpus[:64]], dtype=np.float32
     )
     assert np.array_equal(batch, singles)
+
+
+@pytest.mark.parametrize("platform", ALL_PLATFORMS, ids=[p.name for p in ALL_PLATFORMS])
+def test_measure_prices_the_applied_nests_bit_for_bit(platform):
+    """``measure_many`` and ``measure`` price through the batch pass, with
+    no schedule applied: latencies, cost terms and nest features are the
+    bytes of ``Schedule.apply`` + ``NestFeatures.from_nests``, schedules
+    and bare primitive tuples alike, padded splits included."""
+    gen = SketchGenerator(SketchConfig(platform.target, padding_prob=0.5))
+    padded = 0
+    for sg in (matmul_subgraph(100, 96, 60), NETWORK_POOLS["resnet18"].subgraphs[2]):
+        schedules = gen.generate_many(sg, 40, stream(f"test.simhw.batch.{sg.name}"))
+        mixed = schedules[:20] + [s.primitives for s in schedules[20:]]
+        want, terms, quirk = reference_latencies(sg, mixed, platform, root_seed=3)
+        got = measure_many(sg, mixed, platform, root_seed=3)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        features = extract_features(sg, mixed, platform)
+        assert_same_nest_features(
+            features, NestFeatures.from_nests(sg, [Schedule(sg, s.primitives, s.target).apply()
+                                                   for s in schedules]))
+        padded += int((features.padded_points > features.domain_points).sum())
+        for i in (0, 21, 39):
+            record = measure(sg, mixed[i], platform, root_seed=3)
+            one, one_terms, one_quirk = reference_latencies(sg, [mixed[i]], platform, 3)
+            assert np.float32(record.latency).tobytes() == one.tobytes()
+            assert record.quirk == float(one_quirk[0])
+            for term, values in one_terms.items():
+                assert getattr(record, term) == float(values[0]), term
+    assert padded > 0
+
+
+@pytest.mark.parametrize("target", ["cpu", "gpu"])
+def test_measure_many_raises_what_apply_raises(target):
+    """An invalid schedule raises what its ``Schedule.apply`` raises, the
+    first in batch order, also when a clean schedule of its structural key
+    comes first; the subgraph and target checks run over the batch before."""
+    platform = _INTEL if target == "cpu" else _T4
+    base = SketchGenerator(SketchConfig(target)).generate_many(
+        _SUB, 6, stream(f"test.simhw.errors.{target}"))
+    n_cases = 0
+    for _code, _name, mutator in CORRUPTIONS:
+        for k in (0, 3):
+            bad = mutator(base[k])
+            if bad is None:
+                continue
+            n_cases += 1
+            batch = [*base, base[k]]
+            batch[k] = batch[-1] = Schedule(_SUB, bad, target)
+            with pytest.raises(Exception) as want:  # whatever apply raises is the oracle
+                for s in batch:
+                    s.apply()
+            for schedules in (batch, [s.primitives for s in batch]):
+                for call in (lambda: measure_many(_SUB, schedules, platform),
+                             lambda: measure(_SUB, schedules[k], platform)):
+                    with pytest.raises(type(want.value)) as got:
+                        call()
+                    assert str(got.value) == str(want.value)
+                    assert (got.value.code, got.value.step) == (want.value.code, want.value.step)
+            with pytest.raises(ValueError, match="targets"):
+                measure_many(_SUB, [*batch, Schedule(_SUB, (), "gpu" if target == "cpu"
+                                                      else "cpu")], platform)
+            with pytest.raises(ValueError, match="built for subgraph"):
+                measure_many(_SUB, [*batch, Schedule(matmul_subgraph(64, 64, 64), (),
+                                                      target)], platform)
+    assert n_cases >= 14
+    empty = measure_many(_SUB, [], platform)
+    assert empty.dtype == np.float32 and empty.shape == (0,)
 
 
 @settings(max_examples=25, deadline=None)
