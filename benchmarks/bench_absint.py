@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import absint
+from repro.analysis.batch import BatchProfile
 from repro.core.extractor import TLPFeaturizer
 from repro.core.postprocess import PostprocessConfig
 from repro.core.scoring import CandidateScorer
@@ -97,8 +98,9 @@ def candidates(subgraph):
 
 
 def test_profile_many_throughput(benchmark, subgraph, candidates):
-    """Static-feature plane extraction over the full candidate batch."""
-    plane = benchmark(absint.profile_many, subgraph, candidates)
+    """Static-feature plane extraction (the batch pass's
+    ``static_plane``) over the full candidate batch."""
+    plane = benchmark(lambda: BatchProfile(subgraph, candidates).static_plane())
     assert plane.shape == (N_CANDIDATES, len(absint.STATIC_FEATURE_NAMES))
     assert np.isfinite(plane).all()
 
@@ -165,7 +167,7 @@ def scenario() -> dict:
     keep the full round's top-1 pick."""
     subgraph = build_subgraph()
     candidates = build_candidates(subgraph)
-    t_profile = best_of(lambda: absint.profile_many(subgraph, candidates), REPEATS)
+    t_profile = best_of(lambda: BatchProfile(subgraph, candidates).static_plane(), REPEATS)
     t_draft = best_of(lambda: absint.draft_scores(subgraph, candidates), REPEATS)
     with Timer() as t_train:
         scorer = build_trained_scorer(subgraph)

@@ -35,7 +35,6 @@ from repro.analysis.absint import (
     AbsIntError,
     StaticProfile,
     profile,
-    profile_many,
 )
 from repro.analysis.verifier import (
     assert_valid,
@@ -53,7 +52,6 @@ __all__ = [
     "Severity",
     "StaticProfile",
     "profile",
-    "profile_many",
     "assert_valid",
     "assert_valid_many",
     "errors",

@@ -35,8 +35,8 @@ run logs (``Interpreter.profile(..., ops)``) with the rules
 :func:`first_inner_floor`), and reading the static plane off
 :func:`static_plane`, the one statement of its 25 formulas.  Through it:
 
-* :func:`profile_many` — fixed-width float32 static-feature plane
-  (``STATIC_FEATURE_NAMES`` columns) for screening models;
+* ``BatchProfile.static_plane`` — fixed-width float32 static-feature
+  plane (``STATIC_FEATURE_NAMES`` columns) for screening models;
 * :func:`draft_scores` — Pruner-style draft score: the static profile is
   costed on the target's *reference* ``simhw`` platform, no TLP model
   involved (``repro.analysis.batch.BatchProfile.draft_scores``).
@@ -112,7 +112,7 @@ class AbsIntError(ScheduleError):
         self.code = code
 
 
-#: Columns of the :func:`profile_many` static-feature plane, in order.
+#: Columns of the static-feature plane (:func:`static_plane`), in order.
 STATIC_FEATURE_NAMES: tuple[str, ...] = (
     "depth",
     "log2_padded_points",
@@ -848,19 +848,6 @@ def profile(
     return Interpreter(subgraph, target).profile(_primitives_of(sequence))
 
 
-def profile_many(
-    subgraph: Subgraph,
-    sequences: Sequence["Sequence[Primitive] | object"],
-    target: str = "cpu",
-) -> np.ndarray:
-    """Static-feature plane (float32 ``[N, len(STATIC_FEATURE_NAMES)]``)
-    for a batch against one subgraph (``repro.analysis.batch``'s batch
-    pass); raises the :class:`AbsIntError` of the first invalid sequence."""
-    from repro.analysis.batch import BatchProfile  # the batch pass builds on this module
-
-    return BatchProfile(subgraph, sequences, target).static_plane()
-
-
 def draft_scores(
     subgraph: Subgraph,
     sequences: Sequence["Sequence[Primitive] | object"],
@@ -902,7 +889,6 @@ __all__ = [
     "draft_scores",
     "first_inner_floor",
     "profile",
-    "profile_many",
     "reference_llc_kb",
     "reference_min_cores",
     "reference_platform",

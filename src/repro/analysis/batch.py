@@ -22,8 +22,7 @@ Construction is a fail-closed gate that raises what a per-candidate
 loop raises: should a key's run raise or the columns flag a member, the
 batch is re-run one candidate at a time.  The dataset build, the
 ``SketchGenerator.generate_many`` gate, ``CandidateScorer.propose_topk``,
-``simhw.measure_many``, ``absint.profile_many`` and
-``absint.draft_scores`` run through it, and
+``simhw.measure_many`` and ``absint.draft_scores`` run through it, and
 ``TLPFeaturizer.transform_into`` encodes on its grouping.
 """
 

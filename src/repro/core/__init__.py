@@ -8,8 +8,9 @@ autograd substrate), now joined by the offline training stack.
 
 * ``abstract_primitive`` — canonical per-kind (one-hot ++ char tokens ++
   numerics) layout shared by every extractor implementation.
-* ``extractor`` — :class:`TLPFeaturizer`: vocabulary fitting and
-  vectorized, cached, batch-first ``transform``.
+* ``extractor`` — :class:`TLPFeaturizer`: vocabulary fitting and the
+  one batch encoder, ``transform_into`` over the batch's structural
+  groups (``transform`` is it over fresh arrays).
 * ``extractor_reference`` — the deliberately naive per-primitive oracle
   and benchmark baseline.
 * ``postprocess`` — Table 4 ``seq_len x emb`` crop/pad.

@@ -7,22 +7,21 @@ canonical per-primitive triple (one-hot kind ++ char tokens ++ raw
 numerics) comes from ``repro.core.abstract_primitive``; the Table 4
 ``seq_len x emb`` geometry from ``repro.core.postprocess``.
 
-The extractor is engineered for the access pattern of evolutionary
-search (thousands of candidates per round, heavy re-querying of
-survivors across rounds):
+One encoder, :meth:`TLPFeaturizer.transform_into`, serves every caller
+(``transform`` is it over fresh arrays).  It is built for the batches
+search and the dataset build make — thousands of candidates, a handful
+of structures:
 
-* ``transform`` writes every sequence directly into one preallocated
-  ``[N, seq_len, emb]`` batch tensor — no per-primitive Python feature
-  objects, no per-sequence stack/pad allocations.
+* The batch is encoded by structural group
+  (``repro.analysis.batch.CandidateGroups``): each group's rows are
+  written once, gathered into every member's slot, and the members'
+  ints — all that differs inside a group — are scattered into their
+  numeric slots.
 * Encoding is fused with the Table 4 crop: rows are materialized at
   ``emb`` width, never at the raw corpus-wide width.
 * Per-primitive rows are memoized (``Primitive`` is frozen/hashable, and
   split/annotate steps repeat massively across a task's candidates), so
-  a new sequence costs one dict probe + one 22-float copy per primitive.
-* Whole encoded sequences live in a bounded content-keyed LRU (the key
-  is the primitive tuple itself — hash probe plus equality check, so
-  hash collisions cannot alias two sequences), making re-queries of
-  previously scored candidates near-free.
+  a group's rows cost one dict probe + one 22-float copy per primitive.
 
 ``repro.core.extractor_reference`` keeps the deliberately naive
 per-primitive implementation as the correctness oracle (property tests
@@ -31,7 +30,6 @@ pin bit-identical output) and the benchmark baseline.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -75,21 +73,14 @@ class TLPFeaturizer:
     Table 1 statistic).
     """
 
-    def __init__(self, config: PostprocessConfig | None = None, cache_size: int = 2048):
+    def __init__(self, config: PostprocessConfig | None = None):
         self.config = config or PostprocessConfig()
-        #: Capacity of the encoded-sequence LRU; 0 disables sequence
-        #: caching (the per-primitive row memo is always on).
-        self.cache_size = cache_size
         self.vocab_: dict[str, int] | None = None
         self.raw_width_: int | None = None
         self.kind_widths_: dict[str, int] = {}
         self._row_memo: dict[Primitive, np.ndarray] = {}
-        self._seq_cache: OrderedDict[tuple[Primitive, ...], tuple[np.ndarray, int]] = (
-            OrderedDict()
-        )
-        self._hits = 0
-        self._misses = 0
         self._rows_encoded = 0
+        self._X = self._mask = np.empty(0, dtype=np.float32)
 
     # -- fitting --------------------------------------------------------
 
@@ -121,49 +112,20 @@ class TLPFeaturizer:
         self.cache_clear()
         return self
 
-    def fit_transform(
-        self, corpus: Sequence[SequenceLike]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self.fit(corpus).transform(corpus)
-
     # -- transform ------------------------------------------------------
 
     def transform(self, sequences: Sequence[SequenceLike]) -> tuple[np.ndarray, np.ndarray]:
-        """Encode a batch into ``(X [N, seq_len, emb], mask [N, seq_len])``.
+        """Encode a batch into fresh ``(X [N, seq_len, emb], mask [N,
+        seq_len])`` arrays: :meth:`transform_into` over new buffers.
 
-        Deterministic for a fixed fit; cached re-queries return values
-        bit-identical to a fresh encode.
+        Deterministic for a fixed fit.
         """
         if not self.is_fitted:
             raise RuntimeError("TLPFeaturizer.transform called before fit()")
         cfg = self.config
-        X = np.zeros((len(sequences), cfg.seq_len, cfg.emb), dtype=np.float32)
-        mask = np.zeros((len(sequences), cfg.seq_len), dtype=np.float32)
-        cache = self._seq_cache
-        if self.cache_size > 0:
-            for i, seq in enumerate(sequences):
-                prims = _primitives_of(seq)
-                entry = cache.get(prims)
-                if entry is None:
-                    self._misses += 1
-                    entry = self._encode(prims)
-                    cache[prims] = entry
-                    if len(cache) > self.cache_size:
-                        cache.popitem(last=False)
-                else:
-                    self._hits += 1
-                    cache.move_to_end(prims)
-                encoded, length = entry
-                X[i] = encoded
-                mask[i, :length] = 1.0
-        else:
-            # No sequence LRU: skip the intermediate per-sequence array
-            # and encode straight into the batch tensor.  Hit/miss
-            # counters stay untouched — they describe the LRU, and a
-            # disabled cache has no misses, only encodes.
-            for i, seq in enumerate(sequences):
-                length = self._encode_into(X[i], _primitives_of(seq))
-                mask[i, :length] = 1.0
+        X = np.empty((len(sequences), cfg.seq_len, cfg.emb), dtype=np.float32)
+        mask = np.empty((len(sequences), cfg.seq_len), dtype=np.float32)
+        self.transform_into(sequences, X, mask)
         return X, mask
 
     def transform_into(
@@ -174,18 +136,15 @@ class TLPFeaturizer:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Encode a batch into caller-provided ``X``/``mask`` buffers.
 
-        The buffer-donation path for long-running generators (the dataset
-        shard writer): the same two tensors are rewritten batch after
-        batch.  The batch is encoded by structural group
-        (``repro.analysis.batch.CandidateGroups``; pass the grouping the
-        static pass already made, or sequences to group here): each
-        group's rows are written once, from the row memo, then gathered
-        into every member's slot, and the members' ints — all that differs
-        inside a group — are scattered into their numeric slots.  The
-        sequence LRU is bypassed (shard batches are fresh by construction;
-        caching them would only grow the memo), so ``cache_info`` hit/miss
-        counters are untouched.  Output is bit-identical to
-        :meth:`transform` over the same sequences.
+        The same two tensors can be rewritten batch after batch (the
+        dataset shard writer, a scorer's proposal rounds).  The batch is
+        encoded by structural group (``repro.analysis.batch.CandidateGroups``;
+        pass the grouping the static pass already made, or sequences to
+        group here): each group's rows are written once, from the row
+        memo, then gathered into every member's slot, and the members'
+        ints — all that differs inside a group — are scattered into their
+        numeric slots.  Output is bit-identical to
+        ``repro.core.reference_transform`` over the same sequences.
 
         ``X`` must be float32 ``[cap, seq_len, emb]`` and ``mask``
         float32 ``[cap, seq_len]`` with ``cap >= len(sequences)``; the
@@ -246,10 +205,17 @@ class TLPFeaturizer:
         X[member, at // emb, at % emb] = values[groups.offsets[member] + cols_table[gm, k]]
         return X[:n], mask[:n]
 
-    def _encode(self, prims: tuple[Primitive, ...]) -> tuple[np.ndarray, int]:
-        cfg = self.config
-        encoded = np.zeros((cfg.seq_len, cfg.emb), dtype=np.float32)
-        return encoded, self._encode_into(encoded, prims)
+    def _buffers(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The grow-only ``X``/``mask`` pair that every scorer over this
+        featurizer rewrites round after round
+        (``CandidateScorer.propose_topk``).  A fresh ~2 MB pair a round
+        would pay its page faults again (perfbench ``search`` read ~2 MB
+        more peak RSS), and a pair per scorer would hold one copy more."""
+        if self._X.shape[0] < n:
+            cfg = self.config
+            self._X = np.empty((n, cfg.seq_len, cfg.emb), dtype=np.float32)
+            self._mask = np.empty((n, cfg.seq_len), dtype=np.float32)
+        return self._X, self._mask
 
     def _encode_into(self, out: np.ndarray, prims: tuple[Primitive, ...]) -> int:
         length = min(len(prims), self.config.seq_len)
@@ -284,37 +250,21 @@ class TLPFeaturizer:
     # -- cache introspection --------------------------------------------
 
     def cache_info(self) -> dict[str, int]:
-        """Hit/miss counters and occupancy of the sequence LRU.
-
-        With ``cache_size=0`` the LRU does not exist, so ``hits`` and
-        ``misses`` stay at 0 — a plain encode is not a miss of a cache
-        that was never consulted.  ``rows_encoded`` counts row
-        materializations (row-memo misses) — the allocation count the
-        zero-alloc shard-writer tests pin.
-        """
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "size": len(self._seq_cache),
-            "capacity": self.cache_size,
-            "row_memo_size": len(self._row_memo),
-            "rows_encoded": self._rows_encoded,
-        }
+        """Size of the per-primitive row memo, and ``rows_encoded``: the
+        row materializations (memo misses) since the last fit or
+        :meth:`cache_clear` — the allocation count the zero-alloc
+        shard-writer tests pin."""
+        return {"row_memo_size": len(self._row_memo), "rows_encoded": self._rows_encoded}
 
     def cache_clear(self) -> None:
-        """Drop the sequence LRU *and* the per-primitive row memo.
+        """Drop the per-primitive row memo and reset ``rows_encoded``.
 
-        The LRU is bounded but the row memo is not — a long dataset
-        generation run visits ever-new split factors, so the shard
-        pipeline calls this between task batches to keep steady-state
-        memory flat.  Hit/miss/rows-encoded counters reset with it; the
-        fitted vocabulary is untouched, so subsequent encodes stay
-        bit-identical.
+        The memo is unbounded — a long dataset generation run visits
+        ever-new split factors, so the shard pipeline calls this between
+        task batches to keep steady-state memory flat.  The fitted
+        vocabulary is untouched, so later encodes stay bit-identical.
         """
-        self._seq_cache.clear()
         self._row_memo.clear()
-        self._hits = 0
-        self._misses = 0
         self._rows_encoded = 0
 
 

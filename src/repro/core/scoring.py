@@ -14,8 +14,9 @@ round (:meth:`CandidateScorer.propose_topk`) runs on one batch pass:
     → top-k indices (highest predicted ``min_latency / latency`` first)
 
 External candidates (e.g. mutation output, :meth:`CandidateScorer.score_topk`)
-go ``repro.analysis.verify_many`` → ``TLPFeaturizer.transform`` →
-``TLPModel.predict`` → top-k instead.
+go ``repro.analysis.verify_many`` → ``TLPFeaturizer.transform`` (the same
+grouped encoder, into fresh arrays) → ``TLPModel.predict`` → top-k
+instead.
 
 Only *verified* candidates are ever scored: proposals pass the batch
 pass's raise mode — the verifier's interpreter — before anything is
@@ -87,6 +88,8 @@ class CandidateScorer:
     :meth:`propose_topk` keeps across rounds: keyed by content (the
     subgraph's axis names and reduction flags, the target and the
     structural key), capped at ``repro.analysis.batch.PLANS_HELD``.
+    The rounds' feature buffers are the featurizer's, one pair for every
+    scorer over it.
     """
 
     def __init__(self, model: TLPModel, featurizer: TLPFeaturizer,
@@ -105,7 +108,6 @@ class CandidateScorer:
         self.generator = generator
         self.max_chunk = int(max_chunk)
         self._plans: dict = {}
-        self._X = self._mask = np.empty(0, dtype=np.float32)
 
     # -- scoring ---------------------------------------------------------
 
@@ -151,17 +153,6 @@ class CandidateScorer:
 
     # -- propose-and-score (the search inner loop) -----------------------
 
-    def _buffers(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Grow-only ``X``/``mask`` buffers for :meth:`propose_topk`'s
-        ``transform_into``, rewritten round after round: a fresh ~2 MB
-        pair a round pays its page faults again, and read ~2 MB more
-        peak RSS in perfbench ``search`` (heap churn)."""
-        if self._X.shape[0] < n:
-            cfg = self.featurizer.config
-            self._X = np.empty((n, cfg.seq_len, cfg.emb), dtype=np.float32)
-            self._mask = np.empty((n, cfg.seq_len), dtype=np.float32)
-        return self._X, self._mask
-
     def propose_topk(self, subgraph: Subgraph, n: int, k: int,
                      rng: np.random.Generator, *,
                      draft_keep: float | None = None,
@@ -172,8 +163,9 @@ class CandidateScorer:
         gated fail-closed by ``repro.analysis.batch.BatchProfile`` — one
         interpreter run per structural key not met in an earlier round of
         this scorer, the rest as integer columns — and featurized on its
-        grouping (``TLPFeaturizer.transform_into``); the profile is
-        released before ``TLPModel.predict``.  Scores, picks and errors
+        grouping (``TLPFeaturizer.transform_into``, into the featurizer's
+        held buffers); the profile is released before
+        ``TLPModel.predict``.  Scores, picks and errors
         are those of verified ``generate_many`` → ``transform`` →
         ``predict``: an invalid sample raises ``InvalidScheduleError``
         (``verifier.assert_valid_many`` rechecks the batch) before
@@ -219,7 +211,8 @@ class CandidateScorer:
             # Ascending original order within the kept slice keeps the
             # model path's stable tie-break identical to the full path.
             kept = np.sort(np.argsort(-draft, kind="stable")[:n_keep])
-        X, mask = self.featurizer.transform_into(batch.groups, *self._buffers(len(schedules)))
+        featurizer = self.featurizer
+        X, mask = featurizer.transform_into(batch.groups, *featurizer._buffers(len(schedules)))
         del batch  # free its planes and columns before predict's peak
         if len(kept) < len(schedules):
             X, mask = X[kept], mask[kept]

@@ -125,9 +125,7 @@ def fit_featurizer(spec: DatasetSpec, plans: "dict | None" = None) -> TLPFeaturi
                     plans=plans,
                 )
             )
-    featurizer = TLPFeaturizer(cache_size=0)
-    featurizer.fit(corpus)
-    return featurizer
+    return TLPFeaturizer().fit(corpus)
 
 
 def _task_table(spec: DatasetSpec) -> list[dict]:

@@ -2,13 +2,14 @@
 
 :class:`ShardReader` memory-maps shard columns on first touch and
 implements the ``repro.nn.data.RecordSource`` protocol — ``__len__``
-plus batched ``__getitem__(indices) -> (X, mask, label)`` — so
-``BatchLoader(ShardReader(store))`` iterates a multi-gigabyte store one
-minibatch at a time without ever materializing an epoch.  Gathers copy
+plus batched ``__getitem__(indices) -> (X, mask, label)`` — so a
+loader over it (the trainer's ``GroupedBatchLoader``) iterates a
+multi-gigabyte store one minibatch at a time without ever materializing
+an epoch.  Gathers copy
 exactly the requested rows out of the maps (training mutates nothing in
 the store), and round-trip exactness is pinned by test:
-``reader[i]``'s planes are bit-identical to the ``transform`` output
-the pipeline wrote.
+``reader[i]``'s planes are bit-identical to the featurizer output the
+pipeline wrote.
 
 Network-level holdout comes from the manifest: every record carries its
 ``task_id``, tasks carry their network, and the spec names the held-out

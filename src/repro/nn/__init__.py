@@ -3,8 +3,8 @@
 Reverse-mode autodiff over float32 ndarrays (:mod:`repro.nn.tensor`),
 a parameter/module registry, the layers the TLP cost model needs
 (Linear, LayerNorm, Dropout, residual blocks, multi-head
-self-attention), MSE + lambda-rank losses, SGD/Adam, and a seeded batch
-loader over extractor output.  Every differentiable piece is pinned by
+self-attention), MSE + lambda-rank losses, Adam with a cosine schedule,
+and seeded batch loaders over extractor output.  Every differentiable piece is pinned by
 finite-difference gradient checks (``make gradcheck``).
 """
 
@@ -14,15 +14,9 @@ from repro.nn.data import ArraySource, BatchLoader, GroupedBatchLoader, RecordSo
 from repro.nn.functional import MaskBiasCache, ScratchArena
 from repro.nn.gradcheck import assert_gradients_match, max_relative_error, numerical_gradient
 from repro.nn.layers import Dropout, LayerNorm, Linear, ResidualBlock
-from repro.nn.losses import (
-    LambdaRankLoss,
-    MSELoss,
-    lambda_rank_loss,
-    lambda_rank_loss_grouped,
-    mse_loss,
-)
+from repro.nn.losses import lambda_rank_loss, lambda_rank_loss_grouped, mse_loss
 from repro.nn.module import CheckpointError, Module, Parameter
-from repro.nn.optim import SGD, Adam, CosineLR, Optimizer, StepLR
+from repro.nn.optim import Adam, CosineLR, Optimizer
 from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled, no_grad
 
 __all__ = [
@@ -33,10 +27,8 @@ __all__ = [
     "CosineLR",
     "Dropout",
     "GroupedBatchLoader",
-    "LambdaRankLoss",
     "LayerNorm",
     "Linear",
-    "MSELoss",
     "MaskBiasCache",
     "Module",
     "MultiHeadSelfAttention",
@@ -44,9 +36,7 @@ __all__ = [
     "Parameter",
     "RecordSource",
     "ResidualBlock",
-    "SGD",
     "ScratchArena",
-    "StepLR",
     "Tensor",
     "as_tensor",
     "assert_gradients_match",

@@ -1,8 +1,11 @@
 """Batched, seeded iteration over extractor output or lazy record sources.
 
-:class:`BatchLoader` yields minibatches either from in-memory arrays (the
-``(X, mask)`` pair ``TLPFeaturizer.transform`` produces, plus optional
-labels) or from any *lazily-indexed source* — an object exposing
+:class:`GroupedBatchLoader` packs minibatches of contiguous (task,
+platform) segments, the layout lambda-rank training needs
+(``repro.core.trainer``).  :class:`BatchLoader` yields flat minibatches
+either from in-memory arrays (the ``(X, mask)`` pair
+``TLPFeaturizer.transform`` produces, plus optional labels) or from any
+*lazily-indexed source* — an object exposing
 ``__len__`` and ``__getitem__(indices) -> tuple[np.ndarray, ...]`` — such
 as ``repro.dataset.ShardReader`` over memory-mapped shards, so an epoch
 over a multi-gigabyte store never materializes the store.

@@ -30,28 +30,12 @@ def uniform(
     return rng.uniform(low, high, size=shape).astype(np.float32)
 
 
-def normal(shape: tuple[int, ...], rng: np.random.Generator, std: float = 0.02) -> np.ndarray:
-    return (rng.standard_normal(shape) * std).astype(np.float32)
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot bound ``sqrt(6 / (fan_in + fan_out))`` over the last two dims."""
-    fan_in, fan_out = _fans(shape)
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return uniform(shape, rng, -limit, limit)
-
-
 def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He bound ``sqrt(6 / fan_in)`` — the ReLU-stack default."""
-    fan_in, _ = _fans(shape)
+    """He bound ``sqrt(6 / fan_in)`` — the ReLU-stack default; ``fan_in``
+    is the second-to-last dim (the only one of a 1-d shape)."""
+    fan_in = shape[-2] if len(shape) > 1 else shape[0]
     limit = math.sqrt(6.0 / fan_in)
     return uniform(shape, rng, -limit, limit)
 
 
-def _fans(shape: tuple[int, ...]) -> tuple[int, int]:
-    if len(shape) == 1:
-        return shape[0], shape[0]
-    return shape[-2], shape[-1]
-
-
-__all__ = ["kaiming_uniform", "normal", "ones", "uniform", "xavier_uniform", "zeros"]
+__all__ = ["kaiming_uniform", "ones", "uniform", "zeros"]

@@ -127,22 +127,7 @@ def lambda_rank_loss_grouped(
     return total * np.float32(1.0 / contributing)
 
 
-class MSELoss:
-    def __call__(self, pred: Tensor, target: np.ndarray) -> Tensor:
-        return mse_loss(pred, target)
-
-
-class LambdaRankLoss:
-    def __init__(self, sigma: float = 1.0):
-        self.sigma = float(sigma)
-
-    def __call__(self, pred: Tensor, labels: np.ndarray) -> Tensor:
-        return lambda_rank_loss(pred, labels, self.sigma)
-
-
 __all__ = [
-    "LambdaRankLoss",
-    "MSELoss",
     "lambda_rank_loss",
     "lambda_rank_loss_grouped",
     "mse_loss",

@@ -163,9 +163,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         grad_tag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_tag})"
@@ -416,20 +413,6 @@ class Tensor:
 
         return self._track(out_data, (self,), backward)
 
-    def log(self) -> "Tensor":
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g / self.data, owned=True)
-
-        return self._track(np.log(self.data), (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * (1.0 - out_data * out_data), owned=True)
-
-        return self._track(out_data, (self,), backward)
-
     def relu(self) -> "Tensor":
         positive = self.data > 0
 
@@ -437,14 +420,6 @@ class Tensor:
             self._accumulate(g * positive, owned=True)
 
         return self._track(np.where(positive, self.data, np.float32(0.0)), (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        out_data = _sigmoid(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * out_data * (1.0 - out_data), owned=True)
-
-        return self._track(out_data, (self,), backward)
 
     def softplus(self) -> "Tensor":
         # Stable log(1 + exp(x)): max(x, 0) + log1p(exp(-|x|)).

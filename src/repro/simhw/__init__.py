@@ -12,7 +12,6 @@ from repro.simhw.measure import (
     extract_features,
     labels_from_latencies,
     measure,
-    measure_labels,
     measure_many,
     quirk_multipliers,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "get_platform",
     "labels_from_latencies",
     "measure",
-    "measure_labels",
     "measure_many",
     "quirk_multipliers",
 ]

@@ -210,18 +210,6 @@ def labels_from_latencies(latencies: np.ndarray) -> np.ndarray:
     return (lat.min() / lat).astype(np.float32)
 
 
-def measure_labels(
-    subgraph: Subgraph,
-    schedules: Sequence["Schedule | Sequence[Primitive]"],
-    platform: "Platform | str",
-    *,
-    root_seed: int = ROOT_SEED,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(latencies, min-normalized labels) for one task on one platform."""
-    latencies = measure_many(subgraph, schedules, platform, root_seed=root_seed)
-    return latencies, labels_from_latencies(latencies)
-
-
 # -- smoke ------------------------------------------------------------------
 
 
@@ -293,7 +281,6 @@ __all__ = [
     "extract_features",
     "labels_from_latencies",
     "measure",
-    "measure_labels",
     "measure_many",
     "quirk_multipliers",
 ]

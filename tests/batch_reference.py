@@ -3,7 +3,8 @@
 One ``absint.profile`` run per candidate, then that profile's two views —
 ``StaticProfile.features()`` for the static row and ``to_nest()`` for the
 concrete nest — then ``NestFeatures.from_nests`` over the nests, and
-``TLPFeaturizer.transform`` for the TLP rows.  ``repro.analysis.batch.BatchProfile``
+``repro.core.reference_transform`` (the naive per-primitive encoder) for
+the TLP rows.  ``repro.analysis.batch.BatchProfile``
 and ``TLPFeaturizer.transform_into`` must reproduce every byte of it, and
 raise exactly where its loop raises.  The pricing that runs on the pass —
 ``simhw.measure_many`` and the draft scores — is held to

@@ -150,7 +150,7 @@ def test_profile_many_plane_shape_and_dtype():
     sg = matmul_subgraph()
     gen = SketchGenerator(SketchConfig("cpu"))
     batch = gen.generate_many(sg, 32, stream("absint.plane"))
-    plane = absint.profile_many(sg, batch)
+    plane = BatchProfile(sg, batch, "cpu").static_plane()
     assert plane.shape == (32, len(absint.STATIC_FEATURE_NAMES))
     assert plane.dtype == np.float32
     assert np.isfinite(plane).all()

@@ -33,7 +33,7 @@ from repro.analysis import batch as batch_module
 from repro.analysis.absint import Interpreter
 from repro.analysis.batch import BatchProfile, CandidateGroups
 from repro.analysis.diagnostics import InvalidScheduleError
-from repro.core.extractor import TLPFeaturizer
+from repro.core import TLPFeaturizer, reference_transform
 from repro.tensorir import Primitive, Schedule, SketchConfig, SketchGenerator
 from repro.tensorir import primitives as P
 from repro.tensorir.networks import NETWORK_POOLS
@@ -90,7 +90,7 @@ def _assert_batch_matches_oracle(sg, seqs, target, featurizer, plans=None) -> No
     static = batch.static_plane()
     assert static.dtype == np.float32 and static.tobytes() == static_ref.tobytes()
     assert_same_nest_features(batch.nest_features(), nest_ref)
-    X_ref, mask_ref = featurizer.transform(seqs)
+    X_ref, mask_ref = reference_transform(featurizer, seqs)
     cfg = featurizer.config
     X = np.full((len(seqs) + 2, cfg.seq_len, cfg.emb), np.nan, dtype=np.float32)
     mask = np.full((len(seqs) + 2, cfg.seq_len), np.nan, dtype=np.float32)
@@ -385,7 +385,7 @@ def test_profile_many_raises_the_first_invalid_candidates_error():
     seqs[5] = (P.split("i", 999, (8,)),)
     seqs[6] = (P.split("i", 128, (0,)),)
     with pytest.raises(absint.AbsIntError) as err:
-        absint.profile_many(sg, seqs)
+        BatchProfile(sg, seqs, "cpu").static_plane()
     assert (err.value.step, err.value.code) == (0, "E108")
 
 

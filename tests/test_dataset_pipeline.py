@@ -2,7 +2,7 @@
 
 The heavy contracts: the single-pass pipeline's columns are
 bit-identical to the compose-by-hand path (``generate_many`` ->
-``measure_many`` / per-candidate ``profile`` rows / ``transform``), labels normalize
+``measure_many`` / per-candidate ``profile`` rows / ``reference_transform``), labels normalize
 per (task, platform), the store is a pure function of (spec, root
 seed), and the manifest journals exactly what is on disk.
 """
@@ -18,6 +18,7 @@ from corruptions import CORRUPTIONS, dead_axis
 from batch_reference import reference_profiles
 from repro.analysis import batch as batch_module
 from repro.analysis.absint import AbsIntError
+from repro.core import reference_transform
 from repro.dataset import (
     DatasetSpec,
     Manifest,
@@ -108,7 +109,7 @@ def test_columns_bit_identical_to_manual_composition(store):
             plan.n_candidates,
             stream(candidate_stream(spec, task, plan.target), spec.root_seed),
         )
-        X_ref, mask_ref = featurizer.transform(schedules)
+        X_ref, mask_ref = reference_transform(featurizer, schedules)
         static_ref, _ = reference_profiles(task.subgraph, schedules, plan.target)
         for pi, platform_idx in enumerate(plan.platform_ids):
             rows = np.arange(plan.row_start + pi * plan.n_candidates,

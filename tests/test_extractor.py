@@ -4,12 +4,14 @@ The load-bearing claims, each pinned by a hypothesis property:
 
 1. ``transform`` is deterministic — across repeated calls on one
    featurizer and across independently fitted featurizers.
-2. The vectorized batch path is *bit-identical* to the naive
-   per-primitive reference extractor, for both Table 4 geometries.
+2. The grouped batch encoder (``transform_into``, and ``transform`` over
+   fresh arrays) is *bit-identical* to the naive per-primitive reference
+   extractor, for both Table 4 geometries, an empty batch and every
+   corruption class of ``tests/corruptions.py`` (or raises what the
+   reference raises).
 3. ``crop_pad`` preserves the kept prefix exactly and zeroes the rest,
    at 25x22 and 54x40.
-4. Sequence-LRU hits return arrays bit-identical to a fresh encode.
-5. Fail-closed: every sampler-generated sequence the extractor is fed
+4. Fail-closed: every sampler-generated sequence the extractor is fed
    passes the batch verifier with no errors.
 """
 
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corruptions import CORRUPTIONS
 from repro.analysis import has_errors, verify_many
 from repro.core import (
     N_KINDS,
@@ -30,7 +33,8 @@ from repro.core import (
     crop_pad,
     reference_transform,
 )
-from repro.tensorir import SketchConfig, SketchGenerator, sample_subgraph_pool
+from repro.tensorir import Primitive, SketchConfig, SketchGenerator, sample_subgraph_pool
+from repro.tensorir import primitives as P
 from repro.utils.rng import stream
 
 _POOL = sample_subgraph_pool()
@@ -94,23 +98,6 @@ def test_crop_pad_preserves_prefix(length, width, seed, config):
     assert not out[:, kept_cols:].any()
 
 
-@settings(max_examples=25, deadline=None)
-@given(batch=batches)
-def test_cache_hits_are_bit_identical(batch):
-    cached = TLPFeaturizer(TABLE4_CROPPED, cache_size=64).fit(_CORPUS)
-    X1, M1 = cached.transform(batch)
-    hits_before = cached.cache_info()["hits"]
-    X2, M2 = cached.transform(batch)
-    # Every probe of the second pass hits the sequence LRU...
-    assert cached.cache_info()["hits"] == hits_before + len(batch)
-    assert np.array_equal(X1, X2) and np.array_equal(M1, M2)
-    # ...and the cached arrays equal an encode with the LRU disabled.
-    uncached = TLPFeaturizer(TABLE4_CROPPED, cache_size=0).fit(_CORPUS)
-    X3, M3 = uncached.transform(batch)
-    assert uncached.cache_info()["size"] == 0
-    assert np.array_equal(X1, X3) and np.array_equal(M1, M3)
-
-
 @settings(max_examples=20, deadline=None)
 @given(sg=st.sampled_from(_POOL), seed=st.integers(min_value=0, max_value=2**16))
 def test_extractor_inputs_pass_verifier_fail_closed(sg, seed):
@@ -127,6 +114,78 @@ def test_extractor_inputs_pass_verifier_fail_closed(sg, seed):
 def test_transform_before_fit_raises():
     with pytest.raises(RuntimeError, match="before fit"):
         TLPFeaturizer().transform(_CORPUS[:1])
+    with pytest.raises(RuntimeError, match="before fit"):
+        TLPFeaturizer().transform([])
+
+
+@pytest.mark.parametrize("config", _CONFIGS, ids=lambda c: f"{c.seq_len}x{c.emb}")
+def test_empty_batch_gives_empty_float32_planes(config):
+    X, mask = _FITTED[config].transform([])
+    X_ref, mask_ref = reference_transform(_FITTED[config], [])
+    assert X.dtype == mask.dtype == np.float32
+    assert X.shape == X_ref.shape == (0, config.seq_len, config.emb)
+    assert mask.shape == mask_ref.shape == (0, config.seq_len)
+
+
+def _encoded_or_raised(encode, batch):
+    """``(X bytes, mask bytes)`` of an encode, or the type it raised."""
+    try:
+        X, mask = encode(batch)
+    except Exception as exc:  # the type is what the encoders must share
+        return type(exc)
+    return X.dtype, X.shape, X.tobytes(), mask.dtype, mask.tobytes()
+
+
+@pytest.mark.parametrize("config", _CONFIGS, ids=lambda c: f"{c.seq_len}x{c.emb}")
+@pytest.mark.parametrize("target", ["cpu", "gpu"])
+def test_corruption_classes_encode_as_the_reference_does(target, config):
+    """Every corrupted batch of ``tests/corruptions.py`` (each class on
+    every candidate it applies to, one batch per pool subgraph) gives the
+    reference's bytes, or raises the reference's exception type."""
+    gen = SketchGenerator(SketchConfig(target))
+    n_batches = 0
+    for sg in _POOL:
+        base = gen.generate_many(sg, 8, stream(f"test.extractor.corrupt.{sg.name}.{target}"))
+        featurizer = TLPFeaturizer(config).fit(base)
+        for _code, _name, mutator in CORRUPTIONS:
+            batch = [mutator(s) or s.primitives for s in base]
+            n_batches += 1
+            want = _encoded_or_raised(lambda b: reference_transform(featurizer, b), batch)
+            assert _encoded_or_raised(featurizer.transform, batch) == want
+    assert n_batches == len(_POOL) * len(CORRUPTIONS)
+
+
+_ODD_SEQUENCES = {
+    "raw-string kind": (Primitive("SP", ("i",), (64, 8)), P.split("i", 64, (8,))),
+    "bool and numpy ints": (Primitive("SP", ("i",), (64, True)),
+                            P.split("i", np.int64(64), (np.int64(4),))),
+    "float int": (Primitive("SP", ("i",), (64, 2.5)),),
+    "int past float32": (Primitive("SP", ("i",), (64, 2**31 + 1)),),
+    "unseen characters": (P.annotate("zzz", "vectorize"),),
+    "empty sequence": (),
+    "longer than seq_len": tuple(P.split("i", 64, (f,)) for f in range(1, 61)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ODD_SEQUENCES))
+def test_hand_built_sequences_encode_as_the_reference_does(name):
+    featurizer = _FITTED[TABLE4_CROPPED]
+    batch = [_CORPUS[0], _ODD_SEQUENCES[name], _CORPUS[1]]
+    want = _encoded_or_raised(lambda b: reference_transform(featurizer, b), batch)
+    assert not isinstance(want, type)
+    assert _encoded_or_raised(featurizer.transform, batch) == want
+
+
+def test_transform_returns_fresh_arrays():
+    """``transform`` never hands out a buffer anyone else writes: not an
+    earlier result, not the pair the featurizer holds for scorers."""
+    featurizer = TLPFeaturizer(TABLE4_CROPPED).fit(_CORPUS)
+    held = featurizer._buffers(len(_CORPUS))
+    X1, mask1 = featurizer.transform(_CORPUS)
+    X2, mask2 = featurizer.transform(_CORPUS)
+    for a, b in [(X1, X2), (mask1, mask2), (X1, held[0]), (mask1, held[1])]:
+        assert not np.shares_memory(a, b)
+    assert X1.tobytes() == X2.tobytes() and mask1.tobytes() == mask2.tobytes()
 
 
 def test_fit_empty_corpus_raises():
@@ -137,41 +196,6 @@ def test_fit_empty_corpus_raises():
 def test_degenerate_geometry_raises():
     with pytest.raises(ValueError):
         PostprocessConfig(seq_len=0, emb=22)
-
-
-def test_sequence_lru_stays_bounded():
-    featurizer = TLPFeaturizer(TABLE4_CROPPED, cache_size=8).fit(_CORPUS)
-    featurizer.transform(_CORPUS)
-    assert featurizer.cache_info()["size"] <= 8
-
-
-def test_disabled_cache_reports_no_hits_or_misses():
-    # cache_size=0 means there is no LRU to hit *or* miss: the counters
-    # must stay at zero instead of recording every encode as a "miss".
-    featurizer = TLPFeaturizer(TABLE4_CROPPED, cache_size=0).fit(_CORPUS)
-    featurizer.transform(_CORPUS)
-    featurizer.transform(_CORPUS)  # re-query: still not a hit or a miss
-    info = featurizer.cache_info()
-    assert info["hits"] == 0
-    assert info["misses"] == 0
-    assert info["size"] == 0
-    assert info["capacity"] == 0
-    # The per-primitive row memo is independent of the LRU and stays warm.
-    assert info["row_memo_size"] > 0
-
-
-def test_enabled_cache_counts_misses_then_hits():
-    featurizer = TLPFeaturizer(TABLE4_CROPPED, cache_size=64).fit(_CORPUS)
-    # Dedupe by content: a repeated sequence would hit on its first pass.
-    batch = list({s.primitives: s for s in _CORPUS[:16]}.values())
-    featurizer.transform(batch)
-    info = featurizer.cache_info()
-    assert info["misses"] == len(batch)
-    assert info["hits"] == 0
-    featurizer.transform(batch)
-    info = featurizer.cache_info()
-    assert info["misses"] == len(batch)
-    assert info["hits"] == len(batch)
 
 
 def test_row_layout_leads_with_one_hot_kind():
@@ -196,15 +220,18 @@ def _buffers(cfg, n):
 
 
 @settings(max_examples=25, deadline=None)
-@given(batch=batches)
-def test_transform_into_is_bit_identical_to_transform(batch):
-    fitted = _FITTED[TABLE4_CROPPED]
-    X_ref, mask_ref = fitted.transform(batch)
-    X_buf, mask_buf = _buffers(TABLE4_CROPPED, len(batch) + 3)  # oversized ok
+@given(batch=batches, config=st.sampled_from(_CONFIGS))
+def test_transform_into_is_bit_identical_to_transform(batch, config):
+    """Both equal the naive reference, the independent oracle."""
+    fitted = _FITTED[config]
+    X_ref, mask_ref = reference_transform(fitted, batch)
+    X_new, mask_new = fitted.transform(batch)
+    X_buf, mask_buf = _buffers(config, len(batch) + 3)  # oversized ok
     X, mask = fitted.transform_into(batch, X_buf, mask_buf)
-    assert X.shape == X_ref.shape and mask.shape == mask_ref.shape
-    assert X.tobytes() == X_ref.tobytes()
-    assert mask.tobytes() == mask_ref.tobytes()
+    for got, got_mask in ((X, mask), (X_new, mask_new)):
+        assert got.shape == X_ref.shape and got_mask.shape == mask_ref.shape
+        assert got.tobytes() == X_ref.tobytes()
+        assert got_mask.tobytes() == mask_ref.tobytes()
     # The returned views alias the donated buffers — no new tensors.
     assert X.base is X_buf and mask.base is mask_buf
 
@@ -213,7 +240,7 @@ def test_transform_into_steady_state_allocates_zero_rows():
     """The zero-alloc pin: after a warm-up pass every primitive row is
     memoized, so a second pass over the same buffers materializes no new
     row arrays (``rows_encoded`` frozen) and grows no caches."""
-    featurizer = TLPFeaturizer(TABLE4_CROPPED, cache_size=0).fit(_CORPUS)
+    featurizer = TLPFeaturizer(TABLE4_CROPPED).fit(_CORPUS)
     batch = _CORPUS[:12]
     X_buf, mask_buf = _buffers(TABLE4_CROPPED, len(batch))
     featurizer.transform_into(batch, X_buf, mask_buf)
@@ -224,8 +251,6 @@ def test_transform_into_steady_state_allocates_zero_rows():
     assert steady["rows_encoded"] == warm["rows_encoded"]
     assert steady["row_memo_size"] == warm["row_memo_size"]
     assert (X_buf.tobytes(), mask_buf.tobytes()) == first
-    # The LRU was never consulted: buffer donation bypasses it entirely.
-    assert steady["hits"] == 0 and steady["misses"] == 0
 
 
 def test_transform_into_overwrites_stale_buffer_contents():
@@ -235,7 +260,7 @@ def test_transform_into_overwrites_stale_buffer_contents():
     X_buf, mask_buf = _buffers(TABLE4_CROPPED, 4)
     fitted.transform_into(long_batch, X_buf, mask_buf)
     fitted.transform_into(short_batch, X_buf, mask_buf)
-    X_ref, mask_ref = fitted.transform(short_batch)
+    X_ref, mask_ref = reference_transform(fitted, short_batch)
     assert X_buf.tobytes() == X_ref.tobytes()
     assert mask_buf.tobytes() == mask_ref.tobytes()
 
@@ -257,32 +282,24 @@ def test_transform_into_validates_buffers():
 
 
 def test_cache_clear_resets_counters_and_caches():
-    featurizer = TLPFeaturizer(TABLE4_CROPPED, cache_size=32).fit(_CORPUS)
+    featurizer = TLPFeaturizer(TABLE4_CROPPED).fit(_CORPUS)
     featurizer.transform(_CORPUS[:8])
+    first = featurizer.cache_info()
     featurizer.transform(_CORPUS[:8])
     info = featurizer.cache_info()
     assert info["rows_encoded"] > 0 and info["row_memo_size"] > 0
-    assert info["hits"] > 0 and info["size"] > 0
+    assert info == first  # the re-query found every row in the memo
     featurizer.cache_clear()
-    cleared = featurizer.cache_info()
-    assert cleared == {
-        "hits": 0,
-        "misses": 0,
-        "size": 0,
-        "capacity": 32,
-        "row_memo_size": 0,
-        "rows_encoded": 0,
-    }
+    assert featurizer.cache_info() == {"row_memo_size": 0, "rows_encoded": 0}
     # Still fitted and still correct after the clear.
     X_a, _ = featurizer.transform(_CORPUS[:8])
-    X_b, _ = _FITTED[TABLE4_CROPPED].transform(_CORPUS[:8])
+    X_b, _ = reference_transform(featurizer, _CORPUS[:8])
     assert X_a.tobytes() == X_b.tobytes()
 
 
 def test_refit_clears_stale_state():
-    featurizer = TLPFeaturizer(TABLE4_CROPPED, cache_size=32).fit(_CORPUS)
+    featurizer = TLPFeaturizer(TABLE4_CROPPED).fit(_CORPUS)
     featurizer.transform(_CORPUS[:8])
+    assert featurizer.cache_info()["row_memo_size"] > 0
     featurizer.fit(_CORPUS)
-    info = featurizer.cache_info()
-    assert info["size"] == 0 and info["row_memo_size"] == 0
-    assert info["rows_encoded"] == 0
+    assert featurizer.cache_info() == {"row_memo_size": 0, "rows_encoded": 0}

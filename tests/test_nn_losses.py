@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    LambdaRankLoss,
-    MSELoss,
     Tensor,
     assert_gradients_match,
     lambda_rank_loss,
@@ -61,13 +59,6 @@ def test_gradient_pushes_scores_toward_label_order():
     lambda_rank_loss(pred, y).backward()
     # descending gradient: best-labelled item gets the most negative grad
     assert pred.grad[0] < pred.grad[1] < pred.grad[2]
-
-
-def test_loss_classes_delegate():
-    p = _pred([2.0, 1.0])
-    y = np.array([0.9, 0.1], dtype=np.float32)
-    assert float(LambdaRankLoss()(p, y).data) == float(lambda_rank_loss(p, y).data)
-    assert float(MSELoss()(p, y).data) == float(mse_loss(p, y).data)
 
 
 @pytest.mark.gradcheck

@@ -28,6 +28,7 @@ from repro.core import (
     TLPFeaturizer,
     TLPModel,
     TLPModelConfig,
+    reference_transform,
 )
 from repro.tensorir import Schedule, SketchConfig, SketchGenerator, matmul_subgraph
 from repro.tensorir import primitives as P
@@ -280,8 +281,8 @@ def test_n_predicted_tracks_valid_subset_in_score_topk(scorer, subgraph, corpus)
 
 
 def _reference_propose(scorer, subgraph, n, k, rng, draft_keep):
-    """``propose_topk`` as verified ``generate_many`` → ``transform`` →
-    ``predict`` composed it, the draft over applied nests."""
+    """``propose_topk`` as verified ``generate_many`` → the naive
+    per-primitive encoder → ``predict``, the draft over applied nests."""
     gen = scorer.generator
     if draft_keep is None:
         schedules = gen.generate_many(subgraph, n, rng)
@@ -291,7 +292,7 @@ def _reference_propose(scorer, subgraph, n, k, rng, draft_keep):
         draft = reference_draft_scores(subgraph, schedules, gen.config.target)
         n_keep = max(int(np.ceil(draft_keep * len(schedules))), min(k, len(schedules)))
         kept = np.sort(np.argsort(-draft, kind="stable")[:n_keep])
-    X, mask = scorer.featurizer.transform([schedules[i] for i in kept])
+    X, mask = reference_transform(scorer.featurizer, [schedules[i] for i in kept])
     scores = scorer.model.predict(X, mask, max_chunk=scorer.max_chunk)
     order = np.argsort(-scores, kind="stable")[:k]
     return schedules, ScoredTopK(kept[order], scores[order], len(schedules), 0, len(kept))
@@ -303,13 +304,17 @@ _PROPOSE_SUBGRAPHS = {
 }
 
 
+def _propose_corpus():
+    """The propose scorers' featurizer fit corpus, both targets."""
+    return [s for target, sg in _PROPOSE_SUBGRAPHS.items()
+            for s in SketchGenerator(SketchConfig(target)).generate_many(
+                sg, 32, stream(f"test.scoring.batch.fit.{target}"))]
+
+
 @pytest.fixture(scope="module")
 def propose_scorers():
     """One scorer per target, its featurizer fitted on both targets."""
-    corpus = [s for target, sg in _PROPOSE_SUBGRAPHS.items()
-              for s in SketchGenerator(SketchConfig(target)).generate_many(
-                  sg, 32, stream(f"test.scoring.batch.fit.{target}"))]
-    featurizer = TLPFeaturizer(PostprocessConfig()).fit(corpus)
+    featurizer = TLPFeaturizer(PostprocessConfig()).fit(_propose_corpus())
     model = TLPModel(TLPModelConfig(emb=featurizer.config.emb, hidden=16, n_heads=2,
                                     n_res_blocks=1, stream_name="test.scoring.batch")).eval()
     return {target: CandidateScorer(model, featurizer, SketchGenerator(SketchConfig(target)),
@@ -339,6 +344,47 @@ def test_propose_topk_is_the_verified_composition_byte_for_byte(
         assert ((top.n_candidates, top.n_invalid, top.n_predicted)
                 == (ref.n_candidates, ref.n_invalid, ref.n_predicted))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_scorers_over_one_featurizer_share_one_buffer_pair(monkeypatch, propose_scorers):
+    """A cpu and a gpu scorer over one featurizer write one grow-only
+    ``X``/``mask`` pair, and their interleaved rounds pick, byte for byte,
+    what fresh scorers over a fresh featurizer pick."""
+    model = propose_scorers["cpu"].model
+    corpus = _propose_corpus()
+
+    def scorer(featurizer, target):
+        return CandidateScorer(model, featurizer, SketchGenerator(SketchConfig(target)),
+                               max_chunk=64)
+
+    shared = TLPFeaturizer(PostprocessConfig()).fit(corpus)
+    scorers = {target: scorer(shared, target) for target in _PROPOSE_SUBGRAPHS}
+    buffers = []
+    transform_into = TLPFeaturizer.transform_into
+
+    def recording(self, sequences, X, mask):
+        if self is shared:
+            buffers.append((X, mask))
+        return transform_into(self, sequences, X, mask)
+
+    monkeypatch.setattr(TLPFeaturizer, "transform_into", recording)
+    rounds = [("cpu", 300, None), ("gpu", 7, None), ("cpu", 40, 0.5),
+              ("gpu", 300, 0.5), ("gpu", 1, None), ("cpu", 64, None)]
+    for r, (target, n, draft_keep) in enumerate(rounds):
+        subgraph = _PROPOSE_SUBGRAPHS[target]
+        name = f"test.scoring.shared.{r}"
+        schedules, top = scorers[target].propose_topk(subgraph, n, 5, stream(name),
+                                                      draft_keep=draft_keep)
+        fresh = scorer(TLPFeaturizer(PostprocessConfig()).fit(corpus), target)
+        ref_schedules, ref = fresh.propose_topk(subgraph, n, 5, stream(name),
+                                                draft_keep=draft_keep)
+        assert [s.primitives for s in schedules] == [s.primitives for s in ref_schedules]
+        assert top.indices.tobytes() == ref.indices.tobytes()
+        assert top.scores.tobytes() == ref.scores.tobytes()
+        assert top.n_predicted == ref.n_predicted
+    assert len(buffers) == len(rounds)
+    assert all(X is shared._X and mask is shared._mask for X, mask in buffers)
+    assert shared._X.shape == (300, shared.config.seq_len, shared.config.emb)
 
 
 @pytest.mark.parametrize("draft_keep", [None, 0.5])
